@@ -6,6 +6,18 @@ eigenbasis, time/band energy-concentration extremals, and bandlimited
 extrapolation of quaternion-valued signals.
 """
 
+import os as _os
+
+
+def _setup_threads():
+    cap = _os.environ.get("QPSWF_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(var, cap)
+
+
+_setup_threads()  # must run before numpy is first imported
+
 from .concentration import (ComboSignal, EnergyReport, band_limit,
                             boundary_eta, build_boundary_signal,
                             build_eta_one_signal, build_zero_xi_signal,

@@ -10,20 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-
-def _setup_threads():
-    cap = os.environ.get("QPSWF_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_setup_threads()  # must run before numpy is first imported
 
 
 class CliError(Exception):
@@ -298,7 +287,8 @@ def cmd_extrapolate(cfg: RunConfig, out: Path, problem_path: Path,
 
 
 def cmd_qft(cfg: RunConfig, out: Path, direction: str, input_path: Path) -> int:
-    from .qft import dual_frequency_axes, forward_qft, inverse_qft
+    from .qft import (dual_frequency_axes, dual_frequency_axis, forward_qft,
+                      inverse_qft)
     from .qgrid_io import load_qgrid, load_spectrum, save_qgrid, save_spectrum
 
     out.mkdir(parents=True, exist_ok=True)
@@ -310,16 +300,10 @@ def cmd_qft(cfg: RunConfig, out: Path, direction: str, input_path: Path) -> int:
             written = save_spectrum(out / "spectrum.qgrid", spec)
             print(f"wrote {', '.join(str(p) for p in written)}")
         else:
-            import numpy as np
-
-            from .grid import GridAxis
             spec = load_spectrum(input_path)
-            # dual spatial axis of the stored frequency grid
-            span = spec.ax_u.step * (spec.ax_u.count - 1)
-            step = 2 * np.pi / span
-            count = spec.ax_u.count
-            ax = GridAxis(-step * (count - 1) / 2, step, count)
-            sig = inverse_qft(spec, ax, ax)
+            # the dual of each frequency axis is the spatial axis it came from
+            sig = inverse_qft(spec, dual_frequency_axis(spec.ax_u),
+                              dual_frequency_axis(spec.ax_v))
             save_qgrid(out / "signal.qgrid", sig)
             print(f"wrote {out / 'signal.qgrid'}")
     except Exception as exc:

@@ -23,8 +23,7 @@ from .errors import (BadIndex, NoAdmissibleIndex, WindowTooSmall,
 from .grid import GridAxis, QSignal, Region, energy, region_mask
 from .prolate import (BasisSet2D, _axis_gram_line_ld, _axis_gram_time_ld,
                       cached_basis_1d)
-from .qft import (dual_frequency_axes, forward_qft, inverse_qft,
-                  mask_spectrum)
+from .qft import _band_bins, _fold, dual_frequency_axes
 from .signals import BandRep, element_band_rep, element_cut_band_rep
 
 PSI = "psi"
@@ -39,13 +38,22 @@ def time_limit(f: QSignal, t_half: float) -> QSignal:
 
 def band_limit(f: QSignal, w_half: float, ax_u: GridAxis = None,
                ax_v: GridAxis = None) -> QSignal:
-    """Project onto the band square: mask the spectrum, transform back."""
+    """Project onto the band square: inverse_qft(mask_spectrum(forward_qft(f))).
+
+    The square is even in u and v (symmetric axes), so the quaternion mixing
+    cancels: one real FFT low-pass per component, masked in dual-lattice bins.
+    """
     if ax_u is None or ax_v is None:
         ax_u, ax_v = dual_frequency_axes(f)
     if w_half > min(ax_u.stop, ax_v.stop):
         raise WindowTooSmall("band exceeds the available frequency window")
-    spec = forward_qft(f, ax_u, ax_v)
-    return inverse_qft(mask_spectrum(spec, w_half), f.ax_x, f.ax_y)
+    mu, mv = _band_bins(f.ax_x, ax_u, w_half), _band_bins(f.ax_y, ax_v, w_half)
+    w = np.outer(f.ax_x.trapezoid_weights(), f.ax_y.trapezoid_weights()) / (4 * np.pi ** 2)
+    bins = _fold(_fold(f.values * w[..., None], len(mu), 0), len(mv), 1)
+    spec = np.fft.rfft2(bins, axes=(0, 1)) * np.outer(mu, mv[:len(mv) // 2 + 1])[..., None]
+    bins = np.fft.irfft2(spec, s=bins.shape[:2], axes=(0, 1), norm="forward")
+    return f.with_values(bins[np.ix_(np.arange(f.ax_x.count) % len(mu),
+                                     np.arange(f.ax_y.count) % len(mv))])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .concentration import band_limit, time_limit
 from .errors import BadParameters, GridMismatch, LengthMismatch
 from .grid import QSignal, Region, energy, region_mask
 from .prolate import BasisSet2D
-from .qft import dual_frequency_axes
 from .quaternion import qarr_modulus
 from .signals import BandRep, band_rep_from_time_nodal, element_band_rep
 
@@ -233,8 +232,6 @@ def _pg_run_band(problem, max_steps, stop_tol, compare_closed_form):
 
 def _pg_run_grid(problem, max_steps, stop_tol):
     f_n = QSignal.zeros(problem.observed.ax_x, problem.observed.ax_y)
-    ax_u, ax_v = dual_frequency_axes(problem.observed)
-    probe_mask = None
     rows = []
     converged = False
     for n in range(1, max_steps + 1):

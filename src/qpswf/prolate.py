@@ -517,7 +517,8 @@ def lowpass_residual_field(field: np.ndarray, basis1d: ProlateBasis1D) -> float:
     x, w = basis1d._x_ld, basis1d._w_ld
     kern = sinc_kernel_ld(x[:, None] - x[None, :], basis1d.w_half)
     f = np.asarray(field, dtype=_LD)
-    kf = np.einsum("ps,stc,qt->pqc", kern * w[None, :], f, kern * w[None, :])
+    kw = kern * w[None, :]
+    kf = np.einsum("ptc,qt->pqc", np.einsum("ps,stc->ptc", kw, f), kw)
     w2 = w[:, None] * w[None, :]
     lam = float(np.einsum("pq,pqc,pqc->", w2, kf, f) / np.einsum("pq,pqc,pqc->", w2, f, f))
     diff = kf - lam * f

@@ -1,13 +1,14 @@
 """Two-sided quaternionic Fourier transform on sampled grids.
 
 The transform of f = f0 + i f1 + j f2 + k f3 is assembled from one
-standard complex 2D DFT per real component, evaluated by quadrature-
-weighted kernel matrices so forward/inverse approximate the continuous
-integrals (including their 1/2pi factors) on caller-chosen frequency
-axes.  Choosing the frequency spacing du = 2*pi / (x-span) makes the
-sampled kernels discretely orthogonal: roundtrips and the Q-modulus
-Parseval identity then hold to rounding for signals whose spectra live
-strictly inside the window.
+standard complex 2D DFT per real component: trapezoid quadratures of the
+continuous integrals (with their 1/2pi factors), evaluated by FFT on the
+dual lattice.  A spatial step h and a frequency step du are accepted when
+h * du * L = 2*pi for an integer L, as for every axis dual_frequency_axis
+makes (any odd count, from odd or even grids); other axes raise
+NonUniformGrid.  With du = 2*pi / (x-span) the sampled kernels are
+discretely orthogonal: roundtrips and the Q-modulus Parseval identity hold
+to rounding for signals whose spectra live strictly inside the window.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .grid import GridAxis, QSignal, Region, energy
 from .quaternion import qarr_left_mul_complex
 
 _SYM_TOL = 1e-9
+_LATTICE_TOL = 1e-12  # relative distance of 2*pi/(step product) from an integer
 
 
 def _check_symmetric(ax: GridAxis, name: str):
@@ -48,9 +50,6 @@ class SpectrumQ:
             raise BadParameters("combined has wrong shape")
         if self.components.shape != (4, mu, mv, 4):
             raise BadParameters("components have wrong shape")
-
-    def q_modulus_sq(self) -> np.ndarray:
-        return q_modulus_field(self)
 
     def band_mask(self, w_half: float) -> np.ndarray:
         tol = _SYM_TOL * min(self.ax_u.step, self.ax_v.step)
@@ -83,59 +82,61 @@ def dual_frequency_axes(f: QSignal, count: int = None) -> tuple[GridAxis, GridAx
     return dual_frequency_axis(f.ax_x, count), dual_frequency_axis(f.ax_y, count)
 
 
-def _kernel(freq: np.ndarray, pos: np.ndarray, weights: np.ndarray, sign: float) -> np.ndarray:
-    return np.exp(sign * 1j * np.outer(freq, pos)) * weights[None, :]
+def _lattice_length(src: GridAxis, dst: GridAxis) -> int:
+    """The integer L with src.step * dst.step * L = 2*pi."""
+    period = 2 * np.pi / (src.step * dst.step)
+    n = round(period)
+    if n < 1 or abs(period - n) > _LATTICE_TOL * period:
+        raise NonUniformGrid(f"axis steps {src.step:.6g}, {dst.step:.6g} are not a dual lattice")
+    return n
+
+
+def _fold(z: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+    """Sum the samples along axis into n periodic bins (index mod n)."""
+    z = np.moveaxis(z, axis, -1)
+    bins = np.zeros(z.shape[:-1] + (n,), dtype=z.dtype)
+    for k in range(0, z.shape[-1], n):
+        bins[..., :min(n, z.shape[-1] - k)] += z[..., k:k + n]
+    return np.moveaxis(bins, -1, axis)
+
+
+def _lattice_dft(vals: np.ndarray, src: GridAxis, dst: GridAxis, sign: int,
+                 axis: int) -> np.ndarray:
+    """sum_a w_a vals_a e^{sign i s_a t_b} along axis by one length-L FFT.
+
+    With ds dt L = 2*pi, s_a t_b = s0 t_b + a ds t0 + 2*pi a b / L: the
+    a-phase goes on the weighted samples, which fold mod L (the half-weight
+    ends of a dual axis share a bin), the FFT supplies 2*pi a b / L, and the
+    s0 t_b phase goes on the bins gathered mod L.
+    """
+    n = _lattice_length(src, dst)
+    pre = np.exp(sign * 1j * src.step * dst.start * np.arange(src.count))
+    z = np.moveaxis(vals, axis, -1) * (src.trapezoid_weights() * pre)
+    bins = np.fft.fft(_fold(z, n)) if sign < 0 else np.fft.ifft(_fold(z, n), norm="forward")
+    out = bins[..., np.arange(dst.count) % n] * np.exp(sign * 1j * src.start * dst.samples())
+    return np.moveaxis(out, -1, axis)
+
+
+def _band_bins(ax: GridAxis, ax_f: GridAxis, w_half: float) -> np.ndarray:
+    """Weights of the band |u| <= w_half on ax_f in the FFT bins of ax (bin k: u = k du)."""
+    _check_symmetric(ax_f, "frequency")
+    keep = np.abs(ax_f.samples()) <= w_half + _SYM_TOL * ax_f.step
+    bins = _fold(ax_f.trapezoid_weights() * keep, _lattice_length(ax, ax_f))
+    return np.roll(bins, -(ax_f.count // 2))
 
 
 def forward_qft(f: QSignal, ax_u: GridAxis, ax_v: GridAxis) -> SpectrumQ:
     """Two-sided QFT with kernel e^{-iux} (left), e^{-jvy} (right), factor 1/2pi."""
-    _check_symmetric(ax_v, "frequency v")
-    x, y = f.ax_x.samples(), f.ax_y.samples()
-    wx, wy = f.ax_x.trapezoid_weights(), f.ax_y.trapezoid_weights()
-    eu = _kernel(ax_u.samples(), x, wx, -1.0)
-    ev = _kernel(ax_v.samples(), y, wy, -1.0)
-
-    comps = np.empty((4, ax_u.count, ax_v.count, 4))
-    for c in range(4):
-        g = eu @ f.component(c).astype(complex) @ ev.T
-        gf = g[:, ::-1]  # v -> -v on the symmetric axis
-        cc = 0.5 * (g.real + gf.real)
-        s12 = 0.5 * (gf.real - g.real)
-        s1 = -0.5 * (g.imag + gf.imag)
-        s2 = 0.5 * (gf.imag - g.imag)
-        comps[c] = np.stack((cc, -s1, -s2, s12), axis=-1) / (2 * np.pi)
-
-    combined = _assemble_symmetric(comps)
-    return SpectrumQ(ax_u, ax_v, combined, comps)
+    g = np.stack([_lattice_dft(_lattice_dft(f.component(c), f.ax_x, ax_u, -1, 0),
+                               f.ax_y, ax_v, -1, 1) for c in range(4)])
+    return spectrum_from_complex_components(ax_u, ax_v, g)
 
 
 def _assemble_symmetric(comps: np.ndarray) -> np.ndarray:
     """F(f0) + i F(f1) + F(f2) j + i F(f3) j from component spectra."""
-    f0, f1, f2, f3 = comps
-    out = f0.copy()
-    # left-multiplication by i: (w,x,y,z) -> (-x, w, -z, y)
-    out[..., 0] += -f1[..., 1]
-    out[..., 1] += f1[..., 0]
-    out[..., 2] += -f1[..., 3]
-    out[..., 3] += f1[..., 2]
-    # right-multiplication by j: (w,x,y,z) -> (-y, -z, w, x)
-    out[..., 0] += -f2[..., 2]
-    out[..., 1] += -f2[..., 3]
-    out[..., 2] += f2[..., 0]
-    out[..., 3] += f2[..., 1]
-    # i * q * j in two steps: left-i then right-j
-    iq = np.stack((-f3[..., 1], f3[..., 0], -f3[..., 3], f3[..., 2]), axis=-1)
-    out[..., 0] += -iq[..., 2]
-    out[..., 1] += -iq[..., 3]
-    out[..., 2] += iq[..., 0]
-    out[..., 3] += iq[..., 1]
-    return out
-
-
-def spectrum_from_components(ax_u: GridAxis, ax_v: GridAxis, comps: np.ndarray) -> SpectrumQ:
-    """Build a SpectrumQ from the four quaternion component spectra F(f_c)."""
-    comps = np.asarray(comps, dtype=float)
-    return SpectrumQ(ax_u, ax_v, _assemble_symmetric(comps), comps)
+    a, b, c, d = (np.moveaxis(q, -1, 0) for q in comps)  # (w, x, y, z) parts
+    return np.stack((a[0] - b[1] - c[2] + d[3], a[1] + b[0] - c[3] - d[2],
+                     a[2] - b[3] + c[0] - d[1], a[3] + b[2] + c[1] + d[0]), axis=-1)
 
 
 def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
@@ -149,36 +150,27 @@ def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
     """
     _check_symmetric(ax_v, "frequency v")
     g = np.asarray(g, dtype=complex)
-    comps = np.empty((4, ax_u.count, ax_v.count, 4))
-    for c in range(4):
-        gc = g[c]
-        gf = gc[:, ::-1]
-        cc = 0.5 * (gc.real + gf.real)
-        s12 = 0.5 * (gf.real - gc.real)
-        s1 = -0.5 * (gc.imag + gf.imag)
-        s2 = 0.5 * (gf.imag - gc.imag)
-        comps[c] = np.stack((cc, -s1, -s2, s12), axis=-1) / (2 * np.pi)
+    comps = np.empty((4, 4, ax_u.count, ax_v.count))  # quaternion parts outermost
+    for c, (gc, gf) in enumerate(zip(g, g[:, :, ::-1])):  # gf: v -> -v
+        comps[c] = gc.real + gf.real, gc.imag + gf.imag, gc.imag - gf.imag, gf.real - gc.real
+    comps /= 4 * np.pi
+    comps = np.moveaxis(comps, 1, -1)
     return SpectrumQ(ax_u, ax_v, _assemble_symmetric(comps), comps)
 
 
 def inverse_qft(spec: SpectrumQ, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
     """Inverse two-sided QFT: kernel e^{+iux} (left), e^{+jvy} (right), factor 1/2pi."""
-    u, v = spec.ax_u.samples(), spec.ax_v.samples()
-    wu, wv = spec.ax_u.trapezoid_weights(), spec.ax_v.trapezoid_weights()
-    ex = _kernel(ax_x.samples(), u, wu, +1.0)  # (Nx, Mu) with weights in u
-    yv = np.outer(ax_y.samples(), v)
-    cy = (np.cos(yv) * wv[None, :]).T  # (Mv, Ny)
-    sy = (np.sin(yv) * wv[None, :]).T
+    def over_u(c):
+        return _lattice_dft(spec.combined[..., c], spec.ax_u, ax_x, +1, 0)
 
-    # symplectic split of the quaternion spectrum: Q = A + B j with A, B complex in i
-    a = spec.combined[..., 0] + 1j * spec.combined[..., 1]
-    b = spec.combined[..., 2] + 1j * spec.combined[..., 3]
-    ea = ex @ a
-    eb = ex @ b
-    xpart = (ea @ cy - eb @ sy) / (2 * np.pi)
-    ypart = (ea @ sy + eb @ cy) / (2 * np.pi)
-    vals = np.stack((xpart.real, xpart.imag, ypart.real, ypart.imag), axis=-1)
-    return QSignal(ax_x, ax_y, vals)
+    # symplectic split Q = A + B j (A, B complex in i); with e^{jvy} = cos + j sin,
+    # (A + B j)(cos + j sin) = (A cos - B sin) + (A sin + B cos) j, where the
+    # cos and sin sums come from e^{+ivy} (p) and e^{-ivy} (m)
+    ap, am, bp, bm = (_lattice_dft(z, spec.ax_v, ax_y, s, 1) for z in
+                      (over_u(0) + 1j * over_u(1), over_u(2) + 1j * over_u(3)) for s in (1, -1))
+    x = (ap + am + 1j * (bp - bm)) / (4 * np.pi)
+    y = (bp + bm - 1j * (ap - am)) / (4 * np.pi)
+    return QSignal(ax_x, ax_y, np.stack((x.real, x.imag, y.real, y.imag), axis=-1))
 
 
 def q_modulus_field(spec: SpectrumQ) -> np.ndarray:

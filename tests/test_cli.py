@@ -227,3 +227,47 @@ def test_qft_cli_roundtrip(extrap_files, tmp_path):
     truth = load_qgrid(extrap_files / "truth.qgrid")
     assert np.abs(back.values - truth.values).max() \
         <= 1e-8 * np.abs(truth.values).max()
+
+
+def test_qft_cli_non_square_roundtrip(tmp_path):
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import load_qgrid, save_qgrid
+    ax_x, ax_y = GridAxis.symmetric(4.0, 65), GridAxis.symmetric(3.0, 33)
+    x, y = ax_x.samples()[:, None], ax_y.samples()[None, :]
+    g = np.exp(-3 * (x ** 2 + y ** 2))  # negligible on the grid edges
+    sig = QSignal.from_components(ax_x, ax_y, g, 0.5 * x * g, -y * g, x * y * g)
+    save_qgrid(tmp_path / "sig.qgrid", sig)
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", "forward", "--input", str(tmp_path / "sig.qgrid"))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("--config", str(cfg), "--output", str(tmp_path / "q2"), "qft", "inverse",
+                "--input", str(tmp_path / "q" / "spectrum.qgrid"))
+    assert r.returncode == 0, r.stderr
+    back = load_qgrid(tmp_path / "q2" / "signal.qgrid")
+    assert back.values.shape == (65, 33, 4)
+    for got, want in ((back.ax_x, ax_x), (back.ax_y, ax_y)):
+        assert got.count == want.count
+        assert got.start == pytest.approx(want.start, rel=1e-12)
+        assert got.step == pytest.approx(want.step, rel=1e-12)
+    assert np.abs(back.values - sig.values).max() <= 1e-8 * np.abs(sig.values).max()
+
+
+def test_qpswf_threads_caps_blas():
+    import ctypes
+    import glob
+    import os
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    if not libs or not hasattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy is not linked against scipy-openblas")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["QPSWF_THREADS"] = "1"
+    code = ("import ctypes, sys, qpswf.cli\n"
+            "get = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
+            "get.argtypes, get.restype = [], ctypes.c_int\n"
+            "print(get())")
+    r = subprocess.run([sys.executable, "-c", code, libs[0]], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "1"

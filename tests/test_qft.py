@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from qpswf.concentration import band_limit
 from qpswf.errors import NonUniformGrid, WindowTooSmall, ZeroSignal
 from qpswf.grid import GridAxis, QSignal, energy
 from qpswf.qft import (_assemble_symmetric, dual_frequency_axes,
-                       forward_qft, inverse_qft, mask_spectrum, modulate,
-                       parseval_check, q_modulus_field, sinc_bandlimit_kernel,
-                       spectral_energy, spectrum_from_complex_components)
-from qpswf.quaternion import qarr_modulus_sq
+                       dual_frequency_axis, forward_qft, inverse_qft,
+                       mask_spectrum, modulate, parseval_check,
+                       q_modulus_field, sinc_bandlimit_kernel, spectral_energy,
+                       spectrum_from_complex_components)
+from qpswf.quaternion import qarr_modulus_sq, qarr_mul
 from qpswf.rng import CounterRng
 from qpswf.signals import random_bandlimited_grid_spectrum
 
@@ -185,3 +187,74 @@ def test_dual_axis_properties():
     f = QSignal.zeros(AX, AX)
     with pytest.raises(NonUniformGrid):
         forward_qft(f, ax_u, bad_v)
+
+
+def _dense_qft(vals, src_x, src_y, dst_x, dst_y, sign):
+    """(1/2pi) sum w_x w_y e^{sign i x u} q(x, y) e^{sign j y v} by dense matmuls.
+
+    Each of the 16 (left, component, right) terms is one real kernel product
+    times the quaternion unit it carries; no FFT and no symplectic split.
+    """
+    def kernels(src, dst):
+        arg = np.outer(dst.samples(), src.samples())
+        w = src.trapezoid_weights()[None, :]
+        return np.cos(arg) * w, sign * np.sin(arg) * w
+
+    units = np.eye(4)  # 1, i, j, k
+    (cl, sl), (cr, sr) = kernels(src_x, dst_x), kernels(src_y, dst_y)
+    out = np.zeros((dst_x.count, dst_y.count, 4))
+    for c in range(4):
+        for kl, ul in ((cl, units[0]), (sl, units[1])):
+            for kr, ur in ((cr, units[0]), (sr, units[2])):
+                unit = qarr_mul(qarr_mul(ul, units[c]), ur)
+                out += (kl @ vals[..., c] @ kr.T)[..., None] * unit
+    return out / (2 * np.pi)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+# grid counts (nx, ny) and frequency count: odd, even (FFT length 99),
+# sub-window, non-square
+@pytest.mark.parametrize("nx,ny,count", [(129, 129, None), (100, 100, None),
+                                         (129, 129, 31), (65, 33, None)])
+def test_fft_qft_matches_dense_oracle(nx, ny, count):
+    ax_x, ax_y = GridAxis.symmetric(4.0, nx), GridAxis.symmetric(3.0, ny)
+    ax_u, ax_v = dual_frequency_axis(ax_x, count), dual_frequency_axis(ax_y, count)
+    f = QSignal(ax_x, ax_y, CounterRng(40 + nx + ny).normal_field((nx, ny, 4)))
+    spec = forward_qft(f, ax_u, ax_v)
+    assert _rel(spec.combined, _dense_qft(f.values, ax_x, ax_y, ax_u, ax_v, -1)) <= 1e-12
+    for c in range(4):
+        only_c = np.zeros_like(f.values)
+        only_c[..., 0] = f.component(c)
+        oracle = _dense_qft(only_c, ax_x, ax_y, ax_u, ax_v, -1)
+        assert _rel(spec.components[c], oracle) <= 1e-12
+    back = inverse_qft(spec, ax_x, ax_y)
+    oracle = _dense_qft(spec.combined, ax_u, ax_v, ax_x, ax_y, +1)
+    assert _rel(back.values, oracle) <= 1e-12
+    # the band square at W = 1 and at the Nyquist edge of the window
+    for w_half in (1.0, min(ax_u.stop, ax_v.stop)):
+        keep = spec.band_mask(w_half)[..., None]
+        oracle = _dense_qft(spec.combined * keep, ax_u, ax_v, ax_x, ax_y, +1)
+        assert _rel(band_limit(f, w_half, ax_u, ax_v).values, oracle) <= 1e-12
+
+
+def test_band_limit_is_masked_qft_roundtrip():
+    f = QSignal(AX, AX, CounterRng(44).normal_field((AX.count, AX.count, 4)))
+    ax_u, ax_v = _axes()
+    via_qft = inverse_qft(mask_spectrum(forward_qft(f, ax_u, ax_v), 1.0), AX, AX)
+    assert _rel(band_limit(f, 1.0).values, via_qft.values) <= 1e-12
+
+
+def test_off_lattice_axes_rejected():
+    f = QSignal(AX, AX, CounterRng(45).normal_field((AX.count, AX.count, 4)))
+    ax_u, ax_v = _axes()
+    off = GridAxis(ax_u.start * 1.01, ax_u.step * 1.01, ax_u.count)
+    with pytest.raises(NonUniformGrid):
+        forward_qft(f, off, ax_v)
+    with pytest.raises(NonUniformGrid):
+        band_limit(f, 1.0, off, ax_v)
+    spec = forward_qft(f, ax_u, ax_v)
+    with pytest.raises(NonUniformGrid):
+        inverse_qft(spec, GridAxis(AX.start, AX.step * 1.01, AX.count), AX)
