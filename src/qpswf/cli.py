@@ -126,13 +126,14 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
 
     try:
         manifest = json.loads(manifest_path.read_text())
+        cfg.t_half, cfg.w_half, cfg.quad_n = manifest["T"], manifest["W"], manifest["N"]
+        entries = [(e["file"], e["lambda2d"]) for e in manifest["entries"]]
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(2, "manifest", f"cannot read manifest: {exc}")
-
-    cfg.t_half = manifest["T"]
-    cfg.w_half = manifest["W"]
-    cfg.quad_n = manifest["N"]
-    cfg.basis_count = len(manifest["entries"])
+    except (KeyError, TypeError) as exc:
+        raise CliError(2, "manifest", "need T, W, N and entries with file and lambda2d "
+                       f"({type(exc).__name__}: {exc})")
+    cfg.basis_count = len(entries)
     basis = _build_basis(cfg)
 
     base_dir = manifest_path.parent
@@ -142,8 +143,8 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
     relation_max = 0.0
     allpass_excess = 0.0
     skipped = 0
-    for q, entry in enumerate(manifest["entries"]):
-        fpath = base_dir / entry["file"]
+    for q, (fname, lam2d) in enumerate(entries):
+        fpath = base_dir / fname
         if not fpath.exists():
             raise CliError(2, "manifest", f"missing element file {fpath}")
         try:
@@ -155,7 +156,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
         if el.lambda2d < EIG_FLOOR:
             skipped += 1
             continue
-        lowpass_max = max(lowpass_max, verify_lowpass(el, lam_override=entry["lambda2d"]))
+        lowpass_max = max(lowpass_max, verify_lowpass(el, lam_override=lam2d))
         chk = verify_finite_qft(el)
         fqft_max = max(fqft_max, chk.residual)
         relation_max = max(relation_max, chk.relation_residual)
@@ -187,7 +188,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
     for name, value in checks.items():
         if value > cfg.tol:
             raise CliError(4, name, f"residual {value:.3e} exceeds tol {cfg.tol:.1e}")
-    print(f"verify passed: {len(manifest['entries'])} elements "
+    print(f"verify passed: {len(entries)} elements "
           f"({skipped} below eigenvalue floor skipped), report in {out}")
     return 0
 
@@ -295,6 +296,8 @@ def cmd_qft(cfg: RunConfig, out: Path, direction: str, input_path: Path) -> int:
     try:
         if direction == "forward":
             sig = load_qgrid(input_path)
+            if sig.ax_x.count % 2 == 0 or sig.ax_y.count % 2 == 0:
+                raise ValueError("axis counts must be odd; qft inverse cannot restore an even one")
             ax_u, ax_v = dual_frequency_axes(sig)
             spec = forward_qft(sig, ax_u, ax_v)
             written = save_spectrum(out / "spectrum.qgrid", spec)

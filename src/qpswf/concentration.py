@@ -7,8 +7,9 @@ degenerate edges of that region.
 
 Extremal signals are returned as ComboSignal, a QSignal carrying its exact
 expansion over basis elements and their time-limited cuts.  Reports for
-such signals (and for band-side representations) are computed from Gauss
-quadratures on the time and band squares, which sidesteps the O(1/X)
+such signals go through the expansion's modal form (signals.ModalField):
+energies are traces of the 1D time-square and whole-line Grams and band
+ratios come from the band-side Gauss rule, which sidesteps the O(1/X)
 spatial tails that grid windows cannot capture.
 """
 
@@ -21,13 +22,9 @@ import numpy as np
 from .errors import (BadIndex, NoAdmissibleIndex, WindowTooSmall,
                      XiOutOfRange, ZeroSignal)
 from .grid import GridAxis, QSignal, Region, energy, region_mask
-from .prolate import (BasisSet2D, _axis_gram_line_ld, _axis_gram_time_ld,
-                      cached_basis_1d)
+from .prolate import BasisSet2D, cached_basis_1d
 from .qft import _band_bins, _fold, dual_frequency_axes
-from .signals import BandRep, element_band_rep, element_cut_band_rep
-
-PSI = "psi"
-CUT = "cut"  # time-limited cut D_T psi
+from .signals import CUT, PSI, BandRep, ModalField, band_rep_from_time_nodal
 
 
 def time_limit(f: QSignal, t_half: float) -> QSignal:
@@ -93,48 +90,20 @@ class ComboSignal(QSignal):
     terms: tuple = ()
     basis: BasisSet2D = None
 
+    @property
+    def modal(self) -> ModalField:
+        return ModalField.of_terms(self.basis, self.terms)
+
     def band_spectra(self) -> BandRep:
         """Component spectra of the combination restricted to the band."""
-        total = None
-        for kind, q, r in self.terms:
-            rep = (element_band_rep if kind == PSI else element_cut_band_rep)(self.basis[q])
-            total = rep.spectra * r if total is None else total + rep.spectra * r
-        return BandRep(self.basis.basis1d, total)
-
-    def gauss_scalar_field(self) -> np.ndarray:
-        """Common-amplitude scalar field on the time Gauss grid."""
-        b = self.basis.basis1d
-        out = np.zeros((len(b.nodes), len(b.nodes)))
-        for _, q, r in self.terms:
-            el = self.basis[q]
-            out += r * np.outer(b.eigvecs[el.m], b.eigvecs[el.n])
-        return out
+        return self.modal.band_rep()
 
     def time_energy(self) -> float:
-        b = self.basis.basis1d
-        s = self.gauss_scalar_field()
-        return float(np.einsum("i,j,ij->", b.weights, b.weights, s * s))
+        return self.modal.time_energy()
 
     def total_energy(self) -> float:
-        """Exact energy from the pairwise Gram identities of the expansion."""
-        b = self.basis.basis1d
-        modes = sorted({k for _, q, _ in self.terms
-                       for k in (self.basis[q].m, self.basis[q].n)})
-        pos = {k: i for i, k in enumerate(modes)}
-        g_t = np.asarray(_axis_gram_time_ld(b, modes), dtype=float)
-        g_r = np.asarray(_axis_gram_line_ld(b, modes), dtype=float)
-        total = 0.0
-        for kind_a, qa, ra in self.terms:
-            ea = self.basis[qa]
-            for kind_b, qb, rb in self.terms:
-                eb = self.basis[qb]
-                if kind_a == PSI and kind_b == PSI:
-                    gx, gy = g_r, g_r
-                else:
-                    # any pairing that involves a cut reduces to the time square
-                    gx, gy = g_t, g_t
-                total += ra * rb * gx[pos[ea.m], pos[eb.m]] * gy[pos[ea.n], pos[eb.n]]
-        return float(total)
+        """Exact energy from the Gram identities of the expansion."""
+        return self.modal.total_energy()
 
     def report(self) -> EnergyReport:
         e_total = self.total_energy()
@@ -146,17 +115,10 @@ class ComboSignal(QSignal):
 
 
 def _combo(basis: BasisSet2D, terms) -> ComboSignal:
-    vals = np.zeros_like(basis[0].values.values)
-    t_mask = None
-    for kind, q, r in terms:
-        el_vals = basis[q].values.values
-        if kind == CUT:
-            if t_mask is None:
-                t_mask = region_mask(basis[q].values, Region.square(basis.t_half))
-            el_vals = el_vals * t_mask[..., None]
-        vals = vals + r * el_vals
-    return ComboSignal(ax_x=basis.ax_x, ax_y=basis.ax_y, values=vals,
-                       terms=tuple(terms), basis=basis)
+    terms = tuple(terms)
+    return ComboSignal(ax_x=basis.ax_x, ax_y=basis.ax_y,
+                       values=ModalField.of_terms(basis, terms).grid_values(),
+                       terms=terms, basis=basis)
 
 
 def energy_ratios(f: QSignal, t_half: float, w_half: float) -> EnergyReport:
@@ -203,7 +165,6 @@ def energy_ratios_band(f: BandRep, basis: BasisSet2D) -> EnergyReport:
 
 def energy_ratios_time_nodal(nodal: np.ndarray, basis: BasisSet2D) -> EnergyReport:
     """Report for a time-limited signal given at the time Gauss nodes."""
-    from .signals import band_rep_from_time_nodal
     b = basis.basis1d
     dens = np.einsum("ijc,ijc->ij", nodal, nodal)
     e_total = float(np.einsum("i,j,ij->", b.weights, b.weights, dens))
@@ -221,7 +182,7 @@ def least_angle_check(basis: BasisSet2D) -> tuple[float, float]:
     quadrature against the eigensolver's lambda_0.
     """
     theoretical = float(np.arccos(np.sqrt(basis.lambda0)))
-    psi0 = _combo(basis, [(PSI, 0, 1.0)])
+    psi0 = ModalField.of(basis, [1.0])
     achieved = float(np.arccos(np.sqrt(psi0.time_energy() / psi0.total_energy())))
     return theoretical, achieved
 

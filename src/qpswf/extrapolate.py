@@ -20,7 +20,7 @@ from .errors import BadParameters, GridMismatch, LengthMismatch
 from .grid import QSignal, Region, energy, region_mask
 from .prolate import BasisSet2D
 from .quaternion import qarr_modulus
-from .signals import BandRep, band_rep_from_time_nodal, element_band_rep
+from .signals import BandRep, ModalField, band_rep_from_time_nodal
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,16 @@ class SyntheticTruth:
     def lambdas(self) -> np.ndarray:
         return self.basis.eigenvalues()[: len(self.coeffs)]
 
+    @property
+    def modal(self) -> ModalField:
+        return ModalField.of(self.basis, self.coeffs)
+
     def band_spectra(self) -> np.ndarray:
-        total = None
-        for j, a in enumerate(self.coeffs):
-            s = element_band_rep(self.basis[j]).spectra * a
-            total = s if total is None else total + s
-        return total
+        return self.modal.band_rep().spectra
 
     def gauss_values(self) -> np.ndarray:
         """Quaternion nodal values on the time Gauss grid."""
-        b = self.basis.basis1d
-        n = len(b.nodes)
-        out = np.zeros((n, n, 4))
-        comps = self.basis[0].coeff.as_array()
-        for j, a in enumerate(self.coeffs):
-            el = self.basis[j]
-            out += a * np.outer(b.eigvecs[el.m], b.eigvecs[el.n])[..., None] * comps
-        return out
+        return self.modal.nodal_values()
 
 
 @dataclass(frozen=True)
@@ -90,8 +83,7 @@ class ExtrapolationProblem:
 def make_synthetic_problem(basis: BasisSet2D, coeffs) -> ExtrapolationProblem:
     """Problem whose truth is a basis combination, observed on D = basis T."""
     synth = SyntheticTruth(basis, np.asarray(coeffs, dtype=float))
-    truth_q = QSignal(basis.ax_x, basis.ax_y, sum(
-        a * basis[j].values.values for j, a in enumerate(synth.coeffs)))
+    truth_q = QSignal(basis.ax_x, basis.ax_y, synth.modal.grid_values())
     observed = time_limit(truth_q, basis.t_half)
     return ExtrapolationProblem(observed=observed, d_half=basis.t_half,
                                 w_half=basis.w_half, truth=truth_q, synthetic=synth)
@@ -155,19 +147,13 @@ def closed_form_iterate(coeffs, lambdas, n: int, basis: BasisSet2D) -> QSignal:
     if a.shape != lam.shape or len(a) > len(basis):
         raise LengthMismatch("coefficients must match a basis prefix")
     weights = a * (1.0 - (1.0 - lam) ** n)
-    vals = sum(w * basis[j].values.values for j, w in enumerate(weights))
-    return QSignal(basis.ax_x, basis.ax_y, vals)
+    return QSignal(basis.ax_x, basis.ax_y, ModalField.of(basis, weights).grid_values())
 
 
 def closed_form_band_spectra(coeffs, lambdas, n: int, basis: BasisSet2D) -> np.ndarray:
     a = np.asarray(coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
-    weights = a * (1.0 - (1.0 - lam) ** n)
-    total = None
-    for j, w in enumerate(weights):
-        s = element_band_rep(basis[j]).spectra * w
-        total = s if total is None else total + s
-    return total
+    return ModalField.of(basis, a * (1.0 - (1.0 - lam) ** n)).band_rep().spectra
 
 
 def _probe_axes(d_half: float) -> np.ndarray:

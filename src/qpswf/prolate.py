@@ -13,6 +13,9 @@ plane) inner products of basis elements are evaluated on the band side via
 the finite-Fourier self-similarity of the eigenfunctions: at desk-scale
 windows the spatial tails of the eigenfunctions still carry O(1/X) energy,
 so literal window quadrature cannot certify whole-plane identities.
+
+A 2D basis keeps 1D factor tables (ModeTables) over the modes its elements
+use; element grids are computed from them on access.
 """
 
 from __future__ import annotations
@@ -331,6 +334,50 @@ def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
 DEFAULT_COEFF = Quaternion(0.5, 0.5, 0.5, 0.5)
 
 
+def band_rule(basis1d: ProlateBasis1D):
+    """Gauss rule on [-W, W] mapped from the time-side nodes (u = (W/T) s)."""
+    cr = basis1d.c_ratio
+    return cr * basis1d.nodes, cr * basis1d.weights
+
+
+@dataclass(frozen=True)
+class ModeTables:
+    """1D factor tables of the modes 0..M-1 that a 2D basis uses; row k is mode k.
+
+    Every 2D quantity of a basis element or combination is a product of
+    two rows (signals.ModalField does the contractions).  The top products
+    always use a prefix of the modes, all above the evaluation floor.
+    """
+
+    basis1d: ProlateBasis1D
+    ax_x: GridAxis
+    ax_y: GridAxis
+    ext_x: np.ndarray           # (M, Nx) long double, phi_k on the x grid
+    ext_y: np.ndarray           # (M, Ny) long double, phi_k on the y grid
+    band: np.ndarray            # (M, N) complex, F(phi_k) at the band nodes
+    cut: np.ndarray             # (M, N) complex, F(phi_k restricted to [-T, T])
+    gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
+    gram_r: np.ndarray          # (M, M) long double, <phi_a, phi_b> on the line
+
+
+def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> ModeTables:
+    ext_x = np.stack([b.extend_ld(k, ax_x.samples()) for k in range(m)])
+    ext_y = ext_x if ax_y == ax_x else np.stack([b.extend_ld(k, ax_y.samples())
+                                                 for k in range(m)])
+    # F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c): reversed nodes are -s
+    band = (b.mu[:m] / b.eigvals[:m])[:, None] * b.eigvecs[:m, ::-1]
+    u, _ = band_rule(b)
+    cut = b.eigvecs[:m].astype(complex) @ (np.exp(-1j * np.outer(u, b.nodes)) * b.weights).T
+    gram_t = (b._phi_ld[:m] * b._w_ld[None, :]) @ b._phi_ld[:m].T
+    # whole-line Gram from the band-side self-similarity:
+    # <phi_a, phi_b>_R = (W/T)/(2 pi) mu_a conj(mu_b) / (lambda_a lambda_b) <phi_a, phi_b>_T
+    mu, lam = b._mu_ld[:m], b._lam_ld[:m]
+    scale = (_LD(b.w_half) / _LD(b.t_half) / (2 * _LD(np.pi))) \
+        * mu[:, None] * np.conj(mu)[None, :] / (lam[:, None] * lam[None, :])
+    return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, ext_x=ext_x, ext_y=ext_y,
+                      band=band, cut=cut, gram_t=gram_t, gram_r=np.real(scale * gram_t))
+
+
 @dataclass(frozen=True)
 class Qpswf2D:
     """Tensor-product quaternion eigenfunction coeff * phi_m(x) phi_n(y)."""
@@ -339,14 +386,21 @@ class Qpswf2D:
     n: int
     lambda2d: float
     coeff: Quaternion
-    values: QSignal
     mu_x: complex
     mu_y: complex
     basis1d: ProlateBasis1D = field(repr=False)
+    tables: ModeTables = field(repr=False)
 
     @property
     def above_floor(self) -> bool:
         return self.lambda2d >= EIG_FLOOR
+
+    @property
+    def values(self) -> QSignal:
+        """The element on the basis grid, computed on access in long double."""
+        t = self.tables
+        outer = (t.ext_x[self.m][:, None] * t.ext_y[self.n][None, :]).astype(np.float64)
+        return QSignal(t.ax_x, t.ax_y, outer[..., None] * self.coeff.as_array()[None, None, :])
 
     def gauss_field_ld(self) -> np.ndarray:
         """coeff * phi_m(x) phi_n(y) on the Gauss x Gauss grid, long double."""
@@ -366,6 +420,9 @@ class BasisSet2D:
     w_half: float
     ax_x: GridAxis
     ax_y: GridAxis
+    tables: ModeTables
+    coeff: Quaternion
+    modes: np.ndarray           # (K, 2) 1D modes (m, n) of every element
 
     def __len__(self) -> int:
         return len(self.items)
@@ -400,6 +457,8 @@ def build_basis(t_half: float, w_half: float, n_quad: int, count: int,
     The 1D mode count is grown until the top-count product selection is
     provably complete.
     """
+    if count < 1:
+        raise BadParameters(f"basis count must be >= 1, got {count}")
     coeff = DEFAULT_COEFF if coeff is None else coeff
     n1 = _required_1d_count(count)
     while True:
@@ -415,12 +474,14 @@ def build_basis(t_half: float, w_half: float, n_quad: int, count: int,
 def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
                       coeff: Quaternion = DEFAULT_COEFF,
                       grid: tuple[GridAxis, GridAxis] = None) -> BasisSet2D:
-    """Assemble the top-count tensor-product elements on an evaluation grid.
+    """Select the top-count tensor-product elements and tabulate their modes.
 
     The 1D basis must contain enough modes that the selection is provably
     complete: the smallest selected product must dominate lambda_0 times
     the last available 1D eigenvalue.
     """
+    if count < 1:
+        raise BadParameters(f"basis count must be >= 1, got {count}")
     if abs(coeff.modulus() - 1.0) > 1e-12:
         raise NonUnitCoefficient(f"|coeff| = {coeff.modulus():.6f} != 1")
     if grid is None:
@@ -442,29 +503,21 @@ def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
             "1D basis too short to order the requested 2D selection; "
             f"need lambda_0*lambda_last <= {smallest:.3e}, got {boundary:.3e}")
 
-    needed_modes = sorted({m for mn in selected for m in mn})
-    for k in needed_modes:
+    n_modes = 1 + max(max(mn) for mn in selected)
+    for k in range(n_modes):
         if not lam[k] > _EVAL_FLOOR:
             raise EigenvalueTooSmall(
                 f"1D mode {k} (lambda = {float(lam[k]):.3e}) cannot be evaluated "
                 "in extended precision; reduce the basis count")
 
-    # per-axis nodal-to-grid extension values, one row per needed mode
-    vals_x = {k: basis1d.extend_ld(k, ax_x.samples()) for k in needed_modes}
-    vals_y = (vals_x if ax_y == ax_x
-              else {k: basis1d.extend_ld(k, ax_y.samples()) for k in needed_modes})
-
-    comps = coeff.as_array()
-    items = []
-    for (m, n) in selected:
-        outer = (vals_x[m][:, None] * vals_y[n][None, :]).astype(np.float64)
-        values = QSignal(ax_x, ax_y, outer[..., None] * comps[None, None, :])
-        items.append(Qpswf2D(
-            m=m, n=n, lambda2d=float(lam[m] * lam[n]), coeff=coeff, values=values,
-            mu_x=complex(basis1d.mu[m]), mu_y=complex(basis1d.mu[n]), basis1d=basis1d))
-    return BasisSet2D(items=tuple(items), basis1d=basis1d,
-                      t_half=basis1d.t_half, w_half=basis1d.w_half,
-                      ax_x=ax_x, ax_y=ax_y)
+    tables = _mode_tables(basis1d, n_modes, ax_x, ax_y)
+    items = tuple(Qpswf2D(m=m, n=n, lambda2d=float(lam[m] * lam[n]), coeff=coeff,
+                          mu_x=complex(basis1d.mu[m]), mu_y=complex(basis1d.mu[n]),
+                          basis1d=basis1d, tables=tables)
+                  for (m, n) in selected)
+    return BasisSet2D(items=items, basis1d=basis1d, t_half=basis1d.t_half,
+                      w_half=basis1d.w_half, ax_x=ax_x, ax_y=ax_y, tables=tables,
+                      coeff=coeff, modes=np.array(selected))
 
 
 # ---------------------------------------------------------------------------
@@ -637,27 +690,6 @@ def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None,
 # Gram matrices
 
 
-def _axis_gram_time_ld(b: ProlateBasis1D, modes) -> np.ndarray:
-    phi = b._phi_ld[modes]
-    return (phi * b._w_ld[None, :]) @ phi.T
-
-
-def _axis_gram_line_ld(b: ProlateBasis1D, modes) -> np.ndarray:
-    """Whole-line 1D Gram via the band-side self-similarity.
-
-    <phi_a, phi_b>_R = (W/T)/(2 pi) * mu_a conj(mu_b) / (lambda_a lambda_b)
-                       * <phi_a, phi_b>_T,
-    evaluated with the time-side Gauss rule mapped onto the band.
-    """
-    cr = _LD(b.w_half) / _LD(b.t_half)
-    pt = _axis_gram_time_ld(b, modes).astype(np.clongdouble)
-    mu = b._mu_ld[list(modes)]
-    lam = b._lam_ld[list(modes)]
-    scale = (cr / (2 * _LD(np.pi))) * mu[:, None] * np.conj(mu)[None, :] \
-        / (lam[:, None] * lam[None, :])
-    return np.real(scale * pt)
-
-
 def gram_matrix(basis: BasisSet2D, region: Region) -> np.ndarray:
     """Pairwise quaternion inner products of the basis over a region.
 
@@ -665,20 +697,14 @@ def gram_matrix(basis: BasisSet2D, region: Region) -> np.ndarray:
     plane is evaluated on the band side (component Parseval), since window
     quadrature at desk scales loses the O(1/X) eigenfunction tails.
     """
-    modes = sorted({k for it in basis.items for k in (it.m, it.n)})
-    pos = {k: i for i, k in enumerate(modes)}
     if region.kind is RegionKind.CENTERED_SQUARE:
         if abs(region.halfwidth - basis.t_half) > 1e-9 * basis.t_half:
             raise RegionOutOfGrid("time-square Gram supports only the basis region T")
-        ax_gram = _axis_gram_time_ld(basis.basis1d, modes)
+        ax_gram = basis.tables.gram_t
     else:
-        ax_gram = _axis_gram_line_ld(basis.basis1d, modes)
-
-    k = len(basis.items)
-    out = np.zeros((k, k, 4))
+        ax_gram = basis.tables.gram_r
+    m, n = basis.modes.T
+    out = np.zeros((len(basis), len(basis), 4))
     # same unit amplitude throughout: coeff * conj(coeff) = 1, entries are real
-    for p, a in enumerate(basis.items):
-        for q, bb in enumerate(basis.items):
-            val = ax_gram[pos[a.m], pos[bb.m]] * ax_gram[pos[a.n], pos[bb.n]]
-            out[p, q, 0] = float(val)
+    out[..., 0] = (ax_gram[np.ix_(m, m)] * ax_gram[np.ix_(n, n)]).astype(np.float64)
     return out

@@ -15,28 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridAxis, QSignal
-from .prolate import BasisSet2D, ProlateBasis1D, Qpswf2D
-from .quaternion import Quaternion, q_mul
+from .grid import GridAxis, QSignal, _axis_region_mask
+from .prolate import BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_rule
+from .quaternion import Quaternion, qarr_right_mul
 from .rng import CounterRng
 
-# e_c * conj(e_c') for the component units (1, i, j, k)
-_UNITS = [Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
-          Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1)]
-_UNIT_TABLE = np.array([[q_mul(_UNITS[c], _UNITS[cp].conj()).as_array()
-                         for cp in range(4)] for c in range(4)])
-
-
-def assemble_quaternion(products: np.ndarray) -> Quaternion:
-    """Sum_{c,c'} P[c,c'] e_c conj(e_c') for a 4x4 table of real integrals."""
-    comps = np.einsum("cp,cpk->k", products, _UNIT_TABLE)
-    return Quaternion(*comps)
-
-
-def band_rule(basis1d: ProlateBasis1D):
-    """Gauss rule on [-W, W] mapped from the time-side nodes (u = (W/T) s)."""
-    cr = basis1d.c_ratio
-    return cr * basis1d.nodes, cr * basis1d.weights
+PSI = "psi"
+CUT = "cut"  # time-limited cut D_T psi
 
 
 @dataclass(frozen=True)
@@ -90,13 +75,6 @@ class BandRep:
     def to_qsignal(self, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
         return QSignal(ax_x, ax_y, self.values(ax_x.samples(), ax_y.samples()))
 
-    def inner_with(self, other: "BandRep") -> Quaternion:
-        """Whole-plane quaternion inner product via component Parseval."""
-        w = self.weights
-        prods = np.einsum("i,j,cij,pij->cp", w, w, self.spectra,
-                          np.conj(other.spectra)).real / (4 * np.pi ** 2)
-        return assemble_quaternion(prods)
-
 
 def band_rep_from_time_nodal(basis1d: ProlateBasis1D, nodal: np.ndarray) -> BandRep:
     """Band-limit a field supported on the time square.
@@ -115,51 +93,94 @@ def band_rep_from_time_nodal(basis1d: ProlateBasis1D, nodal: np.ndarray) -> Band
 
 
 # ---------------------------------------------------------------------------
-# band-side spectra of basis elements and their time-limited cuts
+# basis combinations in modal form
 
 
-def _axis_band_spectrum(b: ProlateBasis1D, k: int) -> np.ndarray:
-    """F(phi_k) at the band nodes: (mu_k / lambda_k) phi_k(-u / c)."""
-    lam = b.eigvals[k]
-    phi_rev = b.eigvecs[k][::-1]       # phi(-s) on the symmetric node set
-    return (b.mu[k] / lam) * phi_rev.astype(complex)
+def _pair(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum a[i, j] b[k, l] g[i, k] g[j, l]: modal matrices under the Gram g (x) g."""
+    return float(np.sum(a * (g @ b @ g)))
 
 
-def _axis_cut_spectrum(b: ProlateBasis1D, k: int) -> np.ndarray:
-    """Fourier transform of the time-restricted factor at the band nodes."""
-    u, _ = band_rule(b)
-    ker = np.exp(-1j * np.outer(u, b.nodes)) * b.weights[None, :]
-    return ker @ b.eigvecs[k].astype(complex)
+@dataclass(frozen=True)
+class ModalField:
+    """A combination of basis elements and their time-limited cuts.
+
+    The field is coeff * sum_{a,b} (psi[a, b] phi_a(x) phi_b(y)
+    + cut[a, b] D_T phi_a(x) phi_b(y)), with a and b 1D mode indices (rows
+    of the mode tables), D_T the restriction to the time square and coeff
+    the basis's unit quaternion.  Every quantity below is a product of 1D
+    tables.
+    """
+
+    tables: ModeTables
+    coeff: Quaternion
+    psi: np.ndarray             # (M, M) real
+    cut: np.ndarray             # (M, M) real
+
+    @classmethod
+    def of(cls, basis: BasisSet2D, psi=(), cut=()) -> "ModalField":
+        """sum_q psi[q] psi_q + sum_q cut[q] D_T psi_q over prefixes of the basis."""
+        mn = basis.modes
+        mats = np.zeros((2,) + (len(basis.tables.band),) * 2)
+        for mat, a in zip(mats, (psi, cut)):
+            np.add.at(mat, tuple(mn[:len(a)].T), a)
+        return cls(basis.tables, basis.coeff, *mats)
+
+    @classmethod
+    def of_terms(cls, basis: BasisSet2D, terms) -> "ModalField":
+        """From (kind, element_index, real_coefficient) terms, kind PSI or CUT."""
+        a = np.zeros((2, len(basis)))
+        for kind, q, r in terms:
+            a[int(kind == CUT), q] += r
+        return cls.of(basis, *a)
+
+    def band_rep(self) -> BandRep:
+        t = self.tables
+        s = t.band.T @ self.psi @ t.band + t.cut.T @ self.cut @ t.cut
+        return BandRep(t.basis1d, self.coeff.as_array()[:, None, None] * s)
+
+    def nodal_values(self) -> np.ndarray:
+        """Quaternion values on the time Gauss grid (where cuts equal psi), shape (N, N, 4)."""
+        phi = self.tables.basis1d.eigvecs[:len(self.psi)]
+        return (phi.T @ (self.psi + self.cut) @ phi)[..., None] * self.coeff.as_array()
+
+    def grid_values(self) -> np.ndarray:
+        """Quaternion values on the basis grid, shape (Nx, Ny, 4)."""
+        t = self.tables
+        ex, ey = t.ext_x.astype(np.float64), t.ext_y.astype(np.float64)
+        s = ex.T @ self.psi @ ey
+        if self.cut.any():
+            h = t.basis1d.t_half
+            mask = np.outer(_axis_region_mask(t.ax_x, h), _axis_region_mask(t.ax_y, h))
+            s = s + mask * (ex.T @ self.cut @ ey)
+        return s[..., None] * self.coeff.as_array()
+
+    def time_energy(self) -> float:
+        return _pair(self.tables.gram_t, self.psi + self.cut, self.psi + self.cut)
+
+    def total_energy(self) -> float:
+        """Whole-plane energy; every pairing that involves a cut is a time-square one."""
+        t = self.tables
+        return _pair(t.gram_r, self.psi, self.psi) \
+            + _pair(t.gram_t, self.cut, 2 * self.psi + self.cut)
 
 
 def element_band_rep(psi: Qpswf2D) -> BandRep:
     """Exact band representation of a basis element."""
-    b = psi.basis1d
-    sx = _axis_band_spectrum(b, psi.m)
-    sy = _axis_band_spectrum(b, psi.n)
-    comps = psi.coeff.as_array()
-    spectra = comps[:, None, None] * (sx[:, None] * sy[None, :])[None, ...]
-    return BandRep(b, spectra.astype(complex))
-
-
-def element_cut_band_rep(psi: Qpswf2D) -> BandRep:
-    """Band representation of the time-limited cut of a basis element."""
-    b = psi.basis1d
-    sx = _axis_cut_spectrum(b, psi.m)
-    sy = _axis_cut_spectrum(b, psi.n)
-    comps = psi.coeff.as_array()
-    spectra = comps[:, None, None] * (sx[:, None] * sy[None, :])[None, ...]
-    return BandRep(b, spectra.astype(complex))
+    p = np.zeros((len(psi.tables.band),) * 2)
+    p[psi.m, psi.n] = 1.0
+    return ModalField(psi.tables, psi.coeff, p, np.zeros_like(p)).band_rep()
 
 
 def project_on_basis(f: BandRep, basis: BasisSet2D, count: int = None) -> np.ndarray:
     """Quaternion expansion coefficients <f, psi_q> for the leading elements."""
     count = len(basis) if count is None else min(count, len(basis))
-    coeffs = np.zeros((count, 4))
-    for q in range(count):
-        rep = element_band_rep(basis[q])
-        coeffs[q] = f.inner_with(rep).as_array()
-    return coeffs
+    sw = np.conj(basis.tables.band) * f.weights[None, :]
+    # <f_c, phi_a phi_b> for every component c and table-row pair (a, b)
+    modal = (sw @ f.spectra @ sw.T).real / (4 * np.pi ** 2)
+    m, n = basis.modes[:count].T
+    # <f, coeff phi_m phi_n> = (sum_c <f_c, phi_m phi_n> e_c) conj(coeff)
+    return qarr_right_mul(modal[:, m, n].T, basis.coeff.conj())
 
 
 # ---------------------------------------------------------------------------

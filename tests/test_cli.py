@@ -71,6 +71,32 @@ def test_even_grid_rejected(tmp_path):
     assert "odd" in r.stderr
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_nonpositive_basis_count_rejected(tmp_path, count):
+    cfg = _write_cfg(tmp_path, basis_count=count, output_dir=str(tmp_path / "out"))
+    r = run_cli("--config", str(cfg), "basis")
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 config:")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_verify_manifest_missing_keys(basis_dir, tmp_path):
+    good = json.loads((basis_dir / "manifest.json").read_text())
+    cases = [{}, {k: v for k, v in good.items() if k != "N"},
+             {k: v for k, v in good.items() if k != "entries"},
+             {**good, "entries": [{k: v for k, v in good["entries"][0].items()
+                                   if k != "lambda2d"}]}, []]
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    for i, manifest in enumerate(cases):
+        bad = tmp_path / f"manifest_{i}.json"
+        bad.write_text(json.dumps(manifest))
+        r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
+        assert r.returncode == 2, manifest
+        assert r.stderr.startswith("ERROR 2 manifest:")
+        assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "v").exists()
+
+
 def test_verify_fresh_basis(basis_dir, tmp_path):
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
     r = run_cli("--config", str(cfg), "verify",
@@ -250,6 +276,23 @@ def test_qft_cli_non_square_roundtrip(tmp_path):
         assert got.start == pytest.approx(want.start, rel=1e-12)
         assert got.step == pytest.approx(want.step, rel=1e-12)
     assert np.abs(back.values - sig.values).max() <= 1e-8 * np.abs(sig.values).max()
+
+
+@pytest.mark.parametrize("counts", [(100, 100), (65, 100)])
+def test_qft_forward_rejects_even_axis(tmp_path, counts):
+    # an even axis maps to one frequency fewer, so inverse could not give it back
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax_x, ax_y = (GridAxis.symmetric(4.0, n) for n in counts)
+    x, y = ax_x.samples()[:, None], ax_y.samples()[None, :]
+    save_qgrid(tmp_path / "sig.qgrid",
+               QSignal.from_components(ax_x, ax_y, np.exp(-3 * (x ** 2 + y ** 2))))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", "forward", "--input", str(tmp_path / "sig.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 qgrid:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not list((tmp_path / "q").glob("spectrum*"))
 
 
 def test_qpswf_threads_caps_blas():
