@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,19 @@ class CliError(Exception):
         self.code = code
         self.check = check
         self.detail = detail
+
+
+def _typed(value, kind: type, check: str, name: str):
+    """value if it has type kind, else an ERROR 2 <check> line.
+
+    A float field also takes an int; NaN, infinity and bools (which Python
+    counts as ints) pass for no field.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind) \
+            or (isinstance(value, float) and not math.isfinite(value)):
+        want = "a finite number" if kind is float else f"of type {kind.__name__}"
+        raise CliError(2, check, f"{name} must be {want}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -45,11 +59,14 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(2, "config", f"cannot read config {path}: {exc}")
+        if not isinstance(raw, dict):
+            raise CliError(2, "config", f"config {path} must be a JSON object")
         cfg = cls()
         for key, value in raw.items():
             if key not in cls._KEYS:
                 raise CliError(2, "config", f"unknown config key {key!r}")
-            setattr(cfg, cls._KEYS[key], value)
+            attr = cls._KEYS[key]
+            setattr(cfg, attr, _typed(value, type(getattr(cfg, attr)), "config", key))
         return cfg
 
     def validate(self) -> None:
@@ -79,12 +96,12 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _build_basis(cfg: RunConfig):
+def _build_basis(cfg: RunConfig, grid=None):
     from .errors import ConvergenceFailure, QpswfError
     from .prolate import build_basis
     try:
         return build_basis(cfg.t_half, cfg.w_half, cfg.quad_n, cfg.basis_count,
-                           grid=cfg.grid_axes())
+                           grid=grid or cfg.grid_axes())
     except ConvergenceFailure as exc:
         raise CliError(3, "eigensolver", str(exc))
     except QpswfError as exc:
@@ -116,13 +133,22 @@ def cmd_basis(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+def _load_element(path: Path):
+    from .qgrid_io import load_qgrid
+    if not path.exists():
+        raise CliError(2, "manifest", f"missing element file {path}")
+    try:
+        return load_qgrid(path)
+    except Exception as exc:
+        raise CliError(2, "qgrid", f"{path}: {exc}")
+
+
 def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
     import numpy as np
 
     from .grid import Region
     from .prolate import (EIG_FLOOR, gram_matrix, verify_allpass,
                           verify_finite_qft, verify_lowpass)
-    from .qgrid_io import load_qgrid
 
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -133,10 +159,22 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
     except (KeyError, TypeError) as exc:
         raise CliError(2, "manifest", "need T, W, N and entries with file and lambda2d "
                        f"({type(exc).__name__}: {exc})")
+    for name, value in (("T", cfg.t_half), ("W", cfg.w_half)):
+        if not _typed(value, float, "manifest", name) > 0:
+            raise CliError(2, "manifest", f"{name} must be positive, got {value!r}")
+    _typed(cfg.quad_n, int, "manifest", "N")
+    for fname, lam2d in entries:
+        _typed(fname, str, "manifest", "entry file")
+        _typed(lam2d, float, "manifest", "entry lambda2d")
+    if not entries:
+        raise CliError(2, "manifest", "entries is empty")
     cfg.basis_count = len(entries)
-    basis = _build_basis(cfg)
 
+    # rebuild on the grid the elements were written on, not the config's
     base_dir = manifest_path.parent
+    first = _load_element(base_dir / entries[0][0])
+    basis = _build_basis(cfg, grid=(first.ax_x, first.ax_y))
+
     file_dev = 0.0
     lowpass_max = 0.0
     fqft_max = 0.0
@@ -144,13 +182,10 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
     allpass_excess = 0.0
     skipped = 0
     for q, (fname, lam2d) in enumerate(entries):
-        fpath = base_dir / fname
-        if not fpath.exists():
-            raise CliError(2, "manifest", f"missing element file {fpath}")
-        try:
-            stored = load_qgrid(fpath)
-        except Exception as exc:
-            raise CliError(2, "qgrid", f"{fpath}: {exc}")
+        stored = _load_element(base_dir / fname)
+        if (stored.ax_x, stored.ax_y) != (basis.ax_x, basis.ax_y):
+            raise CliError(2, "manifest", f"{fname}: grid axes differ from those of "
+                           f"{entries[0][0]}")
         el = basis[q]
         file_dev = max(file_dev, float(np.abs(stored.values - el.values.values).max()))
         if el.lambda2d < EIG_FLOOR:
@@ -226,7 +261,7 @@ def cmd_concentration(cfg: RunConfig, out: Path, input_path: Path = None) -> int
         except Exception as exc:
             raise CliError(2, "input", f"{input_path}: {exc}")
         try:
-            rep = energy_ratios(sig, cfg.t_half, cfg.w_half)
+            rep = energy_ratios(sig, basis)
         except ZeroSignal as exc:
             raise CliError(2, "input", str(exc))
         report["input"] = rep.as_dict()

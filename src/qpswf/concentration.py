@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (BadIndex, NoAdmissibleIndex, WindowTooSmall,
                      XiOutOfRange, ZeroSignal)
 from .grid import GridAxis, QSignal, Region, energy, region_mask
-from .prolate import BasisSet2D, cached_basis_1d
+from .prolate import BasisSet2D, band_rule
 from .qft import _band_bins, _fold, dual_frequency_axes
 from .signals import CUT, PSI, BandRep, ModalField, band_rep_from_time_nodal
 
@@ -74,11 +74,6 @@ def _report(xi: float, eta: float, lam0: float) -> EnergyReport:
     return EnergyReport(xi=xi, eta_q=eta, lambda0=lam0, angle_sum_deficit=deficit)
 
 
-def _lambda0_2d(t_half: float, w_half: float) -> float:
-    lam = cached_basis_1d(t_half, w_half, 192, 2).eigvals[0]
-    return float(lam * lam)
-
-
 @dataclass(frozen=True)
 class ComboSignal(QSignal):
     """QSignal backed by an exact expansion over basis elements and cuts.
@@ -121,25 +116,24 @@ def _combo(basis: BasisSet2D, terms) -> ComboSignal:
                        terms=terms, basis=basis)
 
 
-def energy_ratios(f: QSignal, t_half: float, w_half: float) -> EnergyReport:
-    """Energy ratio report for a sampled signal.
+def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:
+    """Energy ratio report for a sampled signal against the basis's (T, W).
 
     ComboSignal inputs are measured through their exact expansions.  For
     plain grid signals the time ratio uses the region-restricted trapezoid
     rule and the band ratio integrates the Q-modulus density over the band
-    with a Gauss rule in frequency; total energy is the grid energy, which
+    with the basis's band Gauss rule; total energy is the grid energy, which
     is accurate when the signal has negligible mass at the grid edge.
+    lambda_0 is the basis's leading 2D eigenvalue.
     """
     if isinstance(f, ComboSignal):
         return f.report()
     e_total = energy(f, Region.full())
     if e_total <= 0:
         raise ZeroSignal("energy_ratios requires a nonzero signal")
-    e_time = energy(f, Region.square(t_half))
+    e_time = energy(f, Region.square(basis.t_half))
 
-    b1 = cached_basis_1d(t_half, w_half, 192, 2)
-    u_nodes = b1.c_ratio * b1.nodes
-    u_w = b1.c_ratio * b1.weights
+    u_nodes, u_w = band_rule(basis.basis1d)
     x, y = f.ax_x.samples(), f.ax_y.samples()
     wx, wy = f.ax_x.trapezoid_weights(), f.ax_y.trapezoid_weights()
     ex = np.exp(-1j * np.outer(u_nodes, x)) * wx[None, :]
@@ -150,8 +144,7 @@ def energy_ratios(f: QSignal, t_half: float, w_half: float) -> EnergyReport:
         dens = (g * np.conj(g)).real
         e_band += float(np.einsum("i,j,ij->", u_w, u_w, dens)) / (4 * np.pi ** 2)
 
-    lam0 = _lambda0_2d(t_half, w_half)
-    return _report(np.sqrt(e_time / e_total), np.sqrt(e_band / e_total), lam0)
+    return _report(np.sqrt(e_time / e_total), np.sqrt(e_band / e_total), basis.lambda0)
 
 
 def energy_ratios_band(f: BandRep, basis: BasisSet2D) -> EnergyReport:

@@ -15,7 +15,10 @@ windows the spatial tails of the eigenfunctions still carry O(1/X) energy,
 so literal window quadrature cannot certify whole-plane identities.
 
 A 2D basis keeps 1D factor tables (ModeTables) over the modes its elements
-use; element grids are computed from them on access.
+use; element grids are computed from them on access.  The eigen-form checks
+are composed from 1D mode vectors as well: each 2D residual is split into a
+few separable terms a(x) b(y) whose weighted norm is a sum of products of 1D
+Grams, so no check forms a 2D grid.
 """
 
 from __future__ import annotations
@@ -106,12 +109,12 @@ def _sinc_kernel_deriv_ld(d, w_half) -> np.ndarray:
 
 
 def _operator_ld(t_half: float, w_half: float, n: int):
-    """Gauss nodes/weights on [-T, T] and the symmetrized Nystrom matrix."""
+    """Gauss nodes/weights on [-T, T], the kernel on them and the symmetrized Nystrom matrix."""
     x, w = gauss_rule_ld(n, -t_half, t_half)
+    kern = sinc_kernel_ld(x[:, None] - x[None, :], w_half)
     sw = np.sqrt(w)
-    a = sw[:, None] * sinc_kernel_ld(x[:, None] - x[None, :], w_half) * sw[None, :]
-    a = (a + a.T) / 2
-    return x, w, a
+    a = sw[:, None] * kern * sw[None, :]
+    return x, w, kern, (a + a.T) / 2
 
 
 def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
@@ -120,8 +123,7 @@ def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
         raise BadParameters("T and W must be positive")
     if n < 16:
         raise BadParameters("need at least 16 quadrature nodes")
-    _, _, a = _operator_ld(t_half, w_half, n)
-    return a.astype(np.float64)
+    return _operator_ld(t_half, w_half, n)[3].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,8 @@ class ProlateBasis1D:
     eigvecs[k] holds phi_k at the Gauss nodes, normalized to unit norm on
     the whole line; equivalently the weighted norm on [-T, T] is
     sqrt(eigvals[k]).  mu[k] is the finite-Fourier multiplier of phi_k.
+    The long-double images of phi_k under the kernel (K phi_k) and under the
+    finite Fourier transform (I_k ~ mu_k phi_k) at the nodes feed the checks.
     """
 
     t_half: float
@@ -223,6 +227,8 @@ class ProlateBasis1D:
     _phi_ld: np.ndarray = field(repr=False, default=None)   # (count, N)
     _lam_ld: np.ndarray = field(repr=False, default=None)   # (count,)
     _mu_ld: np.ndarray = field(repr=False, default=None)    # (count,) clongdouble
+    _kphi_ld: np.ndarray = field(repr=False, default=None)  # (count, N) K phi_k
+    _fphi_ld: np.ndarray = field(repr=False, default=None)  # (count, N) clongdouble I_k
 
     @property
     def count(self) -> int:
@@ -262,7 +268,7 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     if n < 16:
         raise BadParameters("need at least 16 quadrature nodes")
 
-    x, w, a = _operator_ld(t_half, w_half, n)
+    x, w, kern, a = _operator_ld(t_half, w_half, n)
     k_refine = min(count + _REFINE_GUARD, n)
     lam, v = _refined_eigensystem(a, k_refine)
     lam = lam[:count]
@@ -294,19 +300,22 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
         if ref < 0:
             phi[k] = -phi[k]
     object.__setattr__(basis, "eigvecs", phi.astype(np.float64))
+    object.__setattr__(basis, "_kphi_ld", (w * phi) @ kern.T)
 
     # finite-Fourier multipliers mu_k: integral_T e^{i (W/T) s x} phi(s) ds = mu phi(x)
     cr = _LD(w_half) / _LD(t_half)
     ker = np.exp(1j * (cr * x[:, None] * x[None, :]).astype(np.clongdouble))
     mu_ld = np.zeros(count, dtype=np.clongdouble)
+    integral = np.zeros((count, n), dtype=np.clongdouble)
     for k in range(count):
         if lam[k] <= 0:
             continue
-        integral = ker @ (w * phi[k])
+        integral[k] = ker @ (w * phi[k])
         denom = (w * phi[k] * phi[k]).sum()
         if denom > 0:
-            mu_ld[k] = (w * phi[k] * integral).sum() / denom
+            mu_ld[k] = (w * phi[k] * integral[k]).sum() / denom
     object.__setattr__(basis, "_mu_ld", mu_ld)
+    object.__setattr__(basis, "_fphi_ld", integral)
     object.__setattr__(basis, "mu", mu_ld.astype(complex))
     return basis
 
@@ -524,41 +533,42 @@ def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
 # eigen-form verification
 
 
-def _tensor_residual(ax_term, ay_term, bx_term, by_term, w_ld):
-    """|| a_x (x) a_y  -  b_x (x) b_y ||_w / || a_x (x) a_y ||_w in long double."""
-    diff = ax_term[:, None] * ay_term[None, :] - bx_term[:, None] * by_term[None, :]
-    ref = ax_term[:, None] * ay_term[None, :]
-    w2 = w_ld[:, None] * w_ld[None, :]
-    num = np.sqrt((w2 * diff * diff).sum())
-    den = np.sqrt((w2 * ref * ref).sum())
-    return float(num / den)
+def _separable_norm(c, a, b, w) -> np.longdouble:
+    """Weighted norm of sum_i c_i a_i(x) b_i(y) under the product rule w (x) w.
 
-
-def verify_lowpass(psi: Qpswf2D, t_half: float = None, w_half: float = None,
-                   lam_override: float = None) -> float:
-    """Relative residual of the low-pass eigen-identity for a basis element.
-
-    Computes || lambda psi - K psi || / || lambda psi || with the kernel
-    integral over [-T, T]^2 evaluated by the basis quadrature; separability
-    reduces the check to the two 1D factors.  lam_override substitutes an
-    externally declared eigenvalue (used to audit stored manifests).
+    c_i are scalars or quaternion 4-vectors and a_i, b_i real 1D vectors:
+    the squared norm is sum_ij <c_i, c_j> (A W A^T)_ij (B W B^T)_ij.
     """
-    b = psi.basis1d
-    t_half = b.t_half if t_half is None else t_half
-    w_half = b.w_half if w_half is None else w_half
-    if abs(t_half - b.t_half) > 1e-12 or abs(w_half - b.w_half) > 1e-12:
-        raise BadParameters("element was built for different (T, W)")
+    c = np.asarray(c, dtype=_LD).reshape(len(a), -1)
+    a, b = np.stack(a), np.stack(b)
+    return np.sqrt(((c @ c.T) * ((a * w) @ a.T) * ((b * w) @ b.T)).sum())
+
+
+def _require_above_floor(psi: Qpswf2D) -> None:
     if not psi.above_floor:
         raise EigenvalueTooSmall(
             f"lambda = {psi.lambda2d:.3e} below the floor {EIG_FLOOR:.0e}")
-    kern = sinc_kernel_ld(b._x_ld[:, None] - b._x_ld[None, :], b.w_half)
-    kx = kern @ (b._w_ld * b._phi_ld[psi.m])
-    ky = kern @ (b._w_ld * b._phi_ld[psi.n])
-    lam2d = _LD(lam_override) if lam_override is not None \
-        else b._lam_ld[psi.m] * b._lam_ld[psi.n]
-    lx = lam2d * b._phi_ld[psi.m]
-    ly = b._phi_ld[psi.n]
-    return _tensor_residual(lx, ly, kx, ky, b._w_ld)
+
+
+def verify_lowpass(psi: Qpswf2D, lam_override: float = None) -> float:
+    """Relative residual of the low-pass eigen-identity for a basis element.
+
+    Computes || L psi - K psi || / || L psi || with the kernel integral over
+    [-T, T]^2 evaluated by the basis quadrature.  With r_k = K phi_k -
+    lambda_k phi_k the difference splits into small separable terms,
+        K phi_m (x) K phi_n - L phi_m (x) phi_n = r_m (x) K phi_n
+            + lambda_m phi_m (x) r_n + (lambda_m lambda_n - L) phi_m (x) phi_n,
+    so no two large norms cancel.  L is lambda_m lambda_n unless lam_override
+    substitutes an externally declared eigenvalue (used to audit manifests).
+    """
+    _require_above_floor(psi)
+    b, m, n = psi.basis1d, psi.m, psi.n
+    phi, kphi, lam = b._phi_ld, b._kphi_ld, b._lam_ld
+    r_m, r_n = kphi[[m, n]] - lam[[m, n], None] * phi[[m, n]]
+    big_l = lam[m] * lam[n] if lam_override is None else _LD(lam_override)
+    num = _separable_norm([1, lam[m], lam[m] * lam[n] - big_l], [r_m, phi[m], phi[m]],
+                          [kphi[n], r_n, phi[n]], b._w_ld)
+    return float(num / _separable_norm([big_l], [phi[m]], [phi[n]], b._w_ld))
 
 
 def lowpass_residual_field(field: np.ndarray, basis1d: ProlateBasis1D) -> float:
@@ -592,53 +602,32 @@ def verify_finite_qft(psi: Qpswf2D) -> FiniteQftCheck:
     """Check the finite-transform eigen-identity and the multiplier relation.
 
     The double integral of e^{i c s x} psi(s, t) e^{j c t y} over the time
-    square factorizes into per-axis finite-Fourier integrals; each is fit
-    with one complex multiplier.  The eigenvalue relation checked is
+    square factorizes into the per-axis finite-Fourier integrals I_k, complex
+    in i on the left of coeff and in j on the right: the field is the
+    bilinear sandwich S(I_m, I_n) with
+        S(a, b) = Re a Re b q + Im a Re b iq + Re a Im b qj + Im a Im b iqj.
+    With e_k = I_k - mu_k phi_k the residual splits without cancellation,
+        S(I_m, I_n) - S(mu_m phi_m, mu_n phi_n) = S(e_m, I_n) + S(mu_m phi_m, e_n).
+    The eigenvalue relation checked is
     lambda_m lambda_n = (W/T)^2 |mu_x mu_y|^2 / (2 pi)^2.
     """
-    if not psi.above_floor:
-        raise EigenvalueTooSmall(
-            f"lambda = {psi.lambda2d:.3e} below the floor {EIG_FLOOR:.0e}")
-    b = psi.basis1d
-    x, w = b._x_ld, b._w_ld
+    _require_above_floor(psi)
+    b, m, n = psi.basis1d, psi.m, psi.n
+    mu_x, mu_y = b._mu_ld[m], b._mu_ld[n]
+    i_m, i_n = b._fphi_ld[m], b._fphi_ld[n]
+    fit_m, fit_n = mu_x * b._phi_ld[m], mu_y * b._phi_ld[n]
+    q, i, j = psi.coeff, Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0)
+    consts = [c.as_array() for c in (q, q_mul(i, q), q_mul(q, j), q_mul(i, q_mul(q, j)))]
+
+    def terms(u, v):  # S(u, v) as (constants, x factors, y factors)
+        return consts, [u.real, u.imag, u.real, u.imag], [v.real, v.real, v.imag, v.imag]
+
+    e_terms, fit_terms = terms(i_m - fit_m, i_n), terms(fit_m, i_n - fit_n)
+    num = _separable_norm(*(s + t for s, t in zip(e_terms, fit_terms)), b._w_ld)
+    resid = float(num / _separable_norm(*terms(i_m, i_n), b._w_ld))
+
+    lam_prod = b._lam_ld[m] * b._lam_ld[n]
     cr = _LD(b.w_half) / _LD(b.t_half)
-    ker = np.exp(1j * (cr * x[:, None] * x[None, :]).astype(np.clongdouble))
-
-    def fit_axis(k):
-        phi = b._phi_ld[k]
-        integral = ker @ (w * phi)
-        mu = (w * phi * integral).sum() / (w * phi * phi).sum()
-        resid = np.sqrt(float((w * np.abs(integral - mu * phi) ** 2).sum()
-                              / (w * np.abs(integral) ** 2).sum()))
-        return integral, mu, resid
-
-    ix, mu_x, _ = fit_axis(psi.m)
-    iy, mu_y, _ = fit_axis(psi.n)
-
-    # computed field I_x(x) * coeff * I_y(y) with I_x complex in i (left)
-    # and I_y complex in j (right); expand over the four constant quaternions
-    q = psi.coeff
-    qi = q_mul(Quaternion(0, 1, 0, 0), q)          # i * coeff
-    qj = q_mul(q, Quaternion(0, 0, 1, 0))          # coeff * j
-    qij = q_mul(Quaternion(0, 1, 0, 0), qj)        # i * coeff * j
-    consts = np.stack([c.as_array().astype(_LD) for c in (q, qi, qj, qij)])
-
-    def sandwich(ax_c, ay_c):
-        terms = (np.real(ax_c)[:, None] * np.real(ay_c)[None, :],
-                 np.imag(ax_c)[:, None] * np.real(ay_c)[None, :],
-                 np.real(ax_c)[:, None] * np.imag(ay_c)[None, :],
-                 np.imag(ax_c)[:, None] * np.imag(ay_c)[None, :])
-        return sum(t[..., None] * consts[i][None, None, :] for i, t in enumerate(terms))
-
-    computed = sandwich(ix, iy)
-    predicted = sandwich(mu_x * b._phi_ld[psi.m].astype(np.clongdouble),
-                         mu_y * b._phi_ld[psi.n].astype(np.clongdouble))
-    w2 = w[:, None] * w[None, :]
-    diff = computed - predicted
-    resid = float(np.sqrt(np.einsum("pq,pqc,pqc->", w2, diff, diff)
-                          / np.einsum("pq,pqc,pqc->", w2, computed, computed)))
-
-    lam_prod = b._lam_ld[psi.m] * b._lam_ld[psi.n]
     pred = (cr ** 2) * (abs(mu_x) ** 2) * (abs(mu_y) ** 2) / (2 * _LD(np.pi)) ** 2
     relation = float(abs(pred - lam_prod) / lam_prod)
     return FiniteQftCheck(residual=resid, mu_x=complex(mu_x), mu_y=complex(mu_y),
@@ -652,36 +641,38 @@ class AllpassCheck:
     window_halfwidth: float
 
 
-def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None,
-                   window_count: int = 257) -> AllpassCheck:
+_WINDOW_COUNT = 257     # samples per axis of the all-pass window
+
+
+def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck:
     """Residual of the whole-plane reproducing identity on a finite window.
 
     The line integral is truncated to [-H, H]^2, so the residual carries the
     energy of the discarded tails; tail_bound certifies that contribution
     from the unit-norm promise (tail energy = 1 - window energy).  Residuals
-    shrink monotonically as the window grows.
+    shrink monotonically as the window grows.  With k = K_win phi on the
+    window, phi_m (x) phi_n - k_m (x) k_n = (phi_m - k_m) (x) phi_n
+    + k_m (x) (phi_n - k_n).
     """
-    if not psi.above_floor:
-        raise EigenvalueTooSmall(
-            f"lambda = {psi.lambda2d:.3e} below the floor {EIG_FLOOR:.0e}")
-    b = psi.basis1d
+    _require_above_floor(psi)
+    b, modes = psi.basis1d, [psi.m, psi.n]
     h = 3.0 * b.t_half if window_halfwidth is None else window_halfwidth
     if h < 2.0 * b.t_half:
         raise BadParameters("window half-width must be at least 2T")
-    ax = GridAxis.symmetric(h, window_count)
-    xs = ax.samples().astype(_LD)
-    wtrap = ax.trapezoid_weights().astype(_LD)
-
-    phix = b.extend_ld(psi.m, xs)
-    phiy = b.extend_ld(psi.n, xs)
-    kern = sinc_kernel_ld(xs[:, None] - xs[None, :], b.w_half)
-    kx = kern @ (wtrap * phix)
-    ky = kern @ (wtrap * phiy)
-    resid = _tensor_residual(phix, phiy, kx, ky, wtrap)
-
-    ex = float((wtrap * phix * phix).sum())
-    ey = float((wtrap * phiy * phiy).sum())
-    tail_energy = max(0.0, 1.0 - ex * ey)
+    ax = GridAxis.symmetric(h, _WINDOW_COUNT)
+    wt = ax.trapezoid_weights().astype(_LD)
+    ext = sinc_kernel_ld(ax.samples().astype(_LD)[:, None] - b._x_ld[None, :], b.w_half)
+    phi = (b._w_ld * b._phi_ld[modes]) @ ext.T / b._lam_ld[modes, None]
+    # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step
+    lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - _WINDOW_COUNT, _WINDOW_COUNT),
+                          b.w_half)
+    idx = np.arange(_WINDOW_COUNT)
+    k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + _WINDOW_COUNT - 1].T
+    d = phi - k
+    ex, ey = (wt * phi * phi).sum(axis=1)
+    resid = float(_separable_norm([1, 1], [d[0], k[0]], [phi[1], d[1]], wt)
+                  / np.sqrt(ex * ey))
+    tail_energy = max(0.0, 1.0 - float(ex) * float(ey))
     return AllpassCheck(residual=resid, tail_bound=float(np.sqrt(tail_energy)),
                         window_halfwidth=h)
 

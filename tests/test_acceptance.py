@@ -143,7 +143,7 @@ def test_criterion_5_concentration_extremals(basis36, tmp_path):
     min_deficit = np.inf
     for s in range(300):
         f = gaussian_mixed_qsignal(ax, ax, CounterRng(3000 + s), 1.0, 1.0)
-        min_deficit = min(min_deficit, energy_ratios(f, 1.0, 1.0).angle_sum_deficit)
+        min_deficit = min(min_deficit, energy_ratios(f, basis36).angle_sum_deficit)
     for s in range(100):
         rep = energy_ratios_band(random_bandlimited(basis36.basis1d,
                                                     CounterRng(4000 + s)), basis36)

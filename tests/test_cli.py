@@ -85,7 +85,7 @@ def test_verify_manifest_missing_keys(basis_dir, tmp_path):
     cases = [{}, {k: v for k, v in good.items() if k != "N"},
              {k: v for k, v in good.items() if k != "entries"},
              {**good, "entries": [{k: v for k, v in good["entries"][0].items()
-                                   if k != "lambda2d"}]}, []]
+                                   if k != "lambda2d"}]}, {**good, "entries": []}, []]
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
     for i, manifest in enumerate(cases):
         bad = tmp_path / f"manifest_{i}.json"
@@ -95,6 +95,69 @@ def test_verify_manifest_missing_keys(basis_dir, tmp_path):
         assert r.stderr.startswith("ERROR 2 manifest:")
         assert len(r.stderr.splitlines()) == 1
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {**CFG, "grid_n": "129"}, {**CFG, "grid_n": 129.0}, {**CFG, "basis_count": True},
+    {**CFG, "tol": "1e-6"}, {**CFG, "output_dir": 5}, {**CFG, "grid_halfwidth": float("nan")},
+    [1, 2], "config"], ids=["grid_n_str", "grid_n_float", "basis_count_bool", "tol_str",
+                            "output_dir_int", "grid_halfwidth_nan", "list", "string"])
+def test_config_wrong_types_rejected(tmp_path, raw):
+    # int fields take only ints, float fields finite ints or floats, no field a bool
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    r = run_cli("--config", str(path), "--output", str(tmp_path / "out"), "basis")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 config:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("T", "1.0"), ("T", float("nan")), ("W", True), ("W", -1.0), ("N", 128.5), ("N", True),
+    ("lambda2d", "0.9"), ("file", 3)])
+def test_verify_manifest_wrong_types(basis_dir, tmp_path, key, value):
+    # T and W are finite positive numbers, N an int, entry files strings; no bools
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    if key in ("lambda2d", "file"):
+        manifest["entries"][1][key] = value
+    else:
+        manifest[key] = value
+    bad = basis_dir / f"manifest_{key}_{type(value).__name__}.json"
+    bad.write_text(json.dumps(manifest))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 manifest:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_uses_the_element_grid(basis_dir, tmp_path):
+    # the basis was written on a 129-point grid; the default config has 257
+    r = run_cli("--output", str(tmp_path / "v"), "verify",
+                "--manifest", str(basis_dir / "manifest.json"))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["checks"]["file_consistency"] == 0.0
+    assert max(report["checks"].values()) <= 1e-6
+
+
+def test_verify_element_on_another_grid(basis_dir, tmp_path):
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax = GridAxis.symmetric(4.0, 65)
+    save_qgrid(basis_dir / "other_grid.qgrid", QSignal.zeros(ax, ax))
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    manifest["entries"][1]["file"] = "other_grid.qgrid"
+    bad = basis_dir / "manifest_other_grid.json"
+    bad.write_text(json.dumps(manifest))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 manifest:")
+    assert "other_grid.qgrid" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_verify_fresh_basis(basis_dir, tmp_path):

@@ -105,17 +105,17 @@ def test_projections_orthogonal_in_scalar_product():
     assert scalar_inner_product(d, r) == 0.0
 
 
-def test_energy_ratios_zero_signal():
+def test_energy_ratios_zero_signal(basis36):
     with pytest.raises(ZeroSignal):
-        energy_ratios(QSignal.zeros(AX, AX), 1.0, 1.0)
+        energy_ratios(QSignal.zeros(AX, AX), basis36)
 
 
-def test_energy_ratios_time_supported():
+def test_energy_ratios_time_supported(basis36):
     rng = CounterRng(45)
     f = QSignal(AX, AX, rng.normal_field((AX.count, AX.count, 4)))
     mask = region_mask(f, Region.square(0.9))[..., None]
     g = f.with_values(f.values * mask)
-    rep = energy_ratios(g, 1.0, 1.0)
+    rep = energy_ratios(g, basis36)
     assert rep.xi == pytest.approx(1.0, abs=1e-14)
 
 
@@ -245,7 +245,7 @@ def test_admissibility_mixed(basis36):
     rng = CounterRng(49)
     for s in range(30):
         f = gaussian_mixed_qsignal(AX, AX, CounterRng(900 + s), 1.0, 1.0)
-        assert energy_ratios(f, 1.0, 1.0).angle_sum_deficit >= -1e-6
+        assert energy_ratios(f, basis36).angle_sum_deficit >= -1e-6
     for _ in range(10):
         rep = energy_ratios_band(random_bandlimited(basis36.basis1d, rng), basis36)
         assert rep.angle_sum_deficit >= -1e-6
@@ -261,7 +261,7 @@ def test_modulated_escape(basis36):
     etas = []
     for r in (0.0, 2.0, 4.0, 8.0, 16.0):
         fm = modulate(g, r)
-        rep = energy_ratios(fm, 1.0, 1.0)
+        rep = energy_ratios(fm, basis36)
         assert rep.xi == 0.0  # modulation preserves pointwise modulus
         etas.append(rep.eta_q)
     assert all(a > b for a, b in zip(etas, etas[1:]))
