@@ -18,9 +18,9 @@ import numpy as np
 from .concentration import band_limit, time_limit
 from .errors import BadParameters, GridMismatch, LengthMismatch
 from .grid import QSignal, Region, energy, region_mask
-from .prolate import BasisSet2D
+from .prolate import BasisSet2D, _analysis_kernel, _synthesis_kernel
 from .quaternion import qarr_modulus
-from .signals import BandRep, ModalField, band_rep_from_time_nodal
+from .signals import BandRep, ModalField, _component_values, band_rep_from_time_nodal
 
 
 @dataclass(frozen=True)
@@ -176,28 +176,58 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     return _pg_run_grid(problem, max_steps, stop_tol)
 
 
+def _real_planes(spectra: np.ndarray):
+    """Writable views of the real and imaginary planes of each component spectrum."""
+    for comp in spectra:
+        yield comp.real
+        yield comp.imag
+
+
+def _band_step_matrix(basis1d) -> np.ndarray:
+    """M = F E / 2 pi, the 1D factor of evaluating at the time nodes, then band-limiting.
+
+    E S E^T / 4 pi^2 (E = exp(i s u) w_u) evaluates spectra at the time Gauss
+    nodes s, and is real on the Hermitian spectra of real components; F =
+    exp(-i u s) w_s band-limits nodal values.  So the composite on (4, Nb, Nb)
+    spectra is S -> M S M^T.  M is real because the nodes and weights of the
+    Gauss rule are symmetric: its entries are w_u' sum_s w_s cos(s (u' - u)).
+    """
+    fe = _analysis_kernel(basis1d) @ _synthesis_kernel(basis1d, basis1d.nodes) / (2 * np.pi)
+    if np.abs(fe.imag).max() > 1e-13 * np.abs(fe.real).max():
+        raise BadParameters("band-side step needs a symmetric time Gauss rule")
+    return np.ascontiguousarray(fe.real)
+
+
 def _pg_run_band(problem, max_steps, stop_tol, compare_closed_form):
+    """Band-side iteration f <- f + B (g - T f); every time node lies in D.
+
+    B T = M (x) M and B g are formed once, so each step is
+    spec += B g - M spec M^T, applied to one real plane at a time.
+    """
     synth = problem.synthetic
     basis = synth.basis
     b1 = basis.basis1d
     w_half = problem.w_half
     truth_spec = synth.band_spectra()
-    truth_nodal = synth.gauss_values()
-    probe = _probe_axes(problem.d_half)
+    probe = _synthesis_kernel(b1, _probe_axes(problem.d_half))
+    step = _band_step_matrix(b1)
+    limited_truth = band_rep_from_time_nodal(b1, synth.gauss_values()).spectra
 
     spec = np.zeros_like(truth_spec)
+    correction = np.empty_like(spec)
     rows = []
     converged = False
     for n in range(1, max_steps + 1):
-        f_prev_nodal = np.moveaxis(
-            BandRep(b1, spec).component_values(b1.nodes, b1.nodes), 0, -1)
-        correction = band_rep_from_time_nodal(b1, truth_nodal - f_prev_nodal)
-        spec = spec + correction.spectra
+        for s, g, d in zip(_real_planes(spec), _real_planes(limited_truth),
+                           _real_planes(correction)):
+            np.subtract(g, step @ s @ step.T, out=d)
+            s += d
 
         err = BandRep(b1, truth_spec - spec)
         e_n = err.total_energy()
-        sup_e = float(qarr_modulus(err.values(probe, probe)).max())
-        delta_abs = np.sqrt(BandRep(b1, correction.spectra).total_energy())
+        err_probe = np.moveaxis(_component_values(err.spectra, probe, probe), 0, -1)
+        sup_e = float(qarr_modulus(err_probe).max())
+        delta_abs = np.sqrt(BandRep(b1, correction).total_energy())
         norm_n = np.sqrt(BandRep(b1, spec).total_energy())
         delta = float(delta_abs / norm_n) if norm_n > 0 else float("inf")
         cf_gap = float("nan")

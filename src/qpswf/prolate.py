@@ -44,6 +44,10 @@ _EVAL_FLOOR = 1e-15
 
 _REFINE_GUARD = 6
 _REFINE_ITERS = 3
+# Jacobi skips a rotation once |a_pq| <= _JACOBI_TOL (|a_pp| + |a_qq|).  A
+# rotation inside a cluster of eigenvalues near 1 (T W = 64) leaves about eps
+# in a_pq, so a threshold below the long-double eps is never met there
+_JACOBI_TOL = 4 * np.finfo(_LD).eps
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +158,7 @@ def _jacobi_eig_ld(g: np.ndarray, max_sweeps: int = 40):
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = g[p, q]
-                if abs(apq) <= _LD(1e-26) * (abs(g[p, p]) + abs(g[q, q])):
+                if abs(apq) <= _JACOBI_TOL * (abs(g[p, p]) + abs(g[q, q])):
                     continue
                 converged = False
                 theta = (g[q, q] - g[p, p]) / (2 * apq)
@@ -349,6 +353,18 @@ def band_rule(basis1d: ProlateBasis1D):
     return cr * basis1d.nodes, cr * basis1d.weights
 
 
+def _synthesis_kernel(basis1d: ProlateBasis1D, x: np.ndarray) -> np.ndarray:
+    """exp(i x u) w_u over the band rule: the inverse 1D transform at the points x."""
+    u, w = band_rule(basis1d)
+    return np.exp(1j * np.outer(x, u)) * w[None, :]
+
+
+def _analysis_kernel(basis1d: ProlateBasis1D) -> np.ndarray:
+    """exp(-i u s) w_s: the 1D transform of time Gauss-node samples at the band nodes."""
+    u, _ = band_rule(basis1d)
+    return np.exp(-1j * np.outer(u, basis1d.nodes)) * basis1d.weights[None, :]
+
+
 @dataclass(frozen=True)
 class ModeTables:
     """1D factor tables of the modes 0..M-1 that a 2D basis uses; row k is mode k.
@@ -356,6 +372,8 @@ class ModeTables:
     Every 2D quantity of a basis element or combination is a product of
     two rows (signals.ModalField does the contractions).  The top products
     always use a prefix of the modes, all above the evaluation floor.
+    _windows memoizes the all-pass window images of every mode per window
+    half-width (see _window_images).
     """
 
     basis1d: ProlateBasis1D
@@ -367,6 +385,7 @@ class ModeTables:
     cut: np.ndarray             # (M, N) complex, F(phi_k restricted to [-T, T])
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
     gram_r: np.ndarray          # (M, M) long double, <phi_a, phi_b> on the line
+    _windows: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> ModeTables:
@@ -375,8 +394,7 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
                                                  for k in range(m)])
     # F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c): reversed nodes are -s
     band = (b.mu[:m] / b.eigvals[:m])[:, None] * b.eigvecs[:m, ::-1]
-    u, _ = band_rule(b)
-    cut = b.eigvecs[:m].astype(complex) @ (np.exp(-1j * np.outer(u, b.nodes)) * b.weights).T
+    cut = b.eigvecs[:m].astype(complex) @ _analysis_kernel(b).T
     gram_t = (b._phi_ld[:m] * b._w_ld[None, :]) @ b._phi_ld[:m].T
     # whole-line Gram from the band-side self-similarity:
     # <phi_a, phi_b>_R = (W/T)/(2 pi) mu_a conj(mu_b) / (lambda_a lambda_b) <phi_a, phi_b>_T
@@ -644,6 +662,27 @@ class AllpassCheck:
 _WINDOW_COUNT = 257     # samples per axis of the all-pass window
 
 
+def _window_images(tables: ModeTables, h: float):
+    """Trapezoid weights, phi_k and k_k = K_win phi_k on the window [-H, H], every mode.
+
+    Computed once per basis and window half-width: each element's check
+    takes its two rows.
+    """
+    if h not in tables._windows:
+        b, m = tables.basis1d, len(tables.band)
+        ax = GridAxis.symmetric(h, _WINDOW_COUNT)
+        wt = ax.trapezoid_weights().astype(_LD)
+        ext = sinc_kernel_ld(ax.samples().astype(_LD)[:, None] - b._x_ld[None, :], b.w_half)
+        phi = (b._w_ld * b._phi_ld[:m]) @ ext.T / b._lam_ld[:m, None]
+        # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step
+        lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - _WINDOW_COUNT, _WINDOW_COUNT),
+                              b.w_half)
+        idx = np.arange(_WINDOW_COUNT)
+        k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + _WINDOW_COUNT - 1].T
+        tables._windows[h] = wt, phi, k
+    return tables._windows[h]
+
+
 def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck:
     """Residual of the whole-plane reproducing identity on a finite window.
 
@@ -655,19 +694,12 @@ def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck
     + k_m (x) (phi_n - k_n).
     """
     _require_above_floor(psi)
-    b, modes = psi.basis1d, [psi.m, psi.n]
+    b = psi.basis1d
     h = 3.0 * b.t_half if window_halfwidth is None else window_halfwidth
     if h < 2.0 * b.t_half:
         raise BadParameters("window half-width must be at least 2T")
-    ax = GridAxis.symmetric(h, _WINDOW_COUNT)
-    wt = ax.trapezoid_weights().astype(_LD)
-    ext = sinc_kernel_ld(ax.samples().astype(_LD)[:, None] - b._x_ld[None, :], b.w_half)
-    phi = (b._w_ld * b._phi_ld[modes]) @ ext.T / b._lam_ld[modes, None]
-    # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step
-    lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - _WINDOW_COUNT, _WINDOW_COUNT),
-                          b.w_half)
-    idx = np.arange(_WINDOW_COUNT)
-    k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + _WINDOW_COUNT - 1].T
+    wt, phi, k = _window_images(psi.tables, h)
+    phi, k = phi[[psi.m, psi.n]], k[[psi.m, psi.n]]
     d = phi - k
     ex, ey = (wt * phi * phi).sum(axis=1)
     resid = float(_separable_norm([1, 1], [d[0], k[0]], [phi[1], d[1]], wt)

@@ -46,6 +46,8 @@ def load_qgrid(path) -> QSignal:
         raise QgridFormatError(f"{path}: invalid axis metadata")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size) \
         .reshape(nx, ny, 4).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise QgridFormatError(f"{path}: non-finite samples (NaN or Inf)")
     return QSignal(GridAxis(x0, dx, int(nx)), GridAxis(y0, dy, int(ny)), values)
 
 

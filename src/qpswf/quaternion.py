@@ -119,7 +119,7 @@ def qarr_conj(a: np.ndarray) -> np.ndarray:
 
 
 def qarr_modulus_sq(a: np.ndarray) -> np.ndarray:
-    return np.sum(a * a, axis=-1)
+    return np.einsum("...c,...c->...", a, a)
 
 
 def qarr_modulus(a: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridAxis, QSignal, _axis_region_mask
-from .prolate import BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_rule
+from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, _analysis_kernel,
+                      _synthesis_kernel, band_rule)
 from .quaternion import Quaternion, qarr_right_mul
 from .rng import CounterRng
 
@@ -36,10 +37,6 @@ class BandRep:
     spectra: np.ndarray
 
     @property
-    def nodes(self) -> np.ndarray:
-        return band_rule(self.basis1d)[0]
-
-    @property
     def weights(self) -> np.ndarray:
         return band_rule(self.basis1d)[1]
 
@@ -51,13 +48,8 @@ class BandRep:
 
     def component_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Real component fields at the tensor grid x (x) y, shape (4, len(x), len(y))."""
-        u, w = self.nodes, self.weights
-        ex = np.exp(1j * np.outer(x, u)) * w[None, :]
-        ey = np.exp(1j * np.outer(y, u)) * w[None, :]
-        out = np.empty((4, len(x), len(y)))
-        for c in range(4):
-            out[c] = (ex @ self.spectra[c] @ ey.T).real / (4 * np.pi ** 2)
-        return out
+        b = self.basis1d
+        return _component_values(self.spectra, _synthesis_kernel(b, x), _synthesis_kernel(b, y))
 
     def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Quaternion field at the tensor grid, shape (len(x), len(y), 4)."""
@@ -83,13 +75,19 @@ def band_rep_from_time_nodal(basis1d: ProlateBasis1D, nodal: np.ndarray) -> Band
     The result is the exact band representation of the band-limited image of
     the quadrature measure carried by those nodes.
     """
-    b = basis1d
-    u, _ = band_rule(b)
-    ker = np.exp(-1j * np.outer(u, b.nodes)) * b.weights[None, :]
-    spectra = np.empty((4, len(u), len(u)), dtype=complex)
+    ker = _analysis_kernel(basis1d)
+    spectra = np.empty((4,) + ker.shape, dtype=complex)
     for c in range(4):
         spectra[c] = ker @ nodal[..., c].astype(complex) @ ker.T
     return BandRep(basis1d, spectra)
+
+
+def _component_values(spectra: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Real component fields from spectra and the synthesis kernels of two point sets."""
+    out = np.empty((4, len(ex), len(ey)))
+    for c in range(4):
+        out[c] = (ex @ spectra[c] @ ey.T).real / (4 * np.pi ** 2)
+    return out
 
 
 # ---------------------------------------------------------------------------

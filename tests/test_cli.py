@@ -358,6 +358,22 @@ def test_qft_forward_rejects_even_axis(tmp_path, counts):
     assert not list((tmp_path / "q").glob("spectrum*"))
 
 
+def test_qft_forward_rejects_non_finite_payload(tmp_path):
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax = GridAxis.symmetric(4.0, 33)
+    vals = np.zeros((33, 33, 4))
+    vals[16, 16, 0] = 1.0
+    vals[3, 4, 1] = np.nan
+    save_qgrid(tmp_path / "sig.qgrid", QSignal(ax, ax, vals))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", "forward", "--input", str(tmp_path / "sig.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 qgrid:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not list((tmp_path / "q").glob("spectrum*"))
+
+
 def test_qpswf_threads_caps_blas():
     import ctypes
     import glob

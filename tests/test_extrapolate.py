@@ -3,10 +3,12 @@ import pytest
 
 from qpswf.concentration import band_limit, time_limit
 from qpswf.errors import BadParameters, GridMismatch, LengthMismatch
-from qpswf.extrapolate import (ExtrapolationProblem, closed_form_iterate,
-                               error_energy, make_synthetic_problem, pg_run,
-                               pg_step, pointwise_bound)
+from qpswf.extrapolate import (ExtrapolationProblem, closed_form_band_spectra,
+                               closed_form_iterate, error_energy,
+                               make_synthetic_problem, pg_run, pg_step,
+                               pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
+from qpswf.prolate import band_rule
 from qpswf.qft import (dual_frequency_axes, inverse_qft,
                        spectrum_from_complex_components)
 from qpswf.rng import CounterRng
@@ -120,6 +122,72 @@ def test_pg_run_oracle_agreement(basis36):
         assert row.sup_e <= row.bound + 1e-8
     energies = [r.e_energy for r in trace.rows]
     assert all(a > b for a, b in zip(energies, energies[1:]))
+
+
+def _explicit_band_run(problem, max_steps, stop_tol):
+    """The band-side iteration written out step by step.
+
+    Each step evaluates the iterate's spectra at the time Gauss nodes (T),
+    substitutes the observation there (every node lies in D, so the update
+    is g - f at each node) and band-limits the result back onto the band
+    nodes (B).  Returns the rows (E_n, sup_e, delta, cf_gap) and the final
+    iterate on the problem grid.
+    """
+    synth = problem.synthetic
+    b = synth.basis.basis1d
+    u, wu = band_rule(b)
+
+    def synthesis(x):
+        return np.exp(1j * np.outer(x, u)) * wu
+
+    def values(spec, ex, ey):  # quaternion field (len(x), len(y), 4)
+        return np.stack([(ex @ s @ ey.T).real for s in spec], axis=-1) / (4 * np.pi ** 2)
+
+    def norm(spec):
+        return np.sqrt(np.einsum("i,j,cij->", wu, wu, np.abs(spec) ** 2)) / (2 * np.pi)
+
+    to_nodes = synthesis(b.nodes)
+    to_band = np.exp(-1j * np.outer(u, b.nodes)) * b.weights
+    to_probe = synthesis(np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81))
+    g = synth.gauss_values()
+    truth = synth.band_spectra()
+    spec = np.zeros_like(truth)
+    rows = []
+    for n in range(1, max_steps + 1):
+        update = g - values(spec, to_nodes, to_nodes)
+        corr = np.stack([to_band @ update[..., c] @ to_band.T for c in range(4)])
+        spec = spec + corr
+        err = truth - spec
+        sup_e = np.sqrt((values(err, to_probe, to_probe) ** 2).sum(axis=-1)).max()
+        delta = norm(corr) / norm(spec)
+        cf = closed_form_band_spectra(synth.coeffs, synth.lambdas(), n, synth.basis)
+        rows.append((norm(err) ** 2, sup_e, delta, norm(spec - cf)))
+        if delta < stop_tol:
+            break
+    ax_x, ax_y = problem.observed.ax_x, problem.observed.ax_y
+    return np.array(rows), values(spec, synthesis(ax_x.samples()), synthesis(ax_y.samples()))
+
+
+def test_band_run_matches_explicit_iteration(basis36):
+    coeffs = CounterRng(57).normal(int(np.sum(basis36.eigenvalues() >= 1e-12)))
+    prob = make_synthetic_problem(basis36, coeffs)
+    scale = np.sqrt(np.sum(coeffs ** 2))
+    ref, ref_final = _explicit_band_run(prob, 50, 0.0)
+    # a stop_tol between the 20th and 21st updates stops both runs at step 21
+    stop_tol = float(np.sqrt(ref[19, 2] * ref[20, 2]))
+    ref_stop, ref_stop_final = _explicit_band_run(prob, 50, stop_tol)
+    assert len(ref_stop) == 21
+    for steps, tol, want, want_final in ((50, 0.0, ref, ref_final),
+                                         (50, stop_tol, ref_stop, ref_stop_final)):
+        trace = pg_run(prob, max_steps=steps, stop_tol=tol, compare_closed_form=True)
+        assert len(trace.rows) == len(want)
+        assert trace.converged == (tol > 0)
+        got = np.array([(r.e_energy, r.sup_e, r.delta, r.cf_gap) for r in trace.rows])
+        assert np.all(np.abs(got[:, :3] - want[:, :3]) <= 1e-12 * np.abs(want[:, :3]))
+        # the closed-form gaps are rounding noise: compare on the signal's scale
+        assert np.all(np.abs(got[:, 3] - want[:, 3]) <= 1e-12 * scale)
+        assert np.abs(trace.final.values - want_final).max() \
+            <= 1e-13 * np.abs(want_final).max()
 
 
 def test_single_mode_geometric_ratio(basis36):

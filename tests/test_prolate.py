@@ -59,6 +59,21 @@ def test_eigenvalue_scale_invariance():
     assert np.abs(b1.eigvals[:6] - b2.eigvals[:6]).max() <= 1e-10
 
 
+def test_jacobi_converges_at_large_concentration():
+    # at c = T W = 64 the leading ~40 eigenvalues sit within 1e-9 of 1; a Jacobi
+    # stopping threshold below the long-double eps never fired and raised
+    # ConvergenceFailure here
+    b = eig_prolate_1d(8.0, 8.0, 256, 30)
+    lam = b.eigvals
+    assert np.all(lam > 1 - 1e-8) and np.all(lam <= 1 + 1e-15)
+    assert np.all(np.diff(lam) <= 0)
+    # the same leading eigenvalues as a solve with a larger refinement block
+    assert np.abs(lam - eig_prolate_1d(8.0, 8.0, 256, 45).eigvals[:30]).max() <= 1e-15
+    r = b._kphi_ld - b._lam_ld[:, None] * b._phi_ld
+    rel = np.sqrt((b._w_ld * r * r).sum(axis=1) / (b._w_ld * b._phi_ld ** 2).sum(axis=1))
+    assert float(rel.max()) <= 1e-15
+
+
 def test_count_validation():
     with pytest.raises(BadParameters):
         eig_prolate_1d(1.0, 1.0, 32, 40)

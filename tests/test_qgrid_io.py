@@ -42,6 +42,17 @@ def test_format_errors(tmp_path):
         load_qgrid(bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(tmp_path, value):
+    f = _signal()
+    vals = f.values.copy()
+    vals[5, 7, 2] = value
+    path = tmp_path / "f.qgrid"
+    save_qgrid(path, f.with_values(vals))
+    with pytest.raises(QgridFormatError, match="non-finite"):
+        load_qgrid(path)
+
+
 def test_csv_export(tmp_path):
     f = _signal()
     path = tmp_path / "f.csv"
