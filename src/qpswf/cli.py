@@ -281,23 +281,29 @@ def cmd_extrapolate(cfg: RunConfig, out: Path, problem_path: Path,
         spec = json.loads(problem_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(2, "problem", f"cannot read problem spec: {exc}")
+    if not isinstance(spec, dict):
+        raise CliError(2, "problem", f"problem spec {problem_path} must be a JSON object")
+    # a missing d or W reads as None and fails the type check
+    d_half = _typed(spec.get("d"), float, "problem", "d")
+    w_half = _typed(spec.get("W"), float, "problem", "W")
+    max_steps = _typed(spec.get("max_steps", 500), int, "problem", "max_steps")
+    stop_tol = _typed(spec.get("stop_tol", 1e-10), float, "problem", "stop_tol")
+    truth_file = _typed(spec.get("truth_file", ""), str, "problem", "truth_file")
     try:
         observed = load_qgrid(observation_path)
     except Exception as exc:
         raise CliError(2, "qgrid", f"{observation_path}: {exc}")
     truth = None
-    if spec.get("truth_file"):
+    if truth_file:
         try:
-            truth = load_qgrid(problem_path.parent / spec["truth_file"])
+            truth = load_qgrid(problem_path.parent / truth_file)
         except Exception as exc:
             raise CliError(2, "qgrid", f"truth file: {exc}")
     try:
-        problem = ExtrapolationProblem(
-            observed=observed, d_half=float(spec["d"]), w_half=float(spec["W"]),
-            truth=truth)
-        trace = pg_run(problem, max_steps=int(spec.get("max_steps", 500)),
-                       stop_tol=float(spec.get("stop_tol", 1e-10)))
-    except (KeyError, QpswfError, ValueError) as exc:
+        problem = ExtrapolationProblem(observed=observed, d_half=d_half, w_half=w_half,
+                                       truth=truth)
+        trace = pg_run(problem, max_steps=max_steps, stop_tol=stop_tol)
+    except (QpswfError, ValueError) as exc:
         raise CliError(2, "problem", str(exc))
 
     out.mkdir(parents=True, exist_ok=True)

@@ -95,7 +95,6 @@ class TraceRow:
     e_energy: float          # error energy, NaN when no truth is known
     sup_e: float             # max pointwise |error| over the probe nodes
     bound: float             # (W/pi) sqrt(E_n)
-    bound_stated: float      # sqrt(W E_n)/pi, reported for comparison only
     delta: float             # ||f_n - f_{n-1}|| / ||f_n||
     cf_gap: float            # distance to the closed-form iterate (synthetic)
 
@@ -136,10 +135,6 @@ def pointwise_bound(e_energy: float, w_half: float) -> float:
     return float(w_half / np.pi * np.sqrt(e_energy))
 
 
-def _stated_bound(e_energy: float, w_half: float) -> float:
-    return float(np.sqrt(w_half * e_energy) / np.pi)
-
-
 def closed_form_iterate(coeffs, lambdas, n: int, basis: BasisSet2D) -> QSignal:
     """Iterate assembled directly from the error law, as an oracle for pg_run."""
     a = np.asarray(coeffs, dtype=float)
@@ -167,13 +162,20 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     Synthetic problems iterate on the band side (exact compact quadratures);
     others iterate on the grid.  When the truth is known each row carries
     the measured error energy, the probe-grid sup of the pointwise error,
-    and both pointwise bounds.
+    and the pointwise bound.
     """
     if max_steps < 1:
         raise BadParameters("max_steps must be >= 1")
     if problem.synthetic is not None:
         return _pg_run_band(problem, max_steps, stop_tol, compare_closed_form)
     return _pg_run_grid(problem, max_steps, stop_tol)
+
+
+def _relative_update(update_norm, norm) -> float:
+    """delta = ||f_n - f_{n-1}|| / ||f_n||: 0 when both vanish, inf when only f_n does."""
+    if norm > 0:
+        return float(update_norm / norm)
+    return 0.0 if update_norm == 0 else float("inf")
 
 
 def _real_planes(spectra: np.ndarray):
@@ -227,16 +229,14 @@ def _pg_run_band(problem, max_steps, stop_tol, compare_closed_form):
         e_n = err.total_energy()
         err_probe = np.moveaxis(_component_values(err.spectra, probe, probe), 0, -1)
         sup_e = float(qarr_modulus(err_probe).max())
-        delta_abs = np.sqrt(BandRep(b1, correction).total_energy())
-        norm_n = np.sqrt(BandRep(b1, spec).total_energy())
-        delta = float(delta_abs / norm_n) if norm_n > 0 else float("inf")
+        delta = _relative_update(np.sqrt(BandRep(b1, correction).total_energy()),
+                                 np.sqrt(BandRep(b1, spec).total_energy()))
         cf_gap = float("nan")
         if compare_closed_form:
             cf = closed_form_band_spectra(synth.coeffs, synth.lambdas(), n, basis)
             cf_gap = float(np.sqrt(BandRep(b1, spec - cf).total_energy()))
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e,
                              bound=pointwise_bound(e_n, w_half),
-                             bound_stated=_stated_bound(e_n, w_half),
                              delta=delta, cf_gap=cf_gap))
         if delta < stop_tol:
             converged = True
@@ -252,21 +252,18 @@ def _pg_run_grid(problem, max_steps, stop_tol):
     converged = False
     for n in range(1, max_steps + 1):
         f_next = pg_step(problem.observed, f_n, problem.d_half, problem.w_half)
-        delta_abs = np.sqrt(energy(f_next.with_values(f_next.values - f_n.values)))
-        norm_n = f_next.norm()
-        delta = float(delta_abs / norm_n) if norm_n > 0 else 0.0
+        delta = _relative_update(
+            np.sqrt(energy(f_next.with_values(f_next.values - f_n.values))), f_next.norm())
         e_n = float("nan")
         sup_e = float("nan")
         bound = float("nan")
-        stated = float("nan")
         if problem.truth is not None:
             err = f_next.with_values(problem.truth.values - f_next.values)
             e_n = energy(err)
             sup_e = float(qarr_modulus(err.values).max())
             bound = pointwise_bound(e_n, problem.w_half)
-            stated = _stated_bound(e_n, problem.w_half)
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
-                             bound_stated=stated, delta=delta, cf_gap=float("nan")))
+                             delta=delta, cf_gap=float("nan")))
         f_n = f_next
         if delta < stop_tol:
             converged = True

@@ -1,11 +1,11 @@
 """Sinc-kernel concentration eigenproblem and the quaternion 2D basis.
 
-The 1D eigenproblem on [-T, T] with band half-width W is discretized by
-Nystrom quadrature on Gauss-Legendre nodes and symmetrized by sqrt-weights,
-then solved densely.  Eigenvalues decay super-exponentially, so double
-precision cannot resolve the trailing pairs well enough for the residual
-checks; the solver therefore refines the leading block in 80-bit extended
-precision (subspace iteration + Rayleigh-Ritz with a small Jacobi solve).
+The 1D eigenfunctions on [-T, T] with band half-width W are prolate
+spheroidal functions of bandwidth c = T W, summed at Gauss-Legendre nodes
+from their Legendre series: the eigenvectors of one tridiagonal matrix per
+parity, solved in double and refined once in 80-bit extended precision.
+Their eigenvalues are Rayleigh quotients against the Nystrom kernel, which
+the solve itself never uses.
 
 2D eigenfunctions are tensor products phi_m(x) phi_n(y) times a fixed unit
 quaternion amplitude, with eigenvalue lambda_m * lambda_n.  Global (whole-
@@ -42,16 +42,20 @@ EIG_FLOOR = 1e-12
 # usable information even in 80-bit arithmetic
 _EVAL_FLOOR = 1e-15
 
-_REFINE_GUARD = 6
-_REFINE_ITERS = 3
-# Jacobi skips a rotation once |a_pq| <= _JACOBI_TOL (|a_pp| + |a_qq|).  A
-# rotation inside a cluster of eigenvalues near 1 (T W = 64) leaves about eps
-# in a_pq, so a threshold below the long-double eps is never met there
-_JACOBI_TOL = 4 * np.finfo(_LD).eps
-
 
 # ---------------------------------------------------------------------------
 # quadrature and kernel in extended precision
+
+
+def _legendre_ld(n: int, x) -> np.ndarray:
+    """P_0..P_n at the points x by the three-term recurrence, shape (n + 1, len(x))."""
+    x = np.asarray(x, dtype=_LD)
+    p = np.empty((n + 1,) + x.shape, dtype=_LD)
+    p[0] = 1
+    p[1] = x
+    for k in range(2, n + 1):
+        p[k] = ((2 * k - 1) * x * p[k - 1] - (k - 1) * p[k - 2]) / k
+    return p
 
 
 @functools.lru_cache(maxsize=32)
@@ -61,20 +65,15 @@ def _gauss_unit_ld(n: int):
     Double-precision nodes are polished with Newton steps on P_n evaluated
     by the recurrence in long double.
     """
-    x64, _ = np.polynomial.legendre.leggauss(n)
-    x = x64.astype(_LD)
+    def newton(x):  # P_n(x) and P_n'(x)
+        p = _legendre_ld(n, x)
+        return p[n], n * (x * p[n] - p[n - 1]) / (x * x - 1)
+
+    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
     for _ in range(3):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        x = x - p1 / dp
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1)
+        p, dp = newton(x)
+        x = x - p / dp
+    dp = newton(x)[1]
     w = 2 / ((1 - x * x) * dp * dp)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -101,17 +100,6 @@ def sinc_kernel_ld(d, w_half) -> np.ndarray:
     return out
 
 
-def _sinc_kernel_deriv_ld(d, w_half) -> np.ndarray:
-    """d/dd [sin(W d)/(pi d)], with the 0 limit 0."""
-    d = np.asarray(d, dtype=_LD)
-    wh = _LD(w_half)
-    out = np.zeros_like(d)
-    big = np.abs(d) >= _LD(1e-8)
-    db = d[big]
-    out[big] = (wh * np.cos(wh * db) * db - np.sin(wh * db)) / (_LD(np.pi) * db * db)
-    return out
-
-
 def _operator_ld(t_half: float, w_half: float, n: int):
     """Gauss nodes/weights on [-T, T], the kernel on them and the symmetrized Nystrom matrix."""
     x, w = gauss_rule_ld(n, -t_half, t_half)
@@ -131,76 +119,60 @@ def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# extended-precision linear algebra helpers (numpy has no LAPACK here)
+# Legendre series of the prolate functions
 
 
-def _mgs_ld(v: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with reorthogonalization, long double."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        for _ in range(2):
-            for i in range(j):
-                v[:, j] -= (v[:, i] @ v[:, j]) * v[:, i]
-        nrm = np.sqrt(v[:, j] @ v[:, j])
-        if nrm == 0:
-            raise ConvergenceFailure("subspace collapsed during orthogonalization")
-        v[:, j] /= nrm
-    return v
+def _parity_eigvecs(c, parity: int, size: int, keep: int) -> np.ndarray:
+    """Leading keep eigenvectors of one parity's tridiagonal, refined in long double.
 
-
-def _jacobi_eig_ld(g: np.ndarray, max_sweeps: int = 40):
-    """Cyclic Jacobi eigensolver for a small symmetric long-double matrix."""
-    g = g.copy()
-    n = g.shape[0]
-    v = np.eye(n, dtype=_LD)
-    for _ in range(max_sweeps):
-        converged = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = g[p, q]
-                if abs(apq) <= _JACOBI_TOL * (abs(g[p, p]) + abs(g[q, q])):
-                    continue
-                converged = False
-                theta = (g[q, q] - g[p, p]) / (2 * apq)
-                if theta == 0:
-                    t = _LD(1.0)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                c = 1 / np.sqrt(t * t + 1)
-                s = t * c
-                gp = g[:, p].copy()
-                gq = g[:, q].copy()
-                g[:, p] = c * gp - s * gq
-                g[:, q] = s * gp + c * gq
-                gp = g[p, :].copy()
-                gq = g[q, :].copy()
-                g[p, :] = c * gp - s * gq
-                g[q, :] = s * gp + c * gq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if converged:
-            return np.diag(g).copy(), v
-    raise ConvergenceFailure("Jacobi sweep limit reached")
-
-
-def _refined_eigensystem(a_ld: np.ndarray, k: int):
-    """Top-k eigenpairs of the symmetric matrix, refined in long double."""
+    The commuting operator -(1 - t^2) d^2/dt^2 + 2t d/dt + c^2 t^2 acts on
+    normalized Legendre coefficients of degrees k = parity, parity + 2, ...
+    as a symmetric tridiagonal matrix; ascending eigenvalues give the modes
+    of that parity in order.  The double eigenvectors get one Ogita-Aishima
+    step (2018): with R = I - V^T V_k, S = V^T A V_k and Rayleigh quotients
+    l_i, V_k += V E where E_ij = (S_ij + l_j R_ij) / (l_j - l_i), E_jj = R_jj / 2.
+    """
+    k = np.arange(parity, parity + 2 * size, 2).astype(_LD)
+    c2 = _LD(c) ** 2
+    diag = k * (k + 1) + c2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+    k = k[:-1]
+    off = c2 * (k + 2) * (k + 1) / ((2 * k + 3) * np.sqrt((2 * k + 1) * (2 * k + 5)))
+    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        _, v64 = np.linalg.eigh(a_ld.astype(np.float64))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    v = _mgs_ld(v64[:, ::-1][:, :k].astype(_LD))
-    for _ in range(_REFINE_ITERS):
-        v = _mgs_ld(a_ld @ v)
-        g = v.T @ (a_ld @ v)
-        theta, y = _jacobi_eig_ld((g + g.T) / 2)
-        order = np.argsort(theta)[::-1]
-        v = _mgs_ld(v @ y[:, order])
-    lam = np.array([v[:, j] @ (a_ld @ v[:, j]) for j in range(k)], dtype=_LD)
-    order = np.argsort(lam)[::-1]
-    return lam[order], v[:, order]
+        v = np.linalg.eigh(a.astype(np.float64))[1].astype(_LD)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed: {exc}") from exc
+    av = a @ v
+    ritz = (v * av).sum(axis=0) / (v * v).sum(axis=0)
+    r = np.eye(size, keep, dtype=_LD) - v.T @ v[:, :keep]
+    gap = ritz[None, :keep] - ritz[:, None]
+    np.fill_diagonal(gap, 1)
+    e = (v.T @ av[:, :keep] + ritz[None, :keep] * r) / gap
+    np.fill_diagonal(e, np.diag(r) / 2)
+    vk = v[:, :keep] + v @ e
+    return vk / np.sqrt((vk * vk).sum(axis=0))
+
+
+def _prolate_series(c, count: int) -> np.ndarray:
+    """Normalized Legendre coefficients of psi_0..psi_{count-1} on [-1, 1].
+
+    Returns beta of shape (degrees, count) with psi_n(t) = sum_k beta[k, n]
+    sqrt(k + 1/2) P_k(t); each column has unit norm and the other parity's
+    entries are zero.  The series length follows c: it starts near
+    count / 2 + c + 16 terms per parity and doubles until the trailing
+    coefficients of every kept mode fall below the double eps.
+    """
+    size = int(np.ceil(count / 2 + c)) + 16
+    for _ in range(4):
+        beta = np.zeros((2 * size, count), dtype=_LD)
+        for parity in (0, 1):
+            beta[parity::2, parity::2] = _parity_eigvecs(c, parity, size,
+                                                         (count + 1 - parity) // 2)
+        if np.abs(beta[-6:]).max() < np.finfo(np.float64).eps:
+            return beta
+        size *= 2
+    raise ConvergenceFailure(f"Legendre series of c = {c:.6g} did not converge "
+                             f"within {size // 2} terms per parity")
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +225,15 @@ class ProlateBasis1D:
         kern = sinc_kernel_ld(x[:, None] - self._x_ld[None, :], self.w_half)
         return (kern @ (self._w_ld * self._phi_ld[k])) / lam
 
-    def deriv_at_zero_ld(self, k: int) -> float:
-        lam = self._lam_ld[k]
-        kern = _sinc_kernel_deriv_ld(-self._x_ld, self.w_half)
-        return float((kern * self._w_ld * self._phi_ld[k]).sum() / lam)
-
 
 def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateBasis1D:
-    """Solve the Nystrom eigenproblem and return the top-count eigenpairs.
+    """The top-count eigenpairs of the concentration operator at the n Gauss nodes.
 
-    Signs follow the convention phi_k(0) > 0 for even k and phi_k'(0) > 0
-    for odd k.
+    phi_k is summed from the Legendre series of the prolate function of
+    bandwidth c = T W at t = x / T; lambda_k is its Rayleigh quotient against
+    the Nystrom kernel on the same nodes.  An n too small for c (the rule
+    misses the integral of e^{2ict}) is rejected.  Signs follow the
+    convention phi_k(0) > 0 for even k and phi_k'(0) > 0 for odd k.
     """
     if count > n:
         raise BadParameters("count cannot exceed the number of nodes")
@@ -271,57 +241,46 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
         raise BadParameters("T and W must be positive")
     if n < 16:
         raise BadParameters("need at least 16 quadrature nodes")
+    t, w_unit = _gauss_unit_ld(n)
+    c = _LD(t_half) * _LD(w_half)
+    # 2c is the largest phase the kernel and the band-side step integrate
+    miss = abs((w_unit * np.cos(2 * c * t)).sum() - np.sin(2 * c) / c)
+    if not miss <= 1e-13:
+        raise BadParameters(
+            f"quad_n = {n} is too small for c = T W = {float(c):.6g}: the rule misses "
+            f"the integral of exp(2ict) over [-1, 1] by {float(miss):.1e}")
 
-    x, w, kern, a = _operator_ld(t_half, w_half, n)
-    k_refine = min(count + _REFINE_GUARD, n)
-    lam, v = _refined_eigensystem(a, k_refine)
-    lam = lam[:count]
-    v = v[:, :count]
+    beta = _prolate_series(c, count)
+    deg = np.arange(len(beta), dtype=_LD)
+    scale = np.sqrt(deg + _LD(0.5))
+    p0 = _legendre_ld(len(beta), np.zeros(1))[:, 0]
+    # psi_n(0) + psi_n'(0) with P_k'(0) = k P_{k-1}(0): by parity one term is zero
+    at0 = (scale * p0[:-1]) @ beta + (scale[1:] * deg[1:] * p0[:-2]) @ beta[1:]
+    beta = beta * np.where(at0 < 0, -1, 1)
+    phi = beta.T @ (scale[:, None] * _legendre_ld(len(beta) - 1, t))
 
-    sw = np.sqrt(w)
-    phi = (v / sw[:, None]).T          # (count, N), weighted-orthonormal
-    lam_pos = np.maximum(lam, _LD(0))
+    x, w, kern, _ = _operator_ld(t_half, w_half, n)
+    phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None]   # weighted-orthonormal
+    # Rayleigh quotients; numpy sums a contiguous row pairwise, where a matmul's
+    # running sums leave ~1e-21 of noise (1e-11 relative at lambda_5, c = 1)
+    lam = np.array([(a * (kern * a).sum(axis=1)).sum() for a in w * phi])
     # scale so the [-T, T] energy equals lambda (unit whole-line norm)
-    phi = phi * np.sqrt(lam_pos)[:, None]
-
-    basis = ProlateBasis1D(
-        t_half=float(t_half), w_half=float(w_half), c=float(t_half * w_half),
-        nodes=x.astype(np.float64), weights=w.astype(np.float64),
-        eigvals=lam.astype(np.float64), eigvecs=phi.astype(np.float64),
-        mu=np.zeros(count, dtype=complex),
-        _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam,
-        _mu_ld=np.zeros(count, dtype=np.clongdouble),
-    )
-
-    # sign convention, applied to the long-double data and mirrored to the views
-    for k in range(count):
-        if lam[k] <= _EVAL_FLOOR:
-            ref = phi[k, n // 2]       # below-floor modes: any deterministic sign
-        elif k % 2 == 0:
-            ref = basis.extend_ld(k, 0.0)[0]
-        else:
-            ref = basis.deriv_at_zero_ld(k)
-        if ref < 0:
-            phi[k] = -phi[k]
-    object.__setattr__(basis, "eigvecs", phi.astype(np.float64))
-    object.__setattr__(basis, "_kphi_ld", (w * phi) @ kern.T)
+    phi = phi * np.sqrt(np.maximum(lam, _LD(0)))[:, None]
 
     # finite-Fourier multipliers mu_k: integral_T e^{i (W/T) s x} phi(s) ds = mu phi(x)
     cr = _LD(w_half) / _LD(t_half)
     ker = np.exp(1j * (cr * x[:, None] * x[None, :]).astype(np.clongdouble))
     mu_ld = np.zeros(count, dtype=np.clongdouble)
     integral = np.zeros((count, n), dtype=np.clongdouble)
-    for k in range(count):
-        if lam[k] <= 0:
-            continue
+    for k in np.flatnonzero(lam > 0):   # phi_k = 0 where lambda_k <= 0
         integral[k] = ker @ (w * phi[k])
-        denom = (w * phi[k] * phi[k]).sum()
-        if denom > 0:
-            mu_ld[k] = (w * phi[k] * integral[k]).sum() / denom
-    object.__setattr__(basis, "_mu_ld", mu_ld)
-    object.__setattr__(basis, "_fphi_ld", integral)
-    object.__setattr__(basis, "mu", mu_ld.astype(complex))
-    return basis
+        mu_ld[k] = (w * phi[k] * integral[k]).sum() / (w * phi[k] * phi[k]).sum()
+    return ProlateBasis1D(
+        t_half=float(t_half), w_half=float(w_half), c=float(t_half * w_half),
+        nodes=x.astype(np.float64), weights=w.astype(np.float64),
+        eigvals=lam.astype(np.float64), eigvecs=phi.astype(np.float64),
+        mu=mu_ld.astype(complex), _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam,
+        _mu_ld=mu_ld, _kphi_ld=(w * phi) @ kern.T, _fphi_ld=integral)
 
 
 @functools.lru_cache(maxsize=8)

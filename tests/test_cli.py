@@ -71,6 +71,20 @@ def test_even_grid_rejected(tmp_path):
     assert "odd" in r.stderr
 
 
+@pytest.mark.parametrize("raw", [{"T": 50, "W": 50, "grid_halfwidth": 200},
+                                 {"T": 1e6, "W": 1e6, "grid_halfwidth": 1e6}],
+                         ids=["c2500", "c1e12"])
+def test_quadrature_too_small_for_c_rejected(tmp_path, raw):
+    # the default quad_n cannot integrate exp(2ict) at these c
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    r = run_cli("--config", str(path), "--output", str(tmp_path / "out"), "basis")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 config:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_nonpositive_basis_count_rejected(tmp_path, count):
     cfg = _write_cfg(tmp_path, basis_count=count, output_dir=str(tmp_path / "out"))
@@ -299,6 +313,25 @@ def test_extrapolate_malformed_observation(extrap_files, tmp_path):
                 "--observation", str(bad))
     assert r.returncode == 2
     assert r.stderr.startswith("ERROR 2 qgrid:")
+
+
+@pytest.mark.parametrize("problem", [
+    [2.0, 1.0], {"d": "2", "W": 1.0}, {"d": 2.0, "W": 1.0, "truth_file": 5},
+    {"d": 2.0, "W": float("inf")}, {"d": 2.0, "W": 1.0, "max_steps": 50.0},
+    {"d": 2.0, "W": 1.0, "stop_tol": "1e-3"}, {"W": 1.0}],
+    ids=["list", "d_str", "truth_file_int", "W_inf", "max_steps_float", "stop_tol_str",
+         "d_missing"])
+def test_extrapolate_problem_wrong_types(extrap_files, tmp_path, problem):
+    # d and W finite numbers, max_steps an int, stop_tol a number, truth_file a string
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "e"))
+    r = run_cli("--config", str(cfg), "extrapolate", "--problem", str(path),
+                "--observation", str(extrap_files / "obs.qgrid"))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 problem:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "e").exists()
 
 
 def test_qft_cli_roundtrip(extrap_files, tmp_path):

@@ -38,6 +38,17 @@ def test_pg_step_zero_observation():
         assert np.all(f.values == 0.0)
 
 
+def test_zero_truth_converges_at_step_one(basis36):
+    # both paths: an update and an iterate that are both zero give delta 0
+    zero = QSignal.zeros(AX, AX)
+    for prob in (make_synthetic_problem(basis36, [0.0]),
+                 ExtrapolationProblem(observed=zero, d_half=1.0, w_half=1.0, truth=zero)):
+        trace = pg_run(prob, max_steps=3, stop_tol=1e-10)
+        assert trace.converged and trace.steps == 1
+        assert trace.rows[0].delta == 0.0
+        assert np.all(trace.final.values == 0.0)
+
+
 def test_pg_step_grid_mismatch():
     other = GridAxis.symmetric(4.0, 65)
     with pytest.raises(GridMismatch):

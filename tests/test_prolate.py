@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpswf.errors import (BadIndex, BadParameters, EigenvalueTooSmall,
-                          NonUnitCoefficient, RegionOutOfGrid)
+from qpswf.errors import (BadIndex, BadParameters, ConvergenceFailure,
+                          EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
 from qpswf.grid import Region
 from qpswf.prolate import (build_basis, build_qpswf_basis,
                            build_sinc_operator, cached_basis_1d,
@@ -60,9 +60,9 @@ def test_eigenvalue_scale_invariance():
 
 
 def test_jacobi_converges_at_large_concentration():
-    # at c = T W = 64 the leading ~40 eigenvalues sit within 1e-9 of 1; a Jacobi
-    # stopping threshold below the long-double eps never fired and raised
-    # ConvergenceFailure here
+    # at c = T W = 64 the leading ~40 eigenvalues sit within 1e-9 of 1, so their
+    # eigenvectors are only defined by the Legendre tridiagonal of each parity;
+    # the Nystrom eigen-residual of the series must still be at long-double level
     b = eig_prolate_1d(8.0, 8.0, 256, 30)
     lam = b.eigvals
     assert np.all(lam > 1 - 1e-8) and np.all(lam <= 1 + 1e-15)
@@ -74,9 +74,70 @@ def test_jacobi_converges_at_large_concentration():
     assert float(rel.max()) <= 1e-15
 
 
+def _oracle_eigenvalues(c, count, size=30):
+    """lambda_0..lambda_{count-1} from a 60-digit solve of the Legendre tridiagonals.
+
+    lambda = (c / 2 pi) mu^2 with mu = sqrt(2) beta_0 / psi(0) for even modes
+    and c sqrt(2/3) beta_1 / psi'(0) for odd ones (psi = sum beta_k P_k-bar).
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    c = mp.mpf(c)
+    lam = [None] * count
+    for parity in (0, 1):
+        ks = [parity + 2 * i for i in range(size)]
+        a = mp.zeros(size, size)
+        for i, k in enumerate(ks):
+            a[i, i] = k * (k + 1) + c ** 2 * (2 * k * (k + 1) - 1) / ((2 * k + 3) * (2 * k - 1))
+            if i + 1 < size:
+                a[i, i + 1] = a[i + 1, i] = c ** 2 * (k + 2) * (k + 1) / (
+                    (2 * k + 3) * mp.sqrt((2 * k + 1) * (2 * k + 5)))
+        chi, v = mp.eigsy(a)
+        order = sorted(range(size), key=lambda j: chi[j])
+        for mode in range(parity, count, 2):
+            beta = [v[i, order[mode // 2]] for i in range(size)]
+            if parity == 0:
+                at0 = mp.fsum(b * mp.sqrt(k + 0.5) * mp.legendre(k, 0) for b, k in zip(beta, ks))
+                mu = mp.sqrt(2) * beta[0] / at0
+            else:
+                at0 = mp.fsum(b * mp.sqrt(k + 0.5) * k * mp.legendre(k - 1, 0)
+                              for b, k in zip(beta, ks))
+                mu = c * mp.sqrt(mp.mpf(2) / 3) * beta[0] / at0
+            lam[mode] = c / (2 * mp.pi) * mu ** 2
+    return lam
+
+
+@pytest.mark.parametrize("c, count", [(1.0, 8), (4.0, 14)])
+def test_eigenvalues_match_high_precision_oracle(c, count):
+    mp = pytest.importorskip("mpmath")
+    ref = _oracle_eigenvalues(c, count)
+    lam = eig_prolate_1d(c, 1.0, 256, count)._lam_ld
+    for k in range(count):
+        if ref[k] > 5e-11:
+            hi = float(lam[k])
+            got = mp.mpf(hi) + mp.mpf(float(lam[k] - np.longdouble(hi)))
+            assert abs(got / ref[k] - 1) <= 1e-11, (k, float(ref[k]))
+
+
 def test_count_validation():
     with pytest.raises(BadParameters):
         eig_prolate_1d(1.0, 1.0, 32, 40)
+
+
+def test_quadrature_too_small_for_c():
+    # 256 Gauss nodes integrate exp(2ict) to 2e-15 at c = 215, not at c = 230
+    eig_prolate_1d(215.0, 1.0, 256, 8)
+    for t_half, w_half in ((230.0, 1.0), (50.0, 50.0)):
+        with pytest.raises(BadParameters):
+            eig_prolate_1d(t_half, w_half, 256, 8)
+
+
+def test_tridiagonal_solver_failure_is_convergence_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure):
+        eig_prolate_1d(1.0, 1.0, 64, 4)
 
 
 def test_extension_matches_nodes():
@@ -119,6 +180,17 @@ def test_sign_convention_and_mu_phases():
         aligned = (mu / phase).real
         assert aligned > 0
         assert abs((mu / phase).imag) <= 1e-12 * abs(mu)
+
+
+@pytest.mark.parametrize("c", [1.0, 16.0])
+def test_sign_convention_every_mode(c):
+    # phi_k(0) > 0 for even k and phi_k'(0) > 0 for odd k; mu_k is blind to the
+    # sign, and the raw eigenvector signs vary with c and k
+    b = eig_prolate_1d(c, 1.0, 256, 12)
+    for k in range(12):
+        if b.eigvals[k] > 1e-10:
+            left, mid, right = b.extend_ld(k, [-1e-3, 0.0, 1e-3])
+            assert (mid if k % 2 == 0 else right - left) > 0, k
 
 
 def test_deterministic_rebuild():
