@@ -3,10 +3,10 @@
 Given a band-limited signal observed only on a square D, the iteration
 replaces the current iterate by the observation on D and band-limits the
 result; the error contracts mode-by-mode with factor (1 - lambda_j) per
-step.  Synthetic problems built from the eigenbasis run on the band side,
-where every step is a compact quadrature and the closed-form error law can
-be checked at full precision; file-based problems run the same iteration
-on grid signals.
+step.  pg_run runs it as one linear recursion on band coefficients: for
+synthetic problems built from the eigenbasis on the band Gauss rule, where
+the closed-form error law can be checked at full precision, and for
+file-based problems on the dual-lattice bins inside the band.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concentration import band_limit, time_limit
-from .errors import BadParameters, GridMismatch, LengthMismatch
-from .grid import QSignal, Region, energy, region_mask
-from .prolate import BasisSet2D, _analysis_kernel, _synthesis_kernel
-from .quaternion import qarr_modulus
-from .signals import BandRep, ModalField, _component_values, band_rep_from_time_nodal
+from .errors import BadParameters, GridMismatch, LengthMismatch, WindowTooSmall
+from .grid import GridAxis, QSignal, Region, _axis_region_mask, energy, region_mask
+from .prolate import BasisSet2D, band_rule
+from .qft import _band_bins, dual_frequency_axis
+from .signals import ModalField, _component_values
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class ExtrapolationProblem:
     synthetic: SyntheticTruth = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not self.w_half > 0:
+            raise BadParameters("band half-width W must be > 0")
         outside = ~region_mask(self.observed, Region.square(self.d_half))
         if np.any(self.observed.values[outside] != 0.0):
             raise BadParameters("observation must vanish outside D")
@@ -94,7 +96,7 @@ class TraceRow:
     n: int
     e_energy: float          # error energy, NaN when no truth is known
     sup_e: float             # max pointwise |error| over the probe nodes
-    bound: float             # (W/pi) sqrt(E_n)
+    bound: float             # sqrt(sum w_u * sum w_v) / (2 pi) * sqrt(E_n) over the rule
     delta: float             # ||f_n - f_{n-1}|| / ||f_n||
     cf_gap: float            # distance to the closed-form iterate (synthetic)
 
@@ -151,31 +153,20 @@ def closed_form_band_spectra(coeffs, lambdas, n: int, basis: BasisSet2D) -> np.n
     return ModalField.of(basis, a * (1.0 - (1.0 - lam) ** n)).band_rep().spectra
 
 
-def _probe_axes(d_half: float) -> np.ndarray:
-    return np.linspace(-3 * d_half, 3 * d_half, 81)
+def _synthesis(x: np.ndarray, u: np.ndarray, w_u: np.ndarray) -> np.ndarray:
+    """exp(i x u) sqrt(w_u): values at the points x of coefficients scaled by sqrt(w_u)."""
+    return np.exp(1j * np.outer(x, u)) * np.sqrt(w_u)
 
 
-def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
-           stop_tol: float = 1e-10, compare_closed_form: bool = False) -> ExtrapolationTrace:
-    """Run the iteration until the relative update drops below stop_tol.
-
-    Synthetic problems iterate on the band side (exact compact quadratures);
-    others iterate on the grid.  When the truth is known each row carries
-    the measured error energy, the probe-grid sup of the pointwise error,
-    and the pointwise bound.
-    """
-    if max_steps < 1:
-        raise BadParameters("max_steps must be >= 1")
-    if problem.synthetic is not None:
-        return _pg_run_band(problem, max_steps, stop_tol, compare_closed_form)
-    return _pg_run_grid(problem, max_steps, stop_tol)
+def _analyse(values: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Band coefficients F f_c F^T of the real components of (Nx, Ny, 4) point values."""
+    return np.stack([fx @ values[..., c] @ fy.T for c in range(4)])
 
 
-def _relative_update(update_norm, norm) -> float:
-    """delta = ||f_n - f_{n-1}|| / ||f_n||: 0 when both vanish, inf when only f_n does."""
-    if norm > 0:
-        return float(update_norm / norm)
-    return 0.0 if update_norm == 0 else float("inf")
+def _energy(scaled: np.ndarray) -> float:
+    """Energy of coefficients scaled by sqrt(w_u w_v): a sum of squares of a real view."""
+    v = scaled.reshape(-1).view(np.float64)
+    return float(v @ v) / (4 * np.pi ** 2)
 
 
 def _real_planes(spectra: np.ndarray):
@@ -185,87 +176,103 @@ def _real_planes(spectra: np.ndarray):
         yield comp.imag
 
 
-def _band_step_matrix(basis1d) -> np.ndarray:
-    """M = F E / 2 pi, the 1D factor of evaluating at the time nodes, then band-limiting.
+def _lattice_rule(ax: GridAxis, w_half: float):
+    """The dual-lattice bins inside the band: nodes k du, and the weights band_limit masks with."""
+    ax_f = dual_frequency_axis(ax)
+    bins = _band_bins(ax, ax_f, w_half)
+    k = np.flatnonzero(bins)
+    # a half-weight bin (the band edge on the window edge of an even-count
+    # axis) would make band_limit no projection and the recursion inexact
+    if w_half > ax_f.stop or not np.allclose(bins[k] / ax_f.step, 1.0):
+        raise WindowTooSmall("band must lie inside the frequency window")
+    return np.where(k > len(bins) // 2, k - len(bins), k) * ax_f.step, bins[k]
 
-    E S E^T / 4 pi^2 (E = exp(i s u) w_u) evaluates spectra at the time Gauss
-    nodes s, and is real on the Hermitian spectra of real components; F =
-    exp(-i u s) w_s band-limits nodal values.  So the composite on (4, Nb, Nb)
-    spectra is S -> M S M^T.  M is real because the nodes and weights of the
-    Gauss rule are symmetric: its entries are w_u' sum_s w_s cos(s (u' - u)).
+
+def _band_step(u, w_u, s, w_s, inside):
+    """One axis's analysis F = exp(-i u s) w_s sqrt(w_u) and step M = F diag(chi_D) E / 2 pi.
+
+    E = exp(i s u) sqrt(w_u) evaluates at the points s.  M's entries
+    sqrt(w_u w_u') sum_{s in D} w_s cos(s (u' - u)) / 2 pi are real when the
+    rule and the points in D are symmetric about 0 (M is returned real then).
     """
-    fe = _analysis_kernel(basis1d) @ _synthesis_kernel(basis1d, basis1d.nodes) / (2 * np.pi)
-    if np.abs(fe.imag).max() > 1e-13 * np.abs(fe.real).max():
-        raise BadParameters("band-side step needs a symmetric time Gauss rule")
-    return np.ascontiguousarray(fe.real)
+    e = _synthesis(s, u, w_u)
+    f = e.conj().T * w_s
+    m = (f * inside) @ e / (2 * np.pi)
+    if np.abs(m.imag).max() <= 1e-13 * np.abs(m.real).max():
+        return f, np.ascontiguousarray(m.real)
+    return f, m
 
 
-def _pg_run_band(problem, max_steps, stop_tol, compare_closed_form):
-    """Band-side iteration f <- f + B (g - T f); every time node lies in D.
+def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
+           stop_tol: float = 1e-10, compare_closed_form: bool = False) -> ExtrapolationTrace:
+    """Run the iteration until the relative update drops below stop_tol.
 
-    B T = M (x) M and B g are formed once, so each step is
-    spec += B g - M spec M^T, applied to one real plane at a time.
+    f <- f + B (g - T f) runs as spec <- spec + G - Mx spec My^T on f's band
+    coefficients, scaled by sqrt(w_u w_v) so that each energy is a sum of
+    squares.  Synthetic problems take the band Gauss rule and the time Gauss
+    nodes (all in D) and probe 81^2 points over [-3d, 3d]^2; others take the
+    dual-lattice bins inside the band and the grid nodes, where the recursion
+    is pg_step exactly, and probe the grid nodes.
     """
-    synth = problem.synthetic
-    basis = synth.basis
-    b1 = basis.basis1d
-    w_half = problem.w_half
-    truth_spec = synth.band_spectra()
-    probe = _synthesis_kernel(b1, _probe_axes(problem.d_half))
-    step = _band_step_matrix(b1)
-    limited_truth = band_rep_from_time_nodal(b1, synth.gauss_values()).spectra
+    if max_steps < 1:
+        raise BadParameters("max_steps must be >= 1")
+    grid, synth = problem.observed, problem.synthetic
+    axes = (grid.ax_x, grid.ax_y)
+    if synth is not None:
+        b1 = synth.basis.basis1d
+        rules = [band_rule(b1)] * 2
+        analysis, (mx, my) = zip(*[_band_step(*rules[0], b1.nodes, b1.weights, True)] * 2)
+        probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2
+    else:
+        rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
+        analysis, (mx, my) = zip(*(_band_step(u, w, ax.samples(), ax.trapezoid_weights(),
+                                              _axis_region_mask(ax, problem.d_half))
+                                   for (u, w), ax in zip(rules, axes)))
+        probe_x = [ax.samples() for ax in axes]
+    probe = [_synthesis(x, u, w) for x, (u, w) in zip(probe_x, rules)]
+    final = [_synthesis(ax.samples(), u, w) for ax, (u, w) in zip(axes, rules)]
 
-    spec = np.zeros_like(truth_spec)
-    correction = np.empty_like(spec)
+    truth, residual, residual_energy = None, 0.0, 0.0
+    if synth is not None:
+        scale = np.outer(np.sqrt(rules[0][1]), np.sqrt(rules[1][1]))
+        g = _analyse(synth.gauss_values(), *analysis)
+        truth = scale * synth.band_spectra()
+    else:
+        g = _analyse(grid.values, *analysis)
+        if problem.truth is not None:
+            # grid energy of truth - f_n = in-band Parseval sum + out-of-band residual energy
+            truth = _analyse(problem.truth.values, *analysis)
+            residual = np.moveaxis(problem.truth.values, -1, 0) - _component_values(truth, *final)
+            residual_energy = energy(grid.with_values(np.moveaxis(residual, 0, -1)))
+
+    planes = _real_planes if np.isrealobj(mx) and np.isrealobj(my) else list
+    half_width = float(np.sqrt(rules[0][1].sum() * rules[1][1].sum()) / 2)
+    spec = np.zeros_like(g)
+    correction = np.empty_like(g)
     rows = []
-    converged = False
     for n in range(1, max_steps + 1):
-        for s, g, d in zip(_real_planes(spec), _real_planes(limited_truth),
-                           _real_planes(correction)):
-            np.subtract(g, step @ s @ step.T, out=d)
+        for s, gc, d in zip(planes(spec), planes(g), planes(correction)):
+            np.subtract(gc, mx @ s @ my.T, out=d)
             s += d
 
-        err = BandRep(b1, truth_spec - spec)
-        e_n = err.total_energy()
-        err_probe = np.moveaxis(_component_values(err.spectra, probe, probe), 0, -1)
-        sup_e = float(qarr_modulus(err_probe).max())
-        delta = _relative_update(np.sqrt(BandRep(b1, correction).total_energy()),
-                                 np.sqrt(BandRep(b1, spec).total_energy()))
-        cf_gap = float("nan")
-        if compare_closed_form:
-            cf = closed_form_band_spectra(synth.coeffs, synth.lambdas(), n, basis)
-            cf_gap = float(np.sqrt(BandRep(b1, spec - cf).total_energy()))
-        rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e,
-                             bound=pointwise_bound(e_n, w_half),
+        # delta is 0 when the update and the iterate both vanish, inf when only the iterate does
+        update, norm = _energy(correction) ** 0.5, _energy(spec) ** 0.5
+        delta = update / norm if norm > 0 else (0.0 if update == 0 else float("inf"))
+        e_n = sup_e = bound = cf_gap = float("nan")
+        if truth is not None:
+            err = np.subtract(truth, spec, out=correction)  # free until the next step
+            e_n = _energy(err) + residual_energy
+            err_probe = _component_values(err, *probe) + residual
+            sup_e = float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
+            bound = pointwise_bound(e_n, half_width)
+        if compare_closed_form and synth is not None:
+            cf_gap = _energy(np.subtract(spec, scale * closed_form_band_spectra(
+                synth.coeffs, synth.lambdas(), n, synth.basis), out=correction)) ** 0.5
+        rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
                              delta=delta, cf_gap=cf_gap))
         if delta < stop_tol:
-            converged = True
             break
 
-    final = BandRep(b1, spec).to_qsignal(problem.observed.ax_x, problem.observed.ax_y)
-    return ExtrapolationTrace(rows=tuple(rows), final=final, converged=converged)
-
-
-def _pg_run_grid(problem, max_steps, stop_tol):
-    f_n = QSignal.zeros(problem.observed.ax_x, problem.observed.ax_y)
-    rows = []
-    converged = False
-    for n in range(1, max_steps + 1):
-        f_next = pg_step(problem.observed, f_n, problem.d_half, problem.w_half)
-        delta = _relative_update(
-            np.sqrt(energy(f_next.with_values(f_next.values - f_n.values))), f_next.norm())
-        e_n = float("nan")
-        sup_e = float("nan")
-        bound = float("nan")
-        if problem.truth is not None:
-            err = f_next.with_values(problem.truth.values - f_next.values)
-            e_n = energy(err)
-            sup_e = float(qarr_modulus(err.values).max())
-            bound = pointwise_bound(e_n, problem.w_half)
-        rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
-                             delta=delta, cf_gap=float("nan")))
-        f_n = f_next
-        if delta < stop_tol:
-            converged = True
-            break
-    return ExtrapolationTrace(rows=tuple(rows), final=f_n, converged=converged)
+    values = np.moveaxis(_component_values(spec, *final), 0, -1)
+    return ExtrapolationTrace(rows=tuple(rows), final=grid.with_values(values),
+                              converged=bool(delta < stop_tol))

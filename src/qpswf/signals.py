@@ -51,10 +51,6 @@ class BandRep:
         b = self.basis1d
         return _component_values(self.spectra, _synthesis_kernel(b, x), _synthesis_kernel(b, y))
 
-    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Quaternion field at the tensor grid, shape (len(x), len(y), 4)."""
-        return np.moveaxis(self.component_values(x, y), 0, -1)
-
     def time_energy(self, t_half: float = None) -> float:
         """Energy inside the time square by the time-side Gauss rule."""
         b = self.basis1d
@@ -63,9 +59,6 @@ class BandRep:
         comp = self.component_values(b.nodes, b.nodes)
         dens = np.einsum("cij,cij->ij", comp, comp)
         return float(np.einsum("i,j,ij->", b.weights, b.weights, dens))
-
-    def to_qsignal(self, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
-        return QSignal(ax_x, ax_y, self.values(ax_x.samples(), ax_y.samples()))
 
 
 def band_rep_from_time_nodal(basis1d: ProlateBasis1D, nodal: np.ndarray) -> BandRep:

@@ -318,9 +318,10 @@ def test_extrapolate_malformed_observation(extrap_files, tmp_path):
 @pytest.mark.parametrize("problem", [
     [2.0, 1.0], {"d": "2", "W": 1.0}, {"d": 2.0, "W": 1.0, "truth_file": 5},
     {"d": 2.0, "W": float("inf")}, {"d": 2.0, "W": 1.0, "max_steps": 50.0},
-    {"d": 2.0, "W": 1.0, "stop_tol": "1e-3"}, {"W": 1.0}],
+    {"d": 2.0, "W": 1.0, "stop_tol": "1e-3"}, {"W": 1.0}, {"d": 2.0, "W": 0},
+    {"d": 2.0, "W": -1.0}],
     ids=["list", "d_str", "truth_file_int", "W_inf", "max_steps_float", "stop_tol_str",
-         "d_missing"])
+         "d_missing", "W_zero", "W_negative"])
 def test_extrapolate_problem_wrong_types(extrap_files, tmp_path, problem):
     # d and W finite numbers, max_steps an int, stop_tol a number, truth_file a string
     path = tmp_path / "problem.json"

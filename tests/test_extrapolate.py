@@ -2,25 +2,29 @@ import numpy as np
 import pytest
 
 from qpswf.concentration import band_limit, time_limit
-from qpswf.errors import BadParameters, GridMismatch, LengthMismatch
+from qpswf.errors import BadParameters, GridMismatch, LengthMismatch, WindowTooSmall
 from qpswf.extrapolate import (ExtrapolationProblem, closed_form_band_spectra,
                                closed_form_iterate, error_energy,
                                make_synthetic_problem, pg_run, pg_step,
                                pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
 from qpswf.prolate import band_rule
-from qpswf.qft import (dual_frequency_axes, inverse_qft,
+from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, inverse_qft,
                        spectrum_from_complex_components)
+from qpswf.quaternion import qarr_modulus
 from qpswf.rng import CounterRng
-from qpswf.signals import random_bandlimited_grid_spectrum
+from qpswf.signals import gaussian_mixed_qsignal, random_bandlimited_grid_spectrum
 
 AX = GridAxis.symmetric(4.0, 129)
+# nodes -4.05 + k/16: those in D = [-0.95, 0.95] are not symmetric about 0,
+# so this axis has a complex step matrix
+OFFSET_AX = GridAxis(-4.05, 1 / 16, 129)
 
 
-def _grid_truth(seed):
-    ax_u, ax_v = dual_frequency_axes(QSignal.zeros(AX, AX))
-    g = random_bandlimited_grid_spectrum(ax_u, ax_v, 1.0, CounterRng(seed))
-    return inverse_qft(spectrum_from_complex_components(ax_u, ax_v, g), AX, AX)
+def _grid_truth(seed, ax_x=AX, ax_y=AX, w_half=1.0):
+    ax_u, ax_v = dual_frequency_axes(QSignal.zeros(ax_x, ax_y))
+    g = random_bandlimited_grid_spectrum(ax_u, ax_v, w_half, CounterRng(seed))
+    return inverse_qft(spectrum_from_complex_components(ax_u, ax_v, g), ax_x, ax_y)
 
 
 def test_pg_step_fixed_point():
@@ -241,6 +245,67 @@ def test_grid_run_with_truth_decays():
     energies = [r.e_energy for r in trace.rows]
     assert all(a > b for a, b in zip(energies, energies[1:]))
     assert energies[-1] <= 0.06 * energies[0]
-    # truths with generic quaternion spectra can exceed the single-component
-    # bound by component alignment; the modulus chain only supports 2x
-    assert all(r.sup_e <= 2 * r.bound + 1e-8 for r in trace.rows)
+    assert all(r.sup_e <= r.bound + 1e-8 for r in trace.rows)
+
+
+def _reference_grid_run(problem, max_steps, stop_tol):
+    """The grid iteration written as pg_step on grid signals, one FFT band-limit per step.
+
+    Returns the rows (E_n, sup_e, delta), the final iterate and whether the
+    run stopped on stop_tol.
+    """
+    f_n = QSignal.zeros(problem.observed.ax_x, problem.observed.ax_y)
+    rows = []
+    for _ in range(max_steps):
+        f_next = pg_step(problem.observed, f_n, problem.d_half, problem.w_half)
+        delta = np.sqrt(energy(f_next.with_values(f_next.values - f_n.values))) / f_next.norm()
+        err = f_next.with_values(problem.truth.values - f_next.values)
+        rows.append((energy(err), qarr_modulus(err.values).max(), delta))
+        f_n = f_next
+        if delta < stop_tol:
+            return np.array(rows), f_n.values, True
+    return np.array(rows), f_n.values, False
+
+
+@pytest.mark.parametrize("case", ["square", "non_square", "offset", "not_bandlimited"])
+def test_grid_run_matches_pg_step(case):
+    # W = 2 holds 5 dual-lattice bins on the 129-point axes and 3 on the
+    # 97-point one; d = 1 is a node of the symmetric axes and d = 0.95 of the
+    # offset one, so a mask one node narrower changes every run
+    ax_x, ax_y, d_half = {"square": (AX, AX, 1.0),
+                          "non_square": (AX, GridAxis.symmetric(3.0, 97), 1.0),
+                          "offset": (AX, OFFSET_AX, 0.95),
+                          "not_bandlimited": (AX, AX, 1.0)}[case]
+    if case == "not_bandlimited":
+        truth = gaussian_mixed_qsignal(ax_x, ax_y, CounterRng(58), 1.0, 2.0)
+    else:
+        truth = _grid_truth(59, ax_x, ax_y, w_half=2.0)
+    prob = ExtrapolationProblem(observed=time_limit(truth, d_half), d_half=d_half,
+                                w_half=2.0, truth=truth)
+    ref, ref_final, _ = _reference_grid_run(prob, 50, 0.0)
+    # a stop_tol between the 20th and 21st updates stops both runs at step 21
+    stop_tol = float(np.sqrt(ref[19, 2] * ref[20, 2]))
+    ref_stop = _reference_grid_run(prob, 50, stop_tol)
+    assert len(ref_stop[0]) == 21 and ref_stop[2]
+    scale = np.abs(truth.values).max()
+    for tol, (want, want_final, stopped) in ((0.0, (ref, ref_final, False)),
+                                             (stop_tol, ref_stop)):
+        trace = pg_run(prob, max_steps=50, stop_tol=tol)
+        assert len(trace.rows) == len(want)
+        assert trace.converged == stopped
+        got = np.array([(r.e_energy, r.sup_e, r.delta) for r in trace.rows])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert np.abs(trace.final.values - want_final).max() <= 1e-13 * scale
+
+
+def test_grid_run_band_reaches_window_edge():
+    # on an even-count axis the frequency window ends in half-weight bins, so
+    # a band up to its edge is no projection; past the edge there are no bins
+    ax = GridAxis.symmetric(4.0, 128)
+    edge = dual_frequency_axis(ax).stop
+    truth = _grid_truth(60, ax, ax)
+    for w_half in (edge, 1.01 * edge):
+        prob = ExtrapolationProblem(observed=time_limit(truth, 1.0), d_half=1.0,
+                                    w_half=w_half, truth=truth)
+        with pytest.raises(WindowTooSmall):
+            pg_run(prob, max_steps=2)
