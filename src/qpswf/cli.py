@@ -1,9 +1,9 @@
 """Command-line interface: basis, verify, concentration, extrapolate, qft.
 
-Exit codes: 0 success, 2 configuration/input validation, 3 eigensolver
-failure, 4 residual violation, 5 iteration hit max_steps without
-converging.  Every error path prints one machine-parsable line
-`ERROR <code> <check>: <detail>` to stderr.
+Exit codes: 0 success, 1 internal error, 2 configuration/input validation
+or an output that cannot be written, 3 eigensolver failure, 4 residual
+violation, 5 iteration hit max_steps without converging.  Every error path
+prints one machine-parsable line `ERROR <code> <check>: <detail>` to stderr.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
 
 def cmd_concentration(cfg: RunConfig, out: Path, input_path: Path = None) -> int:
     from .concentration import energy_ratios, sweep_admissible_region
-    from .errors import ZeroSignal
+    from .errors import QpswfError
     from .qgrid_io import load_qgrid
     from .svgplot import SvgFigure
 
@@ -262,8 +262,8 @@ def cmd_concentration(cfg: RunConfig, out: Path, input_path: Path = None) -> int
             raise CliError(2, "input", f"{input_path}: {exc}")
         try:
             rep = energy_ratios(sig, basis)
-        except ZeroSignal as exc:
-            raise CliError(2, "input", str(exc))
+        except QpswfError as exc:
+            raise CliError(2, "input", f"{input_path}: {exc}")
         report["input"] = rep.as_dict()
     _write_json(out / "report.json", report)
     print(f"concentration outputs in {out}")
@@ -406,8 +406,14 @@ def main(argv=None) -> int:
             return cmd_qft(cfg, out, args.direction, args.input)
         raise CliError(2, "command", f"unknown command {args.command}")
     except CliError as exc:
-        print(f"ERROR {exc.code} {exc.check}: {exc.detail}", file=sys.stderr)
-        return exc.code
+        code, check, detail = exc.code, exc.check, exc.detail
+    except OSError as exc:
+        # every input read is wrapped above, so what reaches here is a write
+        code, check, detail = 2, "output", str(exc)
+    except Exception as exc:
+        code, check, detail = 1, "internal", f"{type(exc).__name__}: {exc}"
+    print(f"ERROR {code} {check}: {detail}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,9 +22,10 @@ import numpy as np
 from .errors import (BadIndex, NoAdmissibleIndex, WindowTooSmall,
                      XiOutOfRange, ZeroSignal)
 from .grid import GridAxis, QSignal, Region, energy, region_mask
-from .prolate import BasisSet2D, band_rule
+from .prolate import BasisSet2D, band_kernel, band_rule
 from .qft import _band_bins, _fold, dual_frequency_axes
-from .signals import CUT, PSI, BandRep, ModalField, band_rep_from_time_nodal
+from .signals import (CUT, PSI, BandRep, ModalField, _analyse, _energy,
+                      band_rep_from_time_nodal)
 
 
 def time_limit(f: QSignal, t_half: float) -> QSignal:
@@ -90,7 +91,7 @@ class ComboSignal(QSignal):
         return ModalField.of_terms(self.basis, self.terms)
 
     def band_spectra(self) -> BandRep:
-        """Component spectra of the combination restricted to the band."""
+        """Band coefficients of the combination's band-limited part."""
         return self.modal.band_rep()
 
     def time_energy(self) -> float:
@@ -133,16 +134,10 @@ def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:
         raise ZeroSignal("energy_ratios requires a nonzero signal")
     e_time = energy(f, Region.square(basis.t_half))
 
-    u_nodes, u_w = band_rule(basis.basis1d)
-    x, y = f.ax_x.samples(), f.ax_y.samples()
-    wx, wy = f.ax_x.trapezoid_weights(), f.ax_y.trapezoid_weights()
-    ex = np.exp(-1j * np.outer(u_nodes, x)) * wx[None, :]
-    ey = np.exp(-1j * np.outer(u_nodes, y)) * wy[None, :]
-    e_band = 0.0
-    for c in range(4):
-        g = ex @ f.component(c).astype(complex) @ ey.T
-        dens = (g * np.conj(g)).real
-        e_band += float(np.einsum("i,j,ij->", u_w, u_w, dens)) / (4 * np.pi ** 2)
+    rule = band_rule(basis.basis1d)
+    fx, fy = (band_kernel(ax.samples(), *rule).conj().T * ax.trapezoid_weights()
+              for ax in (f.ax_x, f.ax_y))
+    e_band = _energy(_analyse(f.values, fx, fy))
 
     return _report(np.sqrt(e_time / e_total), np.sqrt(e_band / e_total), basis.lambda0)
 

@@ -18,9 +18,9 @@ import numpy as np
 from .concentration import band_limit, time_limit
 from .errors import BadParameters, GridMismatch, LengthMismatch, WindowTooSmall
 from .grid import GridAxis, QSignal, Region, _axis_region_mask, energy, region_mask
-from .prolate import BasisSet2D, band_rule
+from .prolate import BasisSet2D, band_kernel, band_rule
 from .qft import _band_bins, dual_frequency_axis
-from .signals import ModalField, _component_values
+from .signals import ModalField, _analyse, _component_values, _energy
 
 
 @dataclass(frozen=True)
@@ -153,22 +153,6 @@ def closed_form_band_spectra(coeffs, lambdas, n: int, basis: BasisSet2D) -> np.n
     return ModalField.of(basis, a * (1.0 - (1.0 - lam) ** n)).band_rep().spectra
 
 
-def _synthesis(x: np.ndarray, u: np.ndarray, w_u: np.ndarray) -> np.ndarray:
-    """exp(i x u) sqrt(w_u): values at the points x of coefficients scaled by sqrt(w_u)."""
-    return np.exp(1j * np.outer(x, u)) * np.sqrt(w_u)
-
-
-def _analyse(values: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Band coefficients F f_c F^T of the real components of (Nx, Ny, 4) point values."""
-    return np.stack([fx @ values[..., c] @ fy.T for c in range(4)])
-
-
-def _energy(scaled: np.ndarray) -> float:
-    """Energy of coefficients scaled by sqrt(w_u w_v): a sum of squares of a real view."""
-    v = scaled.reshape(-1).view(np.float64)
-    return float(v @ v) / (4 * np.pi ** 2)
-
-
 def _real_planes(spectra: np.ndarray):
     """Writable views of the real and imaginary planes of each component spectrum."""
     for comp in spectra:
@@ -188,16 +172,16 @@ def _lattice_rule(ax: GridAxis, w_half: float):
     return np.where(k > len(bins) // 2, k - len(bins), k) * ax_f.step, bins[k]
 
 
-def _band_step(u, w_u, s, w_s, inside):
-    """One axis's analysis F = exp(-i u s) w_s sqrt(w_u) and step M = F diag(chi_D) E / 2 pi.
+def _band_step(rule, s, w_s, inside):
+    """One axis's analysis F = conj(E)^T diag(w_s) and step M = F diag(chi_D) E.
 
-    E = exp(i s u) sqrt(w_u) evaluates at the points s.  M's entries
+    E = band_kernel(s, u, w_u) evaluates at the points s.  M's entries
     sqrt(w_u w_u') sum_{s in D} w_s cos(s (u' - u)) / 2 pi are real when the
     rule and the points in D are symmetric about 0 (M is returned real then).
     """
-    e = _synthesis(s, u, w_u)
+    e = band_kernel(s, *rule)
     f = e.conj().T * w_s
-    m = (f * inside) @ e / (2 * np.pi)
+    m = (f * inside) @ e
     if np.abs(m.imag).max() <= 1e-13 * np.abs(m.real).max():
         return f, np.ascontiguousarray(m.real)
     return f, m
@@ -208,9 +192,9 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     """Run the iteration until the relative update drops below stop_tol.
 
     f <- f + B (g - T f) runs as spec <- spec + G - Mx spec My^T on f's band
-    coefficients, scaled by sqrt(w_u w_v) so that each energy is a sum of
-    squares.  Synthetic problems take the band Gauss rule and the time Gauss
-    nodes (all in D) and probe 81^2 points over [-3d, 3d]^2; others take the
+    coefficients (signals' units, so each energy is a sum of squares).
+    Synthetic problems take the band Gauss rule and the time Gauss nodes
+    (all in D) and probe 81^2 points over [-3d, 3d]^2; others take the
     dual-lattice bins inside the band and the grid nodes, where the recursion
     is pg_step exactly, and probe the grid nodes.
     """
@@ -221,22 +205,21 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     if synth is not None:
         b1 = synth.basis.basis1d
         rules = [band_rule(b1)] * 2
-        analysis, (mx, my) = zip(*[_band_step(*rules[0], b1.nodes, b1.weights, True)] * 2)
+        analysis, (mx, my) = zip(*[_band_step(rules[0], b1.nodes, b1.weights, True)] * 2)
         probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2
     else:
         rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
-        analysis, (mx, my) = zip(*(_band_step(u, w, ax.samples(), ax.trapezoid_weights(),
+        analysis, (mx, my) = zip(*(_band_step(rule, ax.samples(), ax.trapezoid_weights(),
                                               _axis_region_mask(ax, problem.d_half))
-                                   for (u, w), ax in zip(rules, axes)))
+                                   for rule, ax in zip(rules, axes)))
         probe_x = [ax.samples() for ax in axes]
-    probe = [_synthesis(x, u, w) for x, (u, w) in zip(probe_x, rules)]
-    final = [_synthesis(ax.samples(), u, w) for ax, (u, w) in zip(axes, rules)]
+    probe = [band_kernel(x, *rule) for x, rule in zip(probe_x, rules)]
+    final = [band_kernel(ax.samples(), *rule) for ax, rule in zip(axes, rules)]
 
     truth, residual, residual_energy = None, 0.0, 0.0
     if synth is not None:
-        scale = np.outer(np.sqrt(rules[0][1]), np.sqrt(rules[1][1]))
         g = _analyse(synth.gauss_values(), *analysis)
-        truth = scale * synth.band_spectra()
+        truth = synth.band_spectra()
     else:
         g = _analyse(grid.values, *analysis)
         if problem.truth is not None:
@@ -266,7 +249,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             sup_e = float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
             bound = pointwise_bound(e_n, half_width)
         if compare_closed_form and synth is not None:
-            cf_gap = _energy(np.subtract(spec, scale * closed_form_band_spectra(
+            cf_gap = _energy(np.subtract(spec, closed_form_band_spectra(
                 synth.coeffs, synth.lambdas(), n, synth.basis), out=correction)) ** 0.5
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
                              delta=delta, cf_gap=cf_gap))

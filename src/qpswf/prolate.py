@@ -195,7 +195,7 @@ class ProlateBasis1D:
     c: float                    # concentration scale T*W
     nodes: np.ndarray           # (N,) float64 view
     weights: np.ndarray         # (N,) float64 view
-    eigvals: np.ndarray         # (count,) float64, descending
+    eigvals: np.ndarray         # (count,) float64, descending above ~1e-19 (rounding below)
     eigvecs: np.ndarray         # (count, N) float64, phi_k at the nodes
     mu: np.ndarray              # (count,) complex128
     _x_ld: np.ndarray = field(repr=False, default=None)
@@ -215,15 +215,20 @@ class ProlateBasis1D:
         """Kernel frequency scale W/T appearing in the finite-Fourier form."""
         return self.w_half / self.t_half
 
-    def extend_ld(self, k: int, x, floor: float = _EVAL_FLOOR) -> np.ndarray:
-        """phi_k at arbitrary points via the quadrature extension formula."""
+    def extend_ld(self, k, x, floor: float = _EVAL_FLOOR) -> np.ndarray:
+        """phi_k at arbitrary points via the quadrature extension formula.
+
+        k is one mode index, giving shape (len(x),), or an index array,
+        giving one row per mode; every mode shares one kernel.
+        """
+        for j in np.atleast_1d(k):
+            if not self._lam_ld[j] > floor:
+                raise EigenvalueTooSmall(f"lambda_{j} = {float(self._lam_ld[j]):.3e} "
+                                         f"is below the evaluation floor {floor:.0e}")
         lam = self._lam_ld[k]
-        if not lam > floor:
-            raise EigenvalueTooSmall(
-                f"lambda_{k} = {float(lam):.3e} is below the evaluation floor {floor:.0e}")
         x = np.atleast_1d(np.asarray(x, dtype=_LD))
         kern = sinc_kernel_ld(x[:, None] - self._x_ld[None, :], self.w_half)
-        return (kern @ (self._w_ld * self._phi_ld[k])) / lam
+        return (kern @ (self._w_ld * self._phi_ld[k]).T / lam).T
 
 
 def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateBasis1D:
@@ -312,16 +317,10 @@ def band_rule(basis1d: ProlateBasis1D):
     return cr * basis1d.nodes, cr * basis1d.weights
 
 
-def _synthesis_kernel(basis1d: ProlateBasis1D, x: np.ndarray) -> np.ndarray:
-    """exp(i x u) w_u over the band rule: the inverse 1D transform at the points x."""
-    u, w = band_rule(basis1d)
-    return np.exp(1j * np.outer(x, u)) * w[None, :]
-
-
-def _analysis_kernel(basis1d: ProlateBasis1D) -> np.ndarray:
-    """exp(-i u s) w_s: the 1D transform of time Gauss-node samples at the band nodes."""
-    u, _ = band_rule(basis1d)
-    return np.exp(-1j * np.outer(u, basis1d.nodes)) * basis1d.weights[None, :]
+def band_kernel(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(i x u) sqrt(w / 2 pi): values at the points x of band coefficients
+    a = sqrt(w_u w_v) F / 2 pi on the rule (u, w), by E_x a E_y^T (see signals)."""
+    return np.exp(1j * np.outer(x, u)) * np.sqrt(w / (2 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -340,20 +339,23 @@ class ModeTables:
     ax_y: GridAxis
     ext_x: np.ndarray           # (M, Nx) long double, phi_k on the x grid
     ext_y: np.ndarray           # (M, Ny) long double, phi_k on the y grid
-    band: np.ndarray            # (M, N) complex, F(phi_k) at the band nodes
-    cut: np.ndarray             # (M, N) complex, F(phi_k restricted to [-T, T])
+    band: np.ndarray            # (M, N) complex, sqrt(w_u / 2 pi) F(phi_k)(u) on the band rule
+    cut: np.ndarray             # (M, N) complex, the same for phi_k restricted to [-T, T]
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
     gram_r: np.ndarray          # (M, M) long double, <phi_a, phi_b> on the line
     _windows: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> ModeTables:
-    ext_x = np.stack([b.extend_ld(k, ax_x.samples()) for k in range(m)])
-    ext_y = ext_x if ax_y == ax_x else np.stack([b.extend_ld(k, ax_y.samples())
-                                                 for k in range(m)])
+    modes = np.arange(m)
+    ext_x = b.extend_ld(modes, ax_x.samples())
+    ext_y = ext_x if ax_y == ax_x else b.extend_ld(modes, ax_y.samples())
+    # per-axis factor of the band coefficients a = sqrt(w_u w_v) F / 2 pi
+    sw = np.sqrt(band_rule(b)[1] / (2 * np.pi))
     # F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c): reversed nodes are -s
-    band = (b.mu[:m] / b.eigvals[:m])[:, None] * b.eigvecs[:m, ::-1]
-    cut = b.eigvecs[:m].astype(complex) @ _analysis_kernel(b).T
+    band = (b.mu[:m] / b.eigvals[:m])[:, None] * b.eigvecs[:m, ::-1] * sw
+    # the cut's transform at u = (W/T) x is the conjugate finite-Fourier image I_k(x)
+    cut = (np.conj(b._fphi_ld[:m]) * sw).astype(complex)
     gram_t = (b._phi_ld[:m] * b._w_ld[None, :]) @ b._phi_ld[:m].T
     # whole-line Gram from the band-side self-similarity:
     # <phi_a, phi_b>_R = (W/T)/(2 pi) mu_a conj(mu_b) / (lambda_a lambda_b) <phi_a, phi_b>_T
@@ -631,8 +633,7 @@ def _window_images(tables: ModeTables, h: float):
         b, m = tables.basis1d, len(tables.band)
         ax = GridAxis.symmetric(h, _WINDOW_COUNT)
         wt = ax.trapezoid_weights().astype(_LD)
-        ext = sinc_kernel_ld(ax.samples().astype(_LD)[:, None] - b._x_ld[None, :], b.w_half)
-        phi = (b._w_ld * b._phi_ld[:m]) @ ext.T / b._lam_ld[:m, None]
+        phi = b.extend_ld(np.arange(m), ax.samples())
         # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step
         lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - _WINDOW_COUNT, _WINDOW_COUNT),
                               b.w_half)

@@ -1,12 +1,15 @@
 """Band-side signal representations and deterministic test-signal generators.
 
-A band-limited signal is represented by the complex spectra of its four
-real components sampled on a Gauss rule over the band square.  All global
-quantities (whole-plane energy, expansion coefficients, pointwise values)
-are integrals of entire functions over the band, so they are computed to
-quadrature precision without ever touching the slowly decaying spatial
-tails.  The band rule reuses the time-side Gauss nodes mapped by u = c s,
-which lets eigenfunction spectra be evaluated from stored nodal values.
+A band-limited signal is represented by band coefficients
+a = sqrt(w_u w_v) F / 2 pi of its four real components, with F their 2D
+Fourier transforms on the band Gauss rule (u, w_u) x (v, w_v).  In these
+units every global quantity is a plain sum over the band nodes: the energy
+is sum |a|^2, an inner product is Re sum a conj(b), and values at any points
+are E_x a E_y^T with the one kernel prolate.band_kernel.  These integrals of
+entire functions over the band are exact to quadrature precision without
+ever touching the slowly decaying spatial tails.  The band rule reuses the
+time-side Gauss nodes mapped by u = (W/T) s, which lets eigenfunction
+spectra be read from stored nodal values.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridAxis, QSignal, _axis_region_mask
-from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, _analysis_kernel,
-                      _synthesis_kernel, band_rule)
+from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_kernel,
+                      band_rule)
 from .quaternion import Quaternion, qarr_right_mul
 from .rng import CounterRng
 
@@ -25,37 +28,52 @@ PSI = "psi"
 CUT = "cut"  # time-limited cut D_T psi
 
 
+def _analyse(values: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """Band coefficients fx f_c fy^T of the real components of (Nx, Ny, 4) point values.
+
+    fx = conj(E_x)^T diag(w_x) analyses samples at the points x with weights w_x.
+    """
+    return np.stack([fx @ values[..., c] @ fy.T for c in range(4)])
+
+
+def _component_values(coeffs: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Real component fields E_x a_c E_y^T at the points of two band kernels."""
+    out = np.empty((4, len(ex), len(ey)))
+    for c in range(4):
+        out[c] = (ex @ coeffs[c] @ ey.T).real
+    return out
+
+
+def _energy(coeffs: np.ndarray) -> float:
+    """Energy sum |a|^2 of band coefficients: a sum of squares of a real view."""
+    v = np.ascontiguousarray(coeffs, dtype=complex).reshape(-1).view(np.float64)
+    return float(v @ v)
+
+
 @dataclass(frozen=True)
 class BandRep:
-    """Component spectra of a band-limited signal on the band Gauss rule.
+    """Band coefficients of a band-limited signal on the band Gauss rule.
 
-    spectra has shape (4, Nb, Nb): complex values of the classical 2D
-    Fourier transform of each real component at the tensor band nodes.
+    spectra has shape (4, Nb, Nb): a = sqrt(w_u w_v) F / 2 pi for the
+    classical 2D Fourier transform F of each real component at the tensor
+    band nodes.
     """
 
     basis1d: ProlateBasis1D
     spectra: np.ndarray
 
-    @property
-    def weights(self) -> np.ndarray:
-        return band_rule(self.basis1d)[1]
-
     def total_energy(self) -> float:
         """Whole-plane energy via the component Parseval identity."""
-        w = self.weights
-        dens = np.einsum("cij,cij->ij", self.spectra, np.conj(self.spectra)).real
-        return float(np.einsum("i,j,ij->", w, w, dens) / (4 * np.pi ** 2))
+        return _energy(self.spectra)
 
     def component_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Real component fields at the tensor grid x (x) y, shape (4, len(x), len(y))."""
-        b = self.basis1d
-        return _component_values(self.spectra, _synthesis_kernel(b, x), _synthesis_kernel(b, y))
+        rule = band_rule(self.basis1d)
+        return _component_values(self.spectra, band_kernel(x, *rule), band_kernel(y, *rule))
 
-    def time_energy(self, t_half: float = None) -> float:
+    def time_energy(self) -> float:
         """Energy inside the time square by the time-side Gauss rule."""
         b = self.basis1d
-        if t_half is not None and abs(t_half - b.t_half) > 1e-12:
-            raise ValueError("band representation is tied to the basis region")
         comp = self.component_values(b.nodes, b.nodes)
         dens = np.einsum("cij,cij->ij", comp, comp)
         return float(np.einsum("i,j,ij->", b.weights, b.weights, dens))
@@ -68,19 +86,8 @@ def band_rep_from_time_nodal(basis1d: ProlateBasis1D, nodal: np.ndarray) -> Band
     The result is the exact band representation of the band-limited image of
     the quadrature measure carried by those nodes.
     """
-    ker = _analysis_kernel(basis1d)
-    spectra = np.empty((4,) + ker.shape, dtype=complex)
-    for c in range(4):
-        spectra[c] = ker @ nodal[..., c].astype(complex) @ ker.T
-    return BandRep(basis1d, spectra)
-
-
-def _component_values(spectra: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """Real component fields from spectra and the synthesis kernels of two point sets."""
-    out = np.empty((4, len(ex), len(ey)))
-    for c in range(4):
-        out[c] = (ex @ spectra[c] @ ey.T).real / (4 * np.pi ** 2)
-    return out
+    fb = band_kernel(basis1d.nodes, *band_rule(basis1d)).conj().T * basis1d.weights
+    return BandRep(basis1d, _analyse(nodal, fb, fb))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +173,9 @@ def element_band_rep(psi: Qpswf2D) -> BandRep:
 def project_on_basis(f: BandRep, basis: BasisSet2D, count: int = None) -> np.ndarray:
     """Quaternion expansion coefficients <f, psi_q> for the leading elements."""
     count = len(basis) if count is None else min(count, len(basis))
-    sw = np.conj(basis.tables.band) * f.weights[None, :]
-    # <f_c, phi_a phi_b> for every component c and table-row pair (a, b)
-    modal = (sw @ f.spectra @ sw.T).real / (4 * np.pi ** 2)
+    cb = np.conj(basis.tables.band)
+    # <f_c, phi_a phi_b> = Re sum a_c conj(b_a (x) b_b) for every component c and row pair
+    modal = (cb @ f.spectra @ cb.T).real
     m, n = basis.modes[:count].T
     # <f, coeff phi_m phi_n> = (sum_c <f_c, phi_m phi_n> e_c) conj(coeff)
     return qarr_right_mul(modal[:, m, n].T, basis.coeff.conj())

@@ -252,6 +252,27 @@ def test_concentration_zero_input(tmp_path):
     assert r.stderr.startswith("ERROR 2 input:")
 
 
+def test_concentration_input_narrower_than_time_square(tmp_path):
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax = GridAxis.symmetric(0.5, 33)
+    save_qgrid(tmp_path / "narrow.qgrid", QSignal(ax, ax, np.ones((33, 33, 4))))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "c"))
+    r = run_cli("--config", str(cfg), "concentration",
+                "--input", str(tmp_path / "narrow.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 input:") and len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["basis", "concentration"])
+def test_unwritable_output_is_one_error_line(tmp_path, command):
+    (tmp_path / "regular").write_text("")
+    cfg = _write_cfg(tmp_path)
+    r = run_cli("--config", str(cfg), "--output", str(tmp_path / "regular" / "out"), command)
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 output:") and len(r.stderr.splitlines()) == 1
+
+
 @pytest.fixture(scope="module")
 def extrap_files(tmp_path_factory):
     from qpswf.concentration import time_limit

@@ -142,27 +142,28 @@ def test_pg_run_oracle_agreement(basis36):
 def _explicit_band_run(problem, max_steps, stop_tol):
     """The band-side iteration written out step by step.
 
-    Each step evaluates the iterate's spectra at the time Gauss nodes (T),
-    substitutes the observation there (every node lies in D, so the update
-    is g - f at each node) and band-limits the result back onto the band
-    nodes (B).  Returns the rows (E_n, sup_e, delta, cf_gap) and the final
-    iterate on the problem grid.
+    Each step evaluates the iterate's band coefficients (sqrt(w_u w_v) F / 2 pi
+    for spectra F) at the time Gauss nodes (T), substitutes the observation
+    there (every node lies in D, so the update is g - f at each node) and
+    band-limits the result back onto the band nodes (B).  Returns the rows
+    (E_n, sup_e, delta, cf_gap) and the final iterate on the problem grid.
     """
     synth = problem.synthetic
     b = synth.basis.basis1d
     u, wu = band_rule(b)
+    sw = np.sqrt(wu / (2 * np.pi))
 
     def synthesis(x):
-        return np.exp(1j * np.outer(x, u)) * wu
+        return np.exp(1j * np.outer(x, u)) * sw
 
     def values(spec, ex, ey):  # quaternion field (len(x), len(y), 4)
-        return np.stack([(ex @ s @ ey.T).real for s in spec], axis=-1) / (4 * np.pi ** 2)
+        return np.stack([(ex @ s @ ey.T).real for s in spec], axis=-1)
 
     def norm(spec):
-        return np.sqrt(np.einsum("i,j,cij->", wu, wu, np.abs(spec) ** 2)) / (2 * np.pi)
+        return np.sqrt(np.sum(np.abs(spec) ** 2))
 
     to_nodes = synthesis(b.nodes)
-    to_band = np.exp(-1j * np.outer(u, b.nodes)) * b.weights
+    to_band = sw[:, None] * np.exp(-1j * np.outer(u, b.nodes)) * b.weights
     to_probe = synthesis(np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81))
     g = synth.gauss_values()
     truth = synth.band_spectra()

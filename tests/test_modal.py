@@ -29,15 +29,16 @@ def _close(a, b, scale=None, tol=1e-12):
 
 
 def _axis_band(b, k):
-    """F(phi_k) at the band nodes: (mu_k / lambda_k) phi_k(-u / c)."""
-    return (b.mu[k] / b.eigvals[k]) * b.eigvecs[k][::-1].astype(complex)
+    """sqrt(w_u / 2 pi) F(phi_k)(u) with F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c)."""
+    _, w = band_rule(b)
+    return np.sqrt(w / (2 * np.pi)) * (b.mu[k] / b.eigvals[k]) * b.eigvecs[k][::-1].astype(complex)
 
 
 def _axis_cut(b, k):
-    """Fourier transform of phi_k restricted to [-T, T], at the band nodes."""
-    u, _ = band_rule(b)
+    """sqrt(w_u / 2 pi) times the Fourier transform of phi_k restricted to [-T, T]."""
+    u, w = band_rule(b)
     ker = np.exp(-1j * np.outer(u, b.nodes)) * b.weights[None, :]
-    return ker @ b.eigvecs[k].astype(complex)
+    return np.sqrt(w / (2 * np.pi)) * (ker @ b.eigvecs[k].astype(complex))
 
 
 def _element_spectra(el, axis):
@@ -123,12 +124,10 @@ def test_closed_form_matches_element_loops(basis36):
 
 def test_project_on_basis_matches_element_loop(basis36):
     f = random_bandlimited(basis36.basis1d, CounterRng(63))
-    _, w = band_rule(basis36.basis1d)
     expect = np.zeros((len(basis36), 4))
     for q, el in enumerate(basis36.items):
         rep = _element_spectra(el, _axis_band)
-        prods = np.einsum("i,j,cij,pij->cp", w, w, f.spectra,
-                          np.conj(rep)).real / (4 * np.pi ** 2)
+        prods = np.einsum("cij,pij->cp", f.spectra, np.conj(rep)).real
         expect[q] = sum(prods[c, p] * q_mul(_UNITS[c], _UNITS[p].conj()).as_array()
                         for c in range(4) for p in range(4))
     assert _close(project_on_basis(f, basis36), expect)
