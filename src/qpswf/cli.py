@@ -12,8 +12,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 
 class CliError(Exception):
@@ -25,11 +26,8 @@ class CliError(Exception):
 
 
 def _typed(value, kind: type, check: str, name: str):
-    """value if it has type kind, else an ERROR 2 <check> line.
-
-    A float field also takes an int; NaN, infinity and bools (which Python
-    counts as ints) pass for no field.
-    """
+    """value if it has type kind, else an ERROR 2 <check> line.  A float field also
+    takes an int; NaN, infinity and bools (which Python counts as ints) pass for no field."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind) \
             or (isinstance(value, float) and not math.isfinite(value)):
         want = "a finite number" if kind is float else f"of type {kind.__name__}"
@@ -37,80 +35,129 @@ def _typed(value, kind: type, check: str, name: str):
     return value
 
 
-@dataclass
-class RunConfig:
-    t_half: float = 1.0
-    w_half: float = 1.0
-    grid_halfwidth: float = 4.0
-    grid_n: int = 257
-    quad_n: int = 256
-    basis_count: int = 36
-    tol: float = 1e-6
-    seed: int = 1
-    output_dir: str = "out"
+REQUIRED = object()  # a table default: the key must be given
 
-    _KEYS = {"T": "t_half", "W": "w_half", "grid_halfwidth": "grid_halfwidth",
-             "grid_n": "grid_n", "quad_n": "quad_n", "basis_count": "basis_count",
-             "tol": "tol", "seed": "seed", "output_dir": "output_dir"}
+_POSITIVE = (lambda v: v > 0, "> 0")
 
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(2, "config", f"cannot read config {path}: {exc}")
-        if not isinstance(raw, dict):
-            raise CliError(2, "config", f"config {path} must be a JSON object")
-        cfg = cls()
-        for key, value in raw.items():
-            if key not in cls._KEYS:
-                raise CliError(2, "config", f"unknown config key {key!r}")
-            attr = cls._KEYS[key]
-            setattr(cfg, attr, _typed(value, type(getattr(cfg, attr)), "config", key))
-        return cfg
 
-    def validate(self) -> None:
-        if not (self.t_half > 0 and self.w_half > 0):
-            raise CliError(2, "config", "T and W must be positive")
-        if self.grid_halfwidth < self.t_half:
-            raise CliError(2, "config", "grid_halfwidth must be >= T")
-        if self.grid_n % 2 == 0:
-            raise CliError(2, "config", "grid_n must be odd so the origin is a node")
-        if self.grid_n < 3:
-            raise CliError(2, "config", "grid_n must be >= 3")
-        if self.quad_n < 2 * self.basis_count:
-            raise CliError(2, "config", "quad_n must be >= 2 * basis_count")
-        step = 2 * self.grid_halfwidth / (self.grid_n - 1)
-        ratio = self.t_half / step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise CliError(2, "config",
-                           "T must land on a grid node (adjust grid_halfwidth/grid_n)")
+def _at_least(lo):
+    return (lambda v: v >= lo), f">= {lo}"
 
-    def grid_axes(self):
-        from .grid import GridAxis
-        ax = GridAxis.symmetric(self.grid_halfwidth, self.grid_n)
-        return ax, ax
+
+# each input's keys: (type, default or REQUIRED, range or None); unknown keys are rejected
+CONFIG = {
+    "T": (float, 1.0, _POSITIVE),
+    "W": (float, 1.0, _POSITIVE),
+    "grid_halfwidth": (float, 4.0, _POSITIVE),
+    "grid_n": (int, 257, (lambda v: v >= 3 and v % 2 == 1, "odd and >= 3")),  # origin on a node
+    "quad_n": (int, 256, _at_least(16)),
+    "basis_count": (int, 36, _at_least(1)),
+    "tol": (float, 1e-6, _at_least(0)),
+    "seed": (int, 1, None),  # accepted and ignored: no command draws random numbers
+    "output_dir": (str, "out", None),
+}
+PROBLEM = {
+    "d": (float, REQUIRED, _POSITIVE),
+    "W": (float, REQUIRED, _POSITIVE),
+    "max_steps": (int, 500, _at_least(1)),
+    "stop_tol": (float, 1e-10, _at_least(0)),
+    "truth_file": (str, "", None),
+}
+MANIFEST = {
+    "T": (float, REQUIRED, _POSITIVE),
+    "W": (float, REQUIRED, _POSITIVE),
+    "c": (float, None, None),
+    "N": (int, REQUIRED, _at_least(16)),
+    "entries": (list, REQUIRED, (len, "non-empty")),
+}
+MANIFEST_ENTRY = {
+    "file": (str, REQUIRED, None),
+    "lambda2d": (float, REQUIRED, None),
+    "m": (int, None, _at_least(0)),
+    "n": (int, None, _at_least(0)),
+    "mu_x": (list, None, None),
+    "mu_y": (list, None, None),
+}
+
+
+def _read_table(raw, table: dict, check: str, name: str = None) -> dict:
+    """raw's values typed and range-checked against table, with its defaults filled in."""
+    if not isinstance(raw, dict):
+        raise CliError(2, check, f"{name or check} must be a JSON object")
+    for key in raw:
+        if key not in table:
+            raise CliError(2, check, f"unknown {name or check} key {key!r}")
+    values = {}
+    for key, (kind, default, valid) in table.items():
+        if key in raw:
+            values[key] = _typed(raw[key], kind, check, key)
+            if valid is not None and not valid[0](values[key]):
+                raise CliError(2, check, f"{key} must be {valid[1]}, got {values[key]!r}")
+        elif default is REQUIRED:
+            raise CliError(2, check, f"{name or check} needs the key {key!r}")
+        else:
+            values[key] = default
+    return values
+
+
+def _read_json(path: Path, check: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise CliError(2, check, f"cannot read {path}: {exc}")
+
+
+def _read_qgrid(path: Path, check: str = "qgrid", read=None):
+    """read(path), load_qgrid by default; any failure is one ERROR 2 <check> line."""
+    from .qgrid_io import load_qgrid
+    try:
+        return (read or load_qgrid)(path)
+    except Exception as exc:
+        raise CliError(2, check, f"{path}: {exc}")
+
+
+def _check_config(cfg: dict) -> dict:
+    """The checks that relate config keys to each other."""
+    step = 2 * cfg["grid_halfwidth"] / (cfg["grid_n"] - 1)
+    ratio = cfg["T"] / step
+    for bad, detail in (
+            (cfg["grid_halfwidth"] < cfg["T"], "grid_halfwidth must be >= T"),
+            (cfg["quad_n"] < 2 * cfg["basis_count"], "quad_n must be >= 2 * basis_count"),
+            (abs(ratio - round(ratio)) > 1e-9,
+             "T must land on a grid node (adjust grid_halfwidth/grid_n)"),
+            (cfg["W"] > math.pi / step,
+             f"W must be <= pi / step = {math.pi / step:.6g}, or the grids alias")):
+        if bad:
+            raise CliError(2, "config", detail)
+    return cfg
 
 
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _build_basis(cfg: RunConfig, grid=None):
+def _build_basis(check: str, t_half, w_half, quad_n, count, grid):
+    """The basis, or ERROR 3 on a solver failure and ERROR 2 <check> on a rejected value."""
     from .errors import ConvergenceFailure, QpswfError
     from .prolate import build_basis
     try:
-        return build_basis(cfg.t_half, cfg.w_half, cfg.quad_n, cfg.basis_count,
-                           grid=grid or cfg.grid_axes())
+        return build_basis(t_half, w_half, quad_n, count, grid=grid)
     except ConvergenceFailure as exc:
         raise CliError(3, "eigensolver", str(exc))
     except QpswfError as exc:
-        raise CliError(2, "config", str(exc))
+        raise CliError(2, check, str(exc))
 
 
-def cmd_basis(cfg: RunConfig, out: Path) -> int:
+def _config_basis(cfg: dict):
+    from .grid import GridAxis
+    ax = GridAxis.symmetric(cfg["grid_halfwidth"], cfg["grid_n"])
+    return _build_basis("config", cfg["T"], cfg["W"], cfg["quad_n"], cfg["basis_count"],
+                        (ax, ax))
+
+
+def cmd_basis(cfg: dict, out: Path) -> int:
     from .qgrid_io import save_qgrid
-    basis = _build_basis(cfg)
+    basis = _config_basis(cfg)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for q, el in enumerate(basis.items):
@@ -122,8 +169,8 @@ def cmd_basis(cfg: RunConfig, out: Path) -> int:
             "mu_y": [el.mu_y.real, el.mu_y.imag],
             "file": fname,
         })
-    manifest = {"T": cfg.t_half, "W": cfg.w_half, "c": cfg.t_half * cfg.w_half,
-                "N": cfg.quad_n, "entries": entries}
+    manifest = {"T": cfg["T"], "W": cfg["W"], "c": cfg["T"] * cfg["W"],
+                "N": cfg["quad_n"], "entries": entries}
     _write_json(out / "manifest.json", manifest)
     with open(out / "eigenvalues.csv", "w") as fh:
         fh.write("q,m,n,lambda2d\n")
@@ -133,108 +180,77 @@ def cmd_basis(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _load_element(path: Path):
-    from .qgrid_io import load_qgrid
-    if not path.exists():
-        raise CliError(2, "manifest", f"missing element file {path}")
-    try:
-        return load_qgrid(path)
-    except Exception as exc:
-        raise CliError(2, "qgrid", f"{path}: {exc}")
-
-
-def cmd_verify(cfg: RunConfig, out: Path, manifest_path: Path) -> int:
-    import numpy as np
-
+def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
     from .grid import Region
-    from .prolate import (EIG_FLOOR, gram_matrix, verify_allpass,
-                          verify_finite_qft, verify_lowpass)
+    from .prolate import EIG_FLOOR, gram_matrix, verify_allpass, verify_finite_qft, verify_lowpass
 
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        cfg.t_half, cfg.w_half, cfg.quad_n = manifest["T"], manifest["W"], manifest["N"]
-        entries = [(e["file"], e["lambda2d"]) for e in manifest["entries"]]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(2, "manifest", f"cannot read manifest: {exc}")
-    except (KeyError, TypeError) as exc:
-        raise CliError(2, "manifest", "need T, W, N and entries with file and lambda2d "
-                       f"({type(exc).__name__}: {exc})")
-    for name, value in (("T", cfg.t_half), ("W", cfg.w_half)):
-        if not _typed(value, float, "manifest", name) > 0:
-            raise CliError(2, "manifest", f"{name} must be positive, got {value!r}")
-    _typed(cfg.quad_n, int, "manifest", "N")
-    for fname, lam2d in entries:
-        _typed(fname, str, "manifest", "entry file")
-        _typed(lam2d, float, "manifest", "entry lambda2d")
-    if not entries:
-        raise CliError(2, "manifest", "entries is empty")
-    cfg.basis_count = len(entries)
+    manifest = _read_table(_read_json(manifest_path, "manifest"), MANIFEST, "manifest")
+    entries = [_read_table(e, MANIFEST_ENTRY, "manifest", "manifest entry")
+               for e in manifest["entries"]]
+    paths = [manifest_path.parent / e["file"] for e in entries]
+    for path in paths:
+        if not path.exists():
+            raise CliError(2, "manifest", f"missing element file {path}")
 
     # rebuild on the grid the elements were written on, not the config's
-    base_dir = manifest_path.parent
-    first = _load_element(base_dir / entries[0][0])
-    basis = _build_basis(cfg, grid=(first.ax_x, first.ax_y))
+    first = _read_qgrid(paths[0])
+    basis = _build_basis("manifest", manifest["T"], manifest["W"], manifest["N"],
+                         len(entries), (first.ax_x, first.ax_y))
 
     file_dev = 0.0
-    lowpass_max = 0.0
-    fqft_max = 0.0
-    relation_max = 0.0
-    allpass_excess = 0.0
     skipped = 0
-    for q, (fname, lam2d) in enumerate(entries):
-        stored = _load_element(base_dir / fname)
+    # per element: lowpass, finite QFT, mu-lambda relation and allpass excess
+    residuals = [(0.0, 0.0, 0.0, 0.0)]
+    for q, (entry, path) in enumerate(zip(entries, paths)):
+        stored = _read_qgrid(path)
         if (stored.ax_x, stored.ax_y) != (basis.ax_x, basis.ax_y):
-            raise CliError(2, "manifest", f"{fname}: grid axes differ from those of "
-                           f"{entries[0][0]}")
+            raise CliError(2, "manifest", f"{entry['file']}: grid axes differ from those of "
+                           f"{entries[0]['file']}")
         el = basis[q]
         file_dev = max(file_dev, float(np.abs(stored.values - el.values.values).max()))
         if el.lambda2d < EIG_FLOOR:
             skipped += 1
             continue
-        lowpass_max = max(lowpass_max, verify_lowpass(el, lam_override=lam2d))
+        lowpass = verify_lowpass(el, lam_override=entry["lambda2d"])
         chk = verify_finite_qft(el)
-        fqft_max = max(fqft_max, chk.residual)
-        relation_max = max(relation_max, chk.relation_residual)
         ap = verify_allpass(el, window_halfwidth=4 * basis.t_half)
-        allpass_excess = max(allpass_excess, ap.residual - ap.tail_bound)
-
-    g_r2 = gram_matrix(basis, Region.full())
-    eye = np.zeros_like(g_r2)
+        residuals.append((lowpass, chk.residual, chk.relation_residual,
+                          ap.residual - ap.tail_bound))
     idx = np.arange(len(basis))
-    eye[idx, idx, 0] = 1.0
-    gram_r2_dev = float(np.abs(g_r2 - eye).max())
-    g_t = gram_matrix(basis, Region.square(basis.t_half))
-    diag = np.zeros_like(g_t)
-    diag[idx, idx, 0] = basis.eigenvalues()
-    gram_t_dev = float(np.abs(g_t - diag).max())
 
+    def gram_dev(region, diagonal):
+        # the Gram is the identity over the plane and diag(lambda) over the time square
+        g = gram_matrix(basis, region)
+        g[idx, idx, 0] -= diagonal
+        return float(np.abs(g).max())
+
+    lowpass, fqft, relation, allpass_excess = (max(r) for r in zip(*residuals))
     checks = {
         "file_consistency": file_dev,
-        "verify_lowpass": lowpass_max,
-        "verify_finite_qft": fqft_max,
-        "mu_lambda_relation": relation_max,
-        "verify_allpass_excess": max(0.0, allpass_excess),
-        "gram_r2": gram_r2_dev,
-        "gram_t": gram_t_dev,
+        "verify_lowpass": lowpass,
+        "verify_finite_qft": fqft,
+        "mu_lambda_relation": relation,
+        "verify_allpass_excess": allpass_excess,
+        "gram_r2": gram_dev(Region.full(), 1.0),
+        "gram_t": gram_dev(Region.square(basis.t_half), basis.eigenvalues()),
     }
-    report = {"tol": cfg.tol, "skipped_below_floor": skipped, "checks": checks}
+    report = {"tol": tol, "skipped_below_floor": skipped, "checks": checks}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify_report.json", report)
     for name, value in checks.items():
-        if value > cfg.tol:
-            raise CliError(4, name, f"residual {value:.3e} exceeds tol {cfg.tol:.1e}")
+        if value > tol:
+            raise CliError(4, name, f"residual {value:.3e} exceeds tol {tol:.1e}")
     print(f"verify passed: {len(entries)} elements "
           f"({skipped} below eigenvalue floor skipped), report in {out}")
     return 0
 
 
-def cmd_concentration(cfg: RunConfig, out: Path, input_path: Path = None) -> int:
+def cmd_concentration(cfg: dict, out: Path, input_path: Path = None) -> int:
     from .concentration import energy_ratios, sweep_admissible_region
     from .errors import QpswfError
-    from .qgrid_io import load_qgrid
     from .svgplot import SvgFigure
 
-    basis = _build_basis(cfg)
+    basis = _config_basis(cfg)
     sweep = sweep_admissible_region(basis)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -248,18 +264,14 @@ def cmd_concentration(cfg: RunConfig, out: Path, input_path: Path = None) -> int
 
     fig = SvgFigure("Admissible energy-concentration region",
                     "xi (time ratio)", "eta_Q (band ratio)")
-    fig.add_line([c[0] for c in sweep.curve], [c[1] for c in sweep.curve],
-                 "boundary")
+    fig.add_line([c[0] for c in sweep.curve], [c[1] for c in sweep.curve], "boundary")
     fig.add_scatter([p["xi"] for p in sweep.points],
                     [p["eta_q"] for p in sweep.points], "constructions")
     fig.save(out / "region.svg")
 
     report = {"lambda0": basis.lambda0, "points": sweep.points}
     if input_path is not None:
-        try:
-            sig = load_qgrid(input_path)
-        except Exception as exc:
-            raise CliError(2, "input", f"{input_path}: {exc}")
+        sig = _read_qgrid(input_path, "input")
         try:
             rep = energy_ratios(sig, basis)
         except QpswfError as exc:
@@ -270,39 +282,19 @@ def cmd_concentration(cfg: RunConfig, out: Path, input_path: Path = None) -> int
     return 0
 
 
-def cmd_extrapolate(cfg: RunConfig, out: Path, problem_path: Path,
-                    observation_path: Path) -> int:
+def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> int:
     from .errors import QpswfError
     from .extrapolate import ExtrapolationProblem, pg_run
-    from .qgrid_io import load_qgrid, save_qgrid
+    from .qgrid_io import save_qgrid
     from .svgplot import SvgFigure
 
+    spec = _read_table(_read_json(problem_path, "problem"), PROBLEM, "problem")
+    observed = _read_qgrid(observation_path)
+    truth = _read_qgrid(problem_path.parent / spec["truth_file"]) if spec["truth_file"] else None
     try:
-        spec = json.loads(problem_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(2, "problem", f"cannot read problem spec: {exc}")
-    if not isinstance(spec, dict):
-        raise CliError(2, "problem", f"problem spec {problem_path} must be a JSON object")
-    # a missing d or W reads as None and fails the type check
-    d_half = _typed(spec.get("d"), float, "problem", "d")
-    w_half = _typed(spec.get("W"), float, "problem", "W")
-    max_steps = _typed(spec.get("max_steps", 500), int, "problem", "max_steps")
-    stop_tol = _typed(spec.get("stop_tol", 1e-10), float, "problem", "stop_tol")
-    truth_file = _typed(spec.get("truth_file", ""), str, "problem", "truth_file")
-    try:
-        observed = load_qgrid(observation_path)
-    except Exception as exc:
-        raise CliError(2, "qgrid", f"{observation_path}: {exc}")
-    truth = None
-    if truth_file:
-        try:
-            truth = load_qgrid(problem_path.parent / truth_file)
-        except Exception as exc:
-            raise CliError(2, "qgrid", f"truth file: {exc}")
-    try:
-        problem = ExtrapolationProblem(observed=observed, d_half=d_half, w_half=w_half,
+        problem = ExtrapolationProblem(observed=observed, d_half=spec["d"], w_half=spec["W"],
                                        truth=truth)
-        trace = pg_run(problem, max_steps=max_steps, stop_tol=stop_tol)
+        trace = pg_run(problem, max_steps=spec["max_steps"], stop_tol=spec["stop_tol"])
     except (QpswfError, ValueError) as exc:
         raise CliError(2, "problem", str(exc))
 
@@ -328,39 +320,37 @@ def cmd_extrapolate(cfg: RunConfig, out: Path, problem_path: Path,
     return 0
 
 
-def cmd_qft(cfg: RunConfig, out: Path, direction: str, input_path: Path) -> int:
-    from .qft import (dual_frequency_axes, dual_frequency_axis, forward_qft,
-                      inverse_qft)
+def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
+    from .qft import dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft
     from .qgrid_io import load_qgrid, load_spectrum, save_qgrid, save_spectrum
 
+    def forward(path):
+        sig = load_qgrid(path)
+        if sig.ax_x.count % 2 == 0 or sig.ax_y.count % 2 == 0:
+            raise ValueError("axis counts must be odd; qft inverse cannot restore an even one")
+        return forward_qft(sig, *dual_frequency_axes(sig))
+
+    def inverse(path):
+        spec = load_spectrum(path)
+        # the dual of each frequency axis is the spatial axis it came from
+        return inverse_qft(spec, dual_frequency_axis(spec.ax_u), dual_frequency_axis(spec.ax_v))
+
+    # only reading and transforming count as a bad input; a failed write is ERROR 2 output
+    result = _read_qgrid(input_path, read=forward if direction == "forward" else inverse)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        if direction == "forward":
-            sig = load_qgrid(input_path)
-            if sig.ax_x.count % 2 == 0 or sig.ax_y.count % 2 == 0:
-                raise ValueError("axis counts must be odd; qft inverse cannot restore an even one")
-            ax_u, ax_v = dual_frequency_axes(sig)
-            spec = forward_qft(sig, ax_u, ax_v)
-            written = save_spectrum(out / "spectrum.qgrid", spec)
-            print(f"wrote {', '.join(str(p) for p in written)}")
-        else:
-            spec = load_spectrum(input_path)
-            # the dual of each frequency axis is the spatial axis it came from
-            sig = inverse_qft(spec, dual_frequency_axis(spec.ax_u),
-                              dual_frequency_axis(spec.ax_v))
-            save_qgrid(out / "signal.qgrid", sig)
-            print(f"wrote {out / 'signal.qgrid'}")
-    except Exception as exc:
-        raise CliError(2, "qgrid", f"{input_path}: {exc}")
+    if direction == "forward":
+        written = save_spectrum(out / "spectrum.qgrid", result)
+        print(f"wrote {', '.join(str(p) for p in written)}")
+    else:
+        save_qgrid(out / "signal.qgrid", result)
+        print(f"wrote {out / 'signal.qgrid'}")
     return 0
 
 
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="qpswf",
-                                description="Quaternionic prolate toolbox")
+    p = argparse.ArgumentParser(prog="qpswf", description="Quaternionic prolate toolbox")
     p.add_argument("--config", type=Path, help="JSON run configuration")
-    p.add_argument("--output", type=Path, help="output directory")
-    p.add_argument("--seed", type=int, help="seed for deterministic corpora")
+    p.add_argument("--output", dest="output_dir", help="output directory")
     p.add_argument("--tol", type=float, help="residual tolerance")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -385,28 +375,27 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.tol is not None:
-            cfg.tol = args.tol
-        if args.output is not None:
-            cfg.output_dir = str(args.output)
-        cfg.validate()
-        out = Path(cfg.output_dir)
-        if args.command == "basis":
-            return cmd_basis(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out, args.manifest)
-        if args.command == "concentration":
-            return cmd_concentration(cfg, out, args.input)
-        if args.command == "extrapolate":
-            return cmd_extrapolate(cfg, out, args.problem, args.observation)
-        if args.command == "qft":
-            return cmd_qft(cfg, out, args.direction, args.input)
-        raise CliError(2, "command", f"unknown command {args.command}")
+        with np.errstate(over="raise"):  # an input too large for double precision
+            raw = _read_json(args.config, "config") if args.config else {}
+            # type the file's values first, then the flags as the values they replace
+            flags = {key: vars(args)[key] for key in ("tol", "output_dir")
+                     if vars(args)[key] is not None}
+            cfg = _check_config(_read_table({**_read_table(raw, CONFIG, "config"), **flags},
+                                            CONFIG, "config"))
+            out = Path(cfg["output_dir"])
+            if args.command == "basis":
+                return cmd_basis(cfg, out)
+            if args.command == "verify":
+                return cmd_verify(cfg["tol"], out, args.manifest)
+            if args.command == "concentration":
+                return cmd_concentration(cfg, out, args.input)
+            if args.command == "extrapolate":
+                return cmd_extrapolate(out, args.problem, args.observation)
+            return cmd_qft(out, args.direction, args.input)
     except CliError as exc:
         code, check, detail = exc.code, exc.check, exc.detail
+    except FloatingPointError as exc:
+        code, check, detail = 2, "range", f"{exc}: an input is too large for double precision"
     except OSError as exc:
         # every input read is wrapped above, so what reaches here is a write
         code, check, detail = 2, "output", str(exc)

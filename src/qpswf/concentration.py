@@ -243,7 +243,7 @@ def sweep_admissible_region(basis: BasisSet2D, xi_values=None,
     lam0 = basis.lambda0
     s0 = np.sqrt(lam0)
     if xi_values is None:
-        xi_values = np.linspace(s0, s0 + 0.9 * (1.0 - s0), 10)
+        xi_values = [x for x in np.linspace(s0, s0 + 0.9 * (1.0 - s0), 10) if s0 <= x < 1.0]
     xs = np.linspace(s0, 1.0, curve_samples)
     curve = [(float(x), boundary_eta(float(x), lam0)) for x in xs]
 
@@ -255,7 +255,7 @@ def sweep_admissible_region(basis: BasisSet2D, xi_values=None,
     points.append({"source": "psi0", **rep.as_dict()})
     for q in range(len(basis)):
         el = basis[q]
-        if el.m % 2 == 0 and el.n % 2 == 0 and q > 0:
+        if el.m % 2 == 0 and el.n % 2 == 0 and q > 0 and el.lambda2d < 1.0:
             points.append({"source": f"zero_xi_{q}",
                            **build_zero_xi_signal(q, basis).report().as_dict()})
             break

@@ -18,7 +18,7 @@ import numpy as np
 from .concentration import band_limit, time_limit
 from .errors import BadParameters, GridMismatch, LengthMismatch, WindowTooSmall
 from .grid import GridAxis, QSignal, Region, _axis_region_mask, energy, region_mask
-from .prolate import BasisSet2D, band_kernel, band_rule
+from .prolate import BasisSet2D, band_kernel, band_rule, check_phase
 from .qft import _band_bins, dual_frequency_axis
 from .signals import ModalField, _analyse, _component_values, _energy
 
@@ -204,6 +204,8 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     axes = (grid.ax_x, grid.ax_y)
     if synth is not None:
         b1 = synth.basis.basis1d
+        reach = max(3 * problem.d_half, *(max(-ax.start, ax.stop) for ax in axes))
+        check_phase(len(b1.nodes), (reach + problem.d_half) * problem.w_half, "the grid and probe")
         rules = [band_rule(b1)] * 2
         analysis, (mx, my) = zip(*[_band_step(rules[0], b1.nodes, b1.weights, True)] * 2)
         probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2

@@ -231,6 +231,16 @@ class ProlateBasis1D:
         return (kern @ (self._w_ld * self._phi_ld[k]).T / lam).T
 
 
+def check_phase(n: int, phase, what: str) -> None:
+    """BadParameters unless the n-node Gauss rule integrates e^{i phase t} over [-1, 1] to
+    1e-13: band-side sums at |x| of a function on [-T, T] reach phase (|x| + T) W."""
+    t, w = _gauss_unit_ld(n)
+    miss = abs((w * np.cos(phase * t)).sum() - 2 * np.sin(phase) / phase)
+    if not miss <= 1e-13:
+        raise BadParameters(f"quad_n = {n} is too small for {what}: the rule misses the integral "
+                            f"of exp(i {float(phase):.6g} t) over [-1, 1] by {float(miss):.1e}")
+
+
 def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateBasis1D:
     """The top-count eigenpairs of the concentration operator at the n Gauss nodes.
 
@@ -246,14 +256,10 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
         raise BadParameters("T and W must be positive")
     if n < 16:
         raise BadParameters("need at least 16 quadrature nodes")
-    t, w_unit = _gauss_unit_ld(n)
+    t = _gauss_unit_ld(n)[0]
     c = _LD(t_half) * _LD(w_half)
     # 2c is the largest phase the kernel and the band-side step integrate
-    miss = abs((w_unit * np.cos(2 * c * t)).sum() - np.sin(2 * c) / c)
-    if not miss <= 1e-13:
-        raise BadParameters(
-            f"quad_n = {n} is too small for c = T W = {float(c):.6g}: the rule misses "
-            f"the integral of exp(2ict) over [-1, 1] by {float(miss):.1e}")
+    check_phase(n, 2 * c, f"c = T W = {float(c):.6g}")
 
     beta = _prolate_series(c, count)
     deg = np.arange(len(beta), dtype=_LD)

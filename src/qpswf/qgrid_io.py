@@ -42,7 +42,7 @@ def load_qgrid(path) -> QSignal:
     expected = _HEADER.size + nx * ny * 4 * 8
     if len(raw) != expected:
         raise QgridFormatError(f"{path}: size {len(raw)} != expected {expected}")
-    if dx <= 0 or dy <= 0 or nx < 2 or ny < 2:
+    if not np.isfinite([x0, dx, y0, dy]).all() or dx <= 0 or dy <= 0 or nx < 2 or ny < 2:
         raise QgridFormatError(f"{path}: invalid axis metadata")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size) \
         .reshape(nx, ny, 4).astype(np.float64)

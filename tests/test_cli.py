@@ -72,8 +72,9 @@ def test_even_grid_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("raw", [{"T": 50, "W": 50, "grid_halfwidth": 200},
-                                 {"T": 1e6, "W": 1e6, "grid_halfwidth": 1e6}],
-                         ids=["c2500", "c1e12"])
+                                 {"T": 1e6, "W": 1e6, "grid_halfwidth": 1e6},
+                                 {"T": 16, "W": 16, "grid_halfwidth": 64, "grid_n": 1025}],
+                         ids=["c2500", "c1e12", "c256"])
 def test_quadrature_too_small_for_c_rejected(tmp_path, raw):
     # the default quad_n cannot integrate exp(2ict) at these c
     path = tmp_path / "config.json"
@@ -83,6 +84,33 @@ def test_quadrature_too_small_for_c_rejected(tmp_path, raw):
     assert r.stderr.startswith("ERROR 2 config:")
     assert len(r.stderr.splitlines()) == 1
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_w_above_grid_nyquist_rejected(tmp_path):
+    # step 0.25, so pi / step = 12.6 < W and the element grids would alias
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"T": 1, "W": 20, "grid_halfwidth": 4, "grid_n": 33}))
+    r = run_cli("--config", str(path), "--output", str(tmp_path / "out"), "basis")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 config:") and "pi / step" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("tol, corrupt", [("nan", True), ("inf", True), ("-1", False)])
+def test_tol_flag_is_checked_like_the_config(basis_dir, tmp_path, tol, corrupt):
+    # a NaN or infinite tol would pass any residual; a negative one fail every one
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    if corrupt:
+        manifest["entries"][0]["lambda2d"] *= 1.5
+    path = basis_dir / f"manifest_tol_{tol}.json"
+    path.write_text(json.dumps(manifest))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    r = run_cli("--config", str(cfg), "--tol", tol, "verify", "--manifest", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 config:") and "tol" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "v" / "verify_report.json").exists()
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -138,6 +166,21 @@ def test_verify_manifest_wrong_types(basis_dir, tmp_path, key, value):
     else:
         manifest[key] = value
     bad = basis_dir / f"manifest_{key}_{type(value).__name__}.json"
+    bad.write_text(json.dumps(manifest))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 manifest:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("key, value", [("N", 8), ("W", 100.0)])
+def test_verify_manifest_value_the_solver_rejects(basis_dir, tmp_path, key, value):
+    # 8 nodes are too few for any rule, 128 too few for c = 100; the manifest is at fault
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    manifest[key] = value
+    bad = basis_dir / f"manifest_solver_{key}.json"
     bad.write_text(json.dumps(manifest))
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
     r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
@@ -264,6 +307,31 @@ def test_concentration_input_narrower_than_time_square(tmp_path):
     assert r.stderr.startswith("ERROR 2 input:") and len(r.stderr.splitlines()) == 1
 
 
+def test_input_that_overflows_double_precision(tmp_path):
+    # a step of 2e158 is a valid QGRID header, but the band energy overflows
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    wide, ax = GridAxis(-4.0, 2e158, 33), GridAxis.symmetric(4.0, 33)
+    save_qgrid(tmp_path / "huge.qgrid", QSignal(wide, ax, np.ones((33, 33, 4))))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "c"))
+    r = run_cli("--config", str(cfg), "concentration", "--input", str(tmp_path / "huge.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 range:") and len(r.stderr.splitlines()) == 1
+
+
+def test_concentration_where_lambda0_rounds_to_one(tmp_path):
+    # c = 25: lambda0 is 1.0 in double, so no xi in [sqrt(lambda0), 1) is left
+    # and the zero-xi construction needs an even element with lambda2d < 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"T": 5, "W": 5, "grid_halfwidth": 20}))
+    r = run_cli("--config", str(path), "--output", str(tmp_path / "c"), "concentration")
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    sources = [p["source"] for p in report["points"]]
+    assert "psi0" in sources and any(s.startswith("zero_xi_") for s in sources)
+    assert all(p["xi"] < 1.0 for p in report["points"] if p["source"] == "boundary")
+
+
 @pytest.mark.parametrize("command", ["basis", "concentration"])
 def test_unwritable_output_is_one_error_line(tmp_path, command):
     (tmp_path / "regular").write_text("")
@@ -356,6 +424,19 @@ def test_extrapolate_problem_wrong_types(extrap_files, tmp_path, problem):
     assert not (tmp_path / "e").exists()
 
 
+def test_extrapolate_negative_stop_tol_rejected(extrap_files, tmp_path):
+    # no relative update is below -1, so the run could only end at max_steps
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"d": 2.0, "W": 1.0, "max_steps": 3, "stop_tol": -1}))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "e"))
+    r = run_cli("--config", str(cfg), "extrapolate", "--problem", str(path),
+                "--observation", str(extrap_files / "obs.qgrid"))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 problem:") and "stop_tol" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "e").exists()
+
+
 def test_qft_cli_roundtrip(extrap_files, tmp_path):
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
     r = run_cli("--config", str(cfg), "qft", "forward",
@@ -411,6 +492,17 @@ def test_qft_forward_rejects_even_axis(tmp_path, counts):
     assert r.stderr.startswith("ERROR 2 qgrid:")
     assert len(r.stderr.splitlines()) == 1
     assert not list((tmp_path / "q").glob("spectrum*"))
+
+
+def test_qft_forward_unwritable_output(extrap_files, tmp_path):
+    # a failed write is an output error, not a bad input
+    out = tmp_path / "q"
+    (out / "spectrum.qgrid.c2").mkdir(parents=True)
+    r = run_cli("--output", str(out), "qft", "forward",
+                "--input", str(extrap_files / "truth.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 output:"), r.stderr
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_qft_forward_rejects_non_finite_payload(tmp_path):

@@ -8,7 +8,7 @@ from qpswf.extrapolate import (ExtrapolationProblem, closed_form_band_spectra,
                                make_synthetic_problem, pg_run, pg_step,
                                pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
-from qpswf.prolate import band_rule
+from qpswf.prolate import band_rule, build_basis
 from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, inverse_qft,
                        spectrum_from_complex_components)
 from qpswf.quaternion import qarr_modulus
@@ -310,3 +310,20 @@ def test_grid_run_band_reaches_window_edge():
                                     w_half=w_half, truth=truth)
         with pytest.raises(WindowTooSmall):
             pg_run(prob, max_steps=2)
+
+
+@pytest.mark.parametrize("t_half, halfwidth, resolved", [(9.0, 36.0, True), (12.0, 48.0, False)],
+                         ids=["phase405", "phase720"])
+def test_synthetic_run_needs_a_rule_that_resolves_its_points(t_half, halfwidth, resolved):
+    # values at x come from the band Gauss rule, which must integrate phases up to
+    # (max(|grid|, 3d) + d) W; 256 nodes reach about 430
+    ax = GridAxis.symmetric(halfwidth, 513)
+    basis = build_basis(t_half, t_half, 256, 4, grid=(ax, ax))
+    prob = make_synthetic_problem(basis, [1.0, 0.5, -0.25, 0.125])
+    if not resolved:
+        with pytest.raises(BadParameters):
+            pg_run(prob, max_steps=3, stop_tol=0.0)
+        return
+    trace = pg_run(prob, max_steps=3, stop_tol=0.0)
+    scale = np.abs(prob.truth.values).max()
+    assert np.abs(trace.final.values - prob.truth.values).max() <= 1e-13 * scale

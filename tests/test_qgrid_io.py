@@ -53,6 +53,19 @@ def test_non_finite_payload_rejected(tmp_path, value):
         load_qgrid(path)
 
 
+@pytest.mark.parametrize("field", [0, 1, 2, 3], ids=["x0", "dx", "y0", "dy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_axis_rejected(tmp_path, field, value):
+    # the header's f64 fields x0, dx, y0, dy start at byte 16
+    path = tmp_path / "f.qgrid"
+    save_qgrid(path, _signal())
+    raw = bytearray(path.read_bytes())
+    raw[16 + 8 * field: 24 + 8 * field] = np.float64(value).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(QgridFormatError, match="axis metadata"):
+        load_qgrid(path)
+
+
 def test_csv_export(tmp_path):
     f = _signal()
     path = tmp_path / "f.csv"
