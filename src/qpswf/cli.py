@@ -122,6 +122,7 @@ def _check_config(cfg: dict) -> dict:
     ratio = cfg["T"] / step
     for bad, detail in (
             (cfg["grid_halfwidth"] < cfg["T"], "grid_halfwidth must be >= T"),
+            (cfg["T"] < step, f"T must be >= one grid step ({step:.6g})"),
             (cfg["quad_n"] < 2 * cfg["basis_count"], "quad_n must be >= 2 * basis_count"),
             (abs(ratio - round(ratio)) > 1e-9,
              "T must land on a grid node (adjust grid_halfwidth/grid_n)"),
@@ -283,7 +284,7 @@ def cmd_concentration(cfg: dict, out: Path, input_path: Path = None) -> int:
 
 
 def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> int:
-    from .errors import QpswfError
+    from .errors import ConvergenceFailure, QpswfError
     from .extrapolate import ExtrapolationProblem, pg_run
     from .qgrid_io import save_qgrid
     from .svgplot import SvgFigure
@@ -295,6 +296,8 @@ def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> in
         problem = ExtrapolationProblem(observed=observed, d_half=spec["d"], w_half=spec["W"],
                                        truth=truth)
         trace = pg_run(problem, max_steps=spec["max_steps"], stop_tol=spec["stop_tol"])
+    except ConvergenceFailure as exc:
+        raise CliError(3, "eigensolver", str(exc))
     except (QpswfError, ValueError) as exc:
         raise CliError(2, "problem", str(exc))
 
@@ -321,8 +324,8 @@ def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> in
 
 
 def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
-    from .qft import dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft
-    from .qgrid_io import load_qgrid, load_spectrum, save_qgrid, save_spectrum
+    from .qft import dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft_combined
+    from .qgrid_io import load_qgrid, save_qgrid, save_spectrum
 
     def forward(path):
         sig = load_qgrid(path)
@@ -331,9 +334,11 @@ def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
         return forward_qft(sig, *dual_frequency_axes(sig))
 
     def inverse(path):
-        spec = load_spectrum(path)
+        # the combined spectrum alone determines the signal, so .c0-.c3 are not read;
         # the dual of each frequency axis is the spatial axis it came from
-        return inverse_qft(spec, dual_frequency_axis(spec.ax_u), dual_frequency_axis(spec.ax_v))
+        spec = load_qgrid(path)
+        return inverse_qft_combined(spec, dual_frequency_axis(spec.ax_x),
+                                    dual_frequency_axis(spec.ax_y))
 
     # only reading and transforming count as a bad input; a failed write is ERROR 2 output
     result = _read_qgrid(input_path, read=forward if direction == "forward" else inverse)

@@ -6,7 +6,9 @@ result; the error contracts mode-by-mode with factor (1 - lambda_j) per
 step.  pg_run runs it as one linear recursion on band coefficients: for
 synthetic problems built from the eigenbasis on the band Gauss rule, where
 the closed-form error law can be checked at full precision, and for
-file-based problems on the dual-lattice bins inside the band.
+file-based problems on the dual-lattice bins inside the band.  Each axis's
+step matrix is Hermitian, so the recursion runs in its eigenframe, where
+every mode contracts by its own factor and a step is elementwise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concentration import band_limit, time_limit
-from .errors import BadParameters, GridMismatch, LengthMismatch, WindowTooSmall
+from .errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
+                     WindowTooSmall)
 from .grid import GridAxis, QSignal, Region, _axis_region_mask, energy, region_mask
 from .prolate import BasisSet2D, band_kernel, band_rule, check_phase
 from .qft import _band_bins, dual_frequency_axis
@@ -153,13 +156,6 @@ def closed_form_band_spectra(coeffs, lambdas, n: int, basis: BasisSet2D) -> np.n
     return ModalField.of(basis, a * (1.0 - (1.0 - lam) ** n)).band_rep().spectra
 
 
-def _real_planes(spectra: np.ndarray):
-    """Writable views of the real and imaginary planes of each component spectrum."""
-    for comp in spectra:
-        yield comp.real
-        yield comp.imag
-
-
 def _lattice_rule(ax: GridAxis, w_half: float):
     """The dual-lattice bins inside the band: nodes k du, and the weights band_limit masks with."""
     ax_f = dual_frequency_axis(ax)
@@ -172,31 +168,43 @@ def _lattice_rule(ax: GridAxis, w_half: float):
     return np.where(k > len(bins) // 2, k - len(bins), k) * ax_f.step, bins[k]
 
 
-def _band_step(rule, s, w_s, inside):
-    """One axis's analysis F = conj(E)^T diag(w_s) and step M = F diag(chi_D) E.
+def _axis_frame(rule, s, w_s, inside):
+    """One axis's step M = F diag(chi_D) E = V diag(lam) V^H: returns (V^H F, lam, V).
 
-    E = band_kernel(s, u, w_u) evaluates at the points s.  M's entries
-    sqrt(w_u w_u') sum_{s in D} w_s cos(s (u' - u)) / 2 pi are real when the
-    rule and the points in D are symmetric about 0 (M is returned real then).
+    E = band_kernel(s, u, w_u) evaluates at the points s and F = conj(E)^T
+    diag(w_s) analyses there, so M = E^H diag(w_s chi_D) E is Hermitian.  Its
+    entries sqrt(w_u w_u') sum_{s in D} w_s cos(s (u' - u)) / 2 pi are real when
+    the rule and the points in D are symmetric about 0 (V is real then).
     """
     e = band_kernel(s, *rule)
     f = e.conj().T * w_s
     m = (f * inside) @ e
     if np.abs(m.imag).max() <= 1e-13 * np.abs(m.real).max():
-        return f, np.ascontiguousarray(m.real)
-    return f, m
+        m = m.real
+    if np.linalg.norm(m - m.conj().T) > 1e-13 * np.linalg.norm(m):
+        raise BadParameters("the band step matrix is not Hermitian")
+    try:
+        lam, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"step matrix eigensolver failed: {exc}") from exc
+    return v.conj().T @ f, lam, v
 
 
 def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
            stop_tol: float = 1e-10, compare_closed_form: bool = False) -> ExtrapolationTrace:
     """Run the iteration until the relative update drops below stop_tol.
 
-    f <- f + B (g - T f) runs as spec <- spec + G - Mx spec My^T on f's band
-    coefficients (signals' units, so each energy is a sum of squares).
-    Synthetic problems take the band Gauss rule and the time Gauss nodes
-    (all in D) and probe 81^2 points over [-3d, 3d]^2; others take the
-    dual-lattice bins inside the band and the grid nodes, where the recursion
-    is pg_step exactly, and probe the grid nodes.
+    f <- f + B (g - T f) is the recursion spec <- spec + G - Mx spec My^T on
+    f's band coefficients (signals' units, so each energy is a sum of
+    squares).  It runs in the eigenframe of the Hermitian step matrices,
+    s = Vx^H spec conj(Vy), where each step is elementwise:
+    s <- s + Vx^H G conj(Vy) - (lam_x lam_y^T) * s.  The frame is folded
+    into the kernels once (analysis V^H F, synthesis E V, mode tables
+    band conj(V)); V is unitary, so every energy is the same sum of
+    squares.  Synthetic problems take the band Gauss rule and the time Gauss
+    nodes (all in D) and probe 81^2 points over [-3d, 3d]^2; others take the
+    dual-lattice bins inside the band and the grid nodes, where the
+    recursion is pg_step exactly, and probe the grid nodes.
     """
     if max_steps < 1:
         raise BadParameters("max_steps must be >= 1")
@@ -207,21 +215,32 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         reach = max(3 * problem.d_half, *(max(-ax.start, ax.stop) for ax in axes))
         check_phase(len(b1.nodes), (reach + problem.d_half) * problem.w_half, "the grid and probe")
         rules = [band_rule(b1)] * 2
-        analysis, (mx, my) = zip(*[_band_step(rules[0], b1.nodes, b1.weights, True)] * 2)
+        frames = [_axis_frame(rules[0], b1.nodes, b1.weights, True)] * 2
         probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2
     else:
         rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
-        analysis, (mx, my) = zip(*(_band_step(rule, ax.samples(), ax.trapezoid_weights(),
-                                              _axis_region_mask(ax, problem.d_half))
-                                   for rule, ax in zip(rules, axes)))
+        frames = [_axis_frame(rule, ax.samples(), ax.trapezoid_weights(),
+                              _axis_region_mask(ax, problem.d_half))
+                  for rule, ax in zip(rules, axes)]
         probe_x = [ax.samples() for ax in axes]
-    probe = [band_kernel(x, *rule) for x, rule in zip(probe_x, rules)]
-    final = [band_kernel(ax.samples(), *rule) for ax, rule in zip(axes, rules)]
+    analysis, (lam_x, lam_y), frame = zip(*frames)
+    probe = [band_kernel(x, *rule) @ v for x, rule, v in zip(probe_x, rules, frame)]
+    final = [band_kernel(ax.samples(), *rule) @ v for ax, rule, v in zip(axes, rules, frame)]
 
     truth, residual, residual_energy = None, 0.0, 0.0
     if synth is not None:
         g = _analyse(synth.gauss_values(), *analysis)
-        truth = synth.band_spectra()
+        tables = [synth.basis.tables.band @ v.conj() for v in frame]
+
+        def modal_spectra(weights, out):
+            """Eigenframe band coefficients of sum_j weights[j] psi_j, written to out."""
+            modal = ModalField.of(synth.basis, weights)
+            s = tables[0].T @ modal.psi @ tables[1]
+            for o, q in zip(out, modal.coeff.as_array()):
+                np.multiply(s, q, out=o)
+            return out
+
+        truth = modal_spectra(synth.coeffs, np.empty_like(g))
     else:
         g = _analyse(grid.values, *analysis)
         if problem.truth is not None:
@@ -230,15 +249,15 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             residual = np.moveaxis(problem.truth.values, -1, 0) - _component_values(truth, *final)
             residual_energy = energy(grid.with_values(np.moveaxis(residual, 0, -1)))
 
-    planes = _real_planes if np.isrealobj(mx) and np.isrealobj(my) else list
     half_width = float(np.sqrt(rules[0][1].sum() * rules[1][1].sum()) / 2)
+    contraction = np.outer(lam_x, lam_y)
     spec = np.zeros_like(g)
     correction = np.empty_like(g)
     rows = []
     for n in range(1, max_steps + 1):
-        for s, gc, d in zip(planes(spec), planes(g), planes(correction)):
-            np.subtract(gc, mx @ s @ my.T, out=d)
-            s += d
+        np.multiply(spec, contraction, out=correction)
+        np.subtract(g, correction, out=correction)
+        spec += correction
 
         # delta is 0 when the update and the iterate both vanish, inf when only the iterate does
         update, norm = _energy(correction) ** 0.5, _energy(spec) ** 0.5
@@ -251,8 +270,8 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             sup_e = float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
             bound = pointwise_bound(e_n, half_width)
         if compare_closed_form and synth is not None:
-            cf_gap = _energy(np.subtract(spec, closed_form_band_spectra(
-                synth.coeffs, synth.lambdas(), n, synth.basis), out=correction)) ** 0.5
+            cf = modal_spectra(synth.coeffs * (1.0 - (1.0 - synth.lambdas()) ** n), correction)
+            cf_gap = _energy(np.subtract(spec, cf, out=cf)) ** 0.5
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
                              delta=delta, cf_gap=cf_gap))
         if delta < stop_tol:

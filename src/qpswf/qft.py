@@ -160,13 +160,20 @@ def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
 
 def inverse_qft(spec: SpectrumQ, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
     """Inverse two-sided QFT: kernel e^{+iux} (left), e^{+jvy} (right), factor 1/2pi."""
+    return inverse_qft_combined(QSignal(spec.ax_u, spec.ax_v, spec.combined), ax_x, ax_y)
+
+
+def inverse_qft_combined(combined: QSignal, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
+    """inverse_qft of the quaternion spectrum alone, held on its (u, v) axes."""
+    ax_u, ax_v = combined.ax_x, combined.ax_y
+
     def over_u(c):
-        return _lattice_dft(spec.combined[..., c], spec.ax_u, ax_x, +1, 0)
+        return _lattice_dft(combined.values[..., c], ax_u, ax_x, +1, 0)
 
     # symplectic split Q = A + B j (A, B complex in i); with e^{jvy} = cos + j sin,
     # (A + B j)(cos + j sin) = (A cos - B sin) + (A sin + B cos) j, where the
     # cos and sin sums come from e^{+ivy} (p) and e^{-ivy} (m)
-    ap, am, bp, bm = (_lattice_dft(z, spec.ax_v, ax_y, s, 1) for z in
+    ap, am, bp, bm = (_lattice_dft(z, ax_v, ax_y, s, 1) for z in
                       (over_u(0) + 1j * over_u(1), over_u(2) + 1j * over_u(3)) for s in (1, -1))
     x = (ap + am + 1j * (bp - bm)) / (4 * np.pi)
     y = (bp + bm - 1j * (ap - am)) / (4 * np.pi)

@@ -44,11 +44,15 @@ def load_qgrid(path) -> QSignal:
         raise QgridFormatError(f"{path}: size {len(raw)} != expected {expected}")
     if not np.isfinite([x0, dx, y0, dy]).all() or dx <= 0 or dy <= 0 or nx < 2 or ny < 2:
         raise QgridFormatError(f"{path}: invalid axis metadata")
+    ax_x, ax_y = GridAxis(x0, dx, int(nx)), GridAxis(y0, dy, int(ny))
+    for name, ax in (("x", ax_x), ("y", ax_y)):
+        if not np.all(np.diff(ax.samples()) > 0):
+            raise QgridFormatError(f"{path}: {name} axis nodes are not distinct in double")
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size) \
         .reshape(nx, ny, 4).astype(np.float64)
     if not np.isfinite(values).all():
         raise QgridFormatError(f"{path}: non-finite samples (NaN or Inf)")
-    return QSignal(GridAxis(x0, dx, int(nx)), GridAxis(y0, dy, int(ny)), values)
+    return QSignal(ax_x, ax_y, values)
 
 
 def save_csv(path, f: QSignal) -> None:

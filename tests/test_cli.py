@@ -97,6 +97,17 @@ def test_w_above_grid_nyquist_rejected(tmp_path):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_t_below_one_grid_step_rejected(tmp_path):
+    # T = 1e-12 would pass the T-on-a-node check as node 0 and fail in the solver
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"T": 1e-12, "grid_n": 65, "quad_n": 64, "basis_count": 4}))
+    r = run_cli("--config", str(path), "--output", str(tmp_path / "out"), "basis")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 config: T must be >= one grid step"), r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("tol, corrupt", [("nan", True), ("inf", True), ("-1", False)])
 def test_tol_flag_is_checked_like_the_config(basis_dir, tmp_path, tol, corrupt):
     # a NaN or infinite tol would pass any residual; a negative one fail every one
@@ -392,6 +403,24 @@ def test_extrapolate_max_steps_exit(extrap_files, tmp_path):
     assert len(rows) == 2  # header + one step
 
 
+def test_extrapolate_step_eigensolver_failure_exits_3(extrap_files, tmp_path, monkeypatch,
+                                                     capsys):
+    from qpswf import cli
+
+    def fail(a):
+        raise np.linalg.LinAlgError("no convergence")
+    problem = {"d": 2.0, "W": 1.0, "max_steps": 3}
+    (extrap_files / "p_eig.json").write_text(json.dumps(problem))
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = cli.main(["--output", str(tmp_path / "e"), "extrapolate",
+                     "--problem", str(extrap_files / "p_eig.json"),
+                     "--observation", str(extrap_files / "obs.qgrid")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("ERROR 3 eigensolver:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "e").exists()
+
+
 def test_extrapolate_malformed_observation(extrap_files, tmp_path):
     bad = tmp_path / "bad.qgrid"
     bad.write_bytes(b"garbage")
@@ -452,6 +481,42 @@ def test_qft_cli_roundtrip(extrap_files, tmp_path):
     truth = load_qgrid(extrap_files / "truth.qgrid")
     assert np.abs(back.values - truth.values).max() \
         <= 1e-8 * np.abs(truth.values).max()
+
+
+def test_qft_inverse_reads_only_the_combined_spectrum(extrap_files, tmp_path):
+    # inverse uses the combined spectrum alone: without .c0 - .c3 it writes the same bytes
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", "forward",
+                "--input", str(extrap_files / "truth.qgrid"))
+    assert r.returncode == 0, r.stderr
+    spectrum = tmp_path / "q" / "spectrum.qgrid"
+    written = []
+    for out in ("with", "without"):
+        r = run_cli("--config", str(cfg), "--output", str(tmp_path / out),
+                    "qft", "inverse", "--input", str(spectrum))
+        assert r.returncode == 0, r.stderr
+        written.append((tmp_path / out / "signal.qgrid").read_bytes())
+        for c in range(4):
+            spectrum.with_name(f"spectrum.qgrid.c{c}").unlink(missing_ok=True)
+    assert written[0] == written[1]
+
+
+def test_qft_forward_rejects_axis_nodes_not_distinct(tmp_path):
+    # x0 = 1e300 with dx = 0.25: all 33 x nodes round to 1e300
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax = GridAxis.symmetric(4.0, 33)
+    path = tmp_path / "sig.qgrid"
+    save_qgrid(path, QSignal(ax, ax, np.ones((33, 33, 4))))
+    raw = bytearray(path.read_bytes())
+    raw[16:24] = np.float64(1e300).tobytes()  # the header's x0
+    path.write_bytes(bytes(raw))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", "forward", "--input", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 qgrid:") and "distinct" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not list((tmp_path / "q").glob("spectrum*"))
 
 
 def test_qft_cli_non_square_roundtrip(tmp_path):

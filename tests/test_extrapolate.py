@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from qpswf.concentration import band_limit, time_limit
-from qpswf.errors import BadParameters, GridMismatch, LengthMismatch, WindowTooSmall
-from qpswf.extrapolate import (ExtrapolationProblem, closed_form_band_spectra,
-                               closed_form_iterate, error_energy,
-                               make_synthetic_problem, pg_run, pg_step,
-                               pointwise_bound)
+from qpswf.errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
+                          WindowTooSmall)
+from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _lattice_rule,
+                               closed_form_band_spectra, closed_form_iterate, error_energy,
+                               make_synthetic_problem, pg_run, pg_step, pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
-from qpswf.prolate import band_rule, build_basis
+from qpswf.prolate import band_kernel, band_rule, build_basis
 from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, inverse_qft,
                        spectrum_from_complex_components)
 from qpswf.quaternion import qarr_modulus
@@ -268,14 +268,17 @@ def _reference_grid_run(problem, max_steps, stop_tol):
     return np.array(rows), f_n.values, False
 
 
-@pytest.mark.parametrize("case", ["square", "non_square", "offset", "not_bandlimited"])
+@pytest.mark.parametrize("case", ["square", "non_square", "offset", "both_offset",
+                                  "not_bandlimited"])
 def test_grid_run_matches_pg_step(case):
     # W = 2 holds 5 dual-lattice bins on the 129-point axes and 3 on the
     # 97-point one; d = 1 is a node of the symmetric axes and d = 0.95 of the
-    # offset one, so a mask one node narrower changes every run
+    # offset one, so a mask one node narrower changes every run.  both_offset
+    # makes both step matrices complex, so it pins the frame's conjugation on x
     ax_x, ax_y, d_half = {"square": (AX, AX, 1.0),
                           "non_square": (AX, GridAxis.symmetric(3.0, 97), 1.0),
                           "offset": (AX, OFFSET_AX, 0.95),
+                          "both_offset": (OFFSET_AX, OFFSET_AX, 0.95),
                           "not_bandlimited": (AX, AX, 1.0)}[case]
     if case == "not_bandlimited":
         truth = gaussian_mixed_qsignal(ax_x, ax_y, CounterRng(58), 1.0, 2.0)
@@ -327,3 +330,40 @@ def test_synthetic_run_needs_a_rule_that_resolves_its_points(t_half, halfwidth, 
     trace = pg_run(prob, max_steps=3, stop_tol=0.0)
     scale = np.abs(prob.truth.values).max()
     assert np.abs(trace.final.values - prob.truth.values).max() <= 1e-13 * scale
+
+
+def _offset_frame_inputs():
+    """W = 2 lattice rule, and nodes, weights and mask of D = [-0.95, 0.95] on OFFSET_AX."""
+    x, w = OFFSET_AX.samples(), OFFSET_AX.trapezoid_weights()
+    return _lattice_rule(OFFSET_AX, 2.0), x, w, np.abs(x) <= 0.95 + 1e-9
+
+
+def test_axis_frame_diagonalises_the_step():
+    # M = F diag(chi_D) E = V diag(lam) V^H with V unitary, and the analysis is V^H F
+    rule, s, w_s, inside = _offset_frame_inputs()
+    e = band_kernel(s, *rule)
+    f = e.conj().T * w_s
+    m = (f * inside) @ e
+    assert np.abs(m.imag).max() > 1e-3  # the offset axis gives a complex step
+    analysis, lam, v = _axis_frame(rule, s, w_s, inside)
+    assert np.abs(v @ np.diag(lam) @ v.conj().T - m).max() <= 1e-14 * np.abs(m).max()
+    assert np.abs(v.conj().T @ v - np.eye(len(lam))).max() <= 1e-14
+    assert np.abs(analysis - v.conj().T @ f).max() <= 1e-14 * np.abs(f).max()
+    assert np.all((lam > -1e-14) & (lam < 1 + 1e-14))
+
+
+def test_axis_frame_rejects_a_step_that_is_not_hermitian():
+    # complex weights on the points make E^H diag(w chi_D) E non-Hermitian
+    rule, s, w_s, inside = _offset_frame_inputs()
+    with pytest.raises(BadParameters, match="Hermitian"):
+        _axis_frame(rule, s, w_s * (1 + 0.5j), inside)
+
+
+def test_step_eigensolver_failure_is_convergence_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("no convergence")
+    truth = _grid_truth(61)
+    prob = ExtrapolationProblem(observed=time_limit(truth, 1.0), d_half=1.0, w_half=1.0)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure):
+        pg_run(prob, max_steps=2)

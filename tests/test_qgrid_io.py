@@ -66,6 +66,18 @@ def test_non_finite_axis_rejected(tmp_path, field, value):
         load_qgrid(path)
 
 
+@pytest.mark.parametrize("field", [0, 2], ids=["x0", "y0"])
+def test_axis_nodes_not_distinct_rejected(tmp_path, field):
+    # with x0 = 1e300 and dx = 0.0625 every node rounds to x0
+    path = tmp_path / "f.qgrid"
+    save_qgrid(path, _signal())
+    raw = bytearray(path.read_bytes())
+    raw[16 + 8 * field: 24 + 8 * field] = np.float64(1e300).tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(QgridFormatError, match="not distinct"):
+        load_qgrid(path)
+
+
 def test_csv_export(tmp_path):
     f = _signal()
     path = tmp_path / "f.csv"
