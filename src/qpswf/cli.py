@@ -324,8 +324,8 @@ def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> in
 
 
 def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
-    from .qft import dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft_combined
-    from .qgrid_io import load_qgrid, save_qgrid, save_spectrum
+    from .qft import dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft
+    from .qgrid_io import load_qgrid, load_spectrum, save_qgrid, save_spectrum
 
     def forward(path):
         sig = load_qgrid(path)
@@ -334,11 +334,9 @@ def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
         return forward_qft(sig, *dual_frequency_axes(sig))
 
     def inverse(path):
-        # the combined spectrum alone determines the signal, so .c0-.c3 are not read;
         # the dual of each frequency axis is the spatial axis it came from
-        spec = load_qgrid(path)
-        return inverse_qft_combined(spec, dual_frequency_axis(spec.ax_x),
-                                    dual_frequency_axis(spec.ax_y))
+        spec = load_spectrum(path)
+        return inverse_qft(spec, dual_frequency_axis(spec.ax_u), dual_frequency_axis(spec.ax_v))
 
     # only reading and transforming count as a bad input; a failed write is ERROR 2 output
     result = _read_qgrid(input_path, read=forward if direction == "forward" else inverse)

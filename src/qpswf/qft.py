@@ -1,14 +1,14 @@
 """Two-sided quaternionic Fourier transform on sampled grids.
 
-The transform of f = f0 + i f1 + j f2 + k f3 is assembled from one
-standard complex 2D DFT per real component: trapezoid quadratures of the
-continuous integrals (with their 1/2pi factors), evaluated by FFT on the
-dual lattice.  A spatial step h and a frequency step du are accepted when
-h * du * L = 2*pi for an integer L, as for every axis dual_frequency_axis
-makes (any odd count, from odd or even grids); other axes raise
-NonUniformGrid.  With du = 2*pi / (x-span) the sampled kernels are
-discretely orthogonal: roundtrips and the Q-modulus Parseval identity hold
-to rounding for signals whose spectra live strictly inside the window.
+Both directions split q = A + B j (A, B complex in i) and run standard
+complex DFTs: trapezoid quadratures of the continuous integrals (with their
+1/2pi factors), evaluated by FFT on the dual lattice.  A spatial step h and
+a frequency step du are accepted when h * du * L = 2*pi for an integer L,
+as for every axis dual_frequency_axis makes (any odd count, from odd or
+even grids); other axes raise NonUniformGrid.  With du = 2*pi / (x-span)
+the sampled kernels are discretely orthogonal: roundtrips and the Q-modulus
+Parseval identity hold to rounding for signals whose spectra live strictly
+inside the window.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadParameters, NonUniformGrid, WindowTooSmall, ZeroSignal
 from .grid import GridAxis, QSignal, Region, energy
-from .quaternion import qarr_left_mul_complex
+from .quaternion import qarr_left_mul_complex, qarr_modulus_sq
 
 _SYM_TOL = 1e-9
 _LATTICE_TOL = 1e-12  # relative distance of 2*pi/(step product) from an integer
@@ -30,26 +30,37 @@ def _check_symmetric(ax: GridAxis, name: str):
         raise NonUniformGrid(f"{name} axis must be symmetric about 0")
 
 
+def _parity_part(z: np.ndarray, p: int, ax_u: GridAxis, ax_v: GridAxis) -> np.ndarray:
+    """The part of z(u, v) of parity p (bit 0: odd in u, bit 1: odd in v), by reflection."""
+    _check_symmetric(ax_u, "frequency u")
+    _check_symmetric(ax_v, "frequency v")
+    h = z - z[::-1] if p & 1 else z + z[::-1]
+    return (h - h[:, ::-1] if p & 2 else h + h[:, ::-1]) / 4
+
+
 @dataclass(frozen=True)
 class SpectrumQ:
-    """Two-sided QFT of a quaternion signal.
+    """Two-sided QFT combined = F(f) = F(f0) + i F(f1) + F(f2) j + i F(f3) j.
 
-    combined is the quaternion spectrum F(f); components[c] is the
-    quaternion spectrum F(f_c) of the c-th real component, satisfying
-    combined = F(f0) + i F(f1) + F(f2) j + i F(f3) j at every node.
+    Part p of F(f_c) has parity p (see _parity_part); i on the left and j on
+    the right only permute and sign parts, so component(c) recovers F(f_c).
     """
 
     ax_u: GridAxis
     ax_v: GridAxis
     combined: np.ndarray
-    components: np.ndarray  # shape (4, Mu, Mv, 4)
 
     def __post_init__(self):
-        mu, mv = self.ax_u.count, self.ax_v.count
-        if self.combined.shape != (mu, mv, 4):
+        if self.combined.shape != (self.ax_u.count, self.ax_v.count, 4):
             raise BadParameters("combined has wrong shape")
-        if self.components.shape != (4, mu, mv, 4):
-            raise BadParameters("components have wrong shape")
+
+    def component(self, c: int) -> np.ndarray:
+        """F(f_c): part p is (-1)^popcount(c & p) times the parity-p part of part c ^ p of F(f)."""
+        out = np.empty_like(self.combined)
+        for p in range(4):
+            sign = -1 if bin(c & p).count("1") % 2 else 1
+            out[..., p] = sign * _parity_part(self.combined[..., c ^ p], p, self.ax_u, self.ax_v)
+        return out
 
     def band_mask(self, w_half: float) -> np.ndarray:
         tol = _SYM_TOL * min(self.ax_u.step, self.ax_v.step)
@@ -113,7 +124,9 @@ def _lattice_dft(vals: np.ndarray, src: GridAxis, dst: GridAxis, sign: int,
     pre = np.exp(sign * 1j * src.step * dst.start * np.arange(src.count))
     z = np.moveaxis(vals, axis, -1) * (src.trapezoid_weights() * pre)
     bins = np.fft.fft(_fold(z, n)) if sign < 0 else np.fft.ifft(_fold(z, n), norm="forward")
-    out = bins[..., np.arange(dst.count) % n] * np.exp(sign * 1j * src.start * dst.samples())
+    # take, unlike bins[..., idx], keeps the result C-ordered
+    out = np.take(bins, np.arange(dst.count) % n, axis=-1) \
+        * np.exp(sign * 1j * src.start * dst.samples())
     return np.moveaxis(out, -1, axis)
 
 
@@ -125,18 +138,32 @@ def _band_bins(ax: GridAxis, ax_f: GridAxis, w_half: float) -> np.ndarray:
     return np.roll(bins, -(ax_f.count // 2))
 
 
+def _combine(ap, am, bp, bm, sign: int) -> np.ndarray:
+    """(A cos - s B sin) + (s A sin + B cos) j over 2pi, as a (..., 4) array.
+
+    From the e^{+ivy} (p) and e^{-ivy} (m) sums: cos = (p + m) / 2, sin = (p - m) / 2i.
+    """
+    x = (ap + am + sign * 1j * (bp - bm)) / (4 * np.pi)
+    y = (bp + bm - sign * 1j * (ap - am)) / (4 * np.pi)
+    return np.stack((x.real, x.imag, y.real, y.imag), axis=-1)
+
+
+def _two_sided(values, src_x: GridAxis, src_y: GridAxis, dst_x: GridAxis, dst_y: GridAxis,
+               sign: int) -> np.ndarray:
+    """(1/2pi) sum w_x w_y e^{s i x u} q(x, y) e^{s j y v} over the src grid, on the dst grid.
+
+    q = A + B j with A = q0 + i q1, B = q2 + i q3: e^{s i x u} commutes with
+    A and B (one complex x-pass each), and e^{s j v y} = cos + s j sin.
+    """
+    halves = (_lattice_dft(values[..., h] + 1j * values[..., h + 1], src_x, dst_x, sign, 0)
+              for h in (0, 2))
+    (ap, am), (bp, bm) = ([_lattice_dft(z, src_y, dst_y, s, 1) for s in (1, -1)] for z in halves)
+    return _combine(ap, am, bp, bm, sign)
+
+
 def forward_qft(f: QSignal, ax_u: GridAxis, ax_v: GridAxis) -> SpectrumQ:
     """Two-sided QFT with kernel e^{-iux} (left), e^{-jvy} (right), factor 1/2pi."""
-    g = np.stack([_lattice_dft(_lattice_dft(f.component(c), f.ax_x, ax_u, -1, 0),
-                               f.ax_y, ax_v, -1, 1) for c in range(4)])
-    return spectrum_from_complex_components(ax_u, ax_v, g)
-
-
-def _assemble_symmetric(comps: np.ndarray) -> np.ndarray:
-    """F(f0) + i F(f1) + F(f2) j + i F(f3) j from component spectra."""
-    a, b, c, d = (np.moveaxis(q, -1, 0) for q in comps)  # (w, x, y, z) parts
-    return np.stack((a[0] - b[1] - c[2] + d[3], a[1] + b[0] - c[3] - d[2],
-                     a[2] - b[3] + c[0] - d[1], a[3] + b[2] + c[1] + d[0]), axis=-1)
+    return SpectrumQ(ax_u, ax_v, _two_sided(f.values, f.ax_x, f.ax_y, ax_u, ax_v, -1))
 
 
 def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
@@ -146,43 +173,23 @@ def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
     g has shape (4, Mu, Mv): values of integral f_c e^{-i(ux+vy)} dx dy for
     each real component.  Hermitian symmetry g(-u,-v) = conj g(u,v) is
     required for the components to describe real fields; the v axis must be
-    symmetric about 0.
+    symmetric about 0.  g0 + i g1 and g2 + i g3 are the e^{-ivy} sums of A
+    and B, and their e^{+ivy} sums are the same reversed in v.
     """
     _check_symmetric(ax_v, "frequency v")
     g = np.asarray(g, dtype=complex)
-    comps = np.empty((4, 4, ax_u.count, ax_v.count))  # quaternion parts outermost
-    for c, (gc, gf) in enumerate(zip(g, g[:, :, ::-1])):  # gf: v -> -v
-        comps[c] = gc.real + gf.real, gc.imag + gf.imag, gc.imag - gf.imag, gf.real - gc.real
-    comps /= 4 * np.pi
-    comps = np.moveaxis(comps, 1, -1)
-    return SpectrumQ(ax_u, ax_v, _assemble_symmetric(comps), comps)
+    am, bm = g[0] + 1j * g[1], g[2] + 1j * g[3]
+    return SpectrumQ(ax_u, ax_v, _combine(am[:, ::-1], am, bm[:, ::-1], bm, -1))
 
 
 def inverse_qft(spec: SpectrumQ, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
     """Inverse two-sided QFT: kernel e^{+iux} (left), e^{+jvy} (right), factor 1/2pi."""
-    return inverse_qft_combined(QSignal(spec.ax_u, spec.ax_v, spec.combined), ax_x, ax_y)
-
-
-def inverse_qft_combined(combined: QSignal, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
-    """inverse_qft of the quaternion spectrum alone, held on its (u, v) axes."""
-    ax_u, ax_v = combined.ax_x, combined.ax_y
-
-    def over_u(c):
-        return _lattice_dft(combined.values[..., c], ax_u, ax_x, +1, 0)
-
-    # symplectic split Q = A + B j (A, B complex in i); with e^{jvy} = cos + j sin,
-    # (A + B j)(cos + j sin) = (A cos - B sin) + (A sin + B cos) j, where the
-    # cos and sin sums come from e^{+ivy} (p) and e^{-ivy} (m)
-    ap, am, bp, bm = (_lattice_dft(z, ax_v, ax_y, s, 1) for z in
-                      (over_u(0) + 1j * over_u(1), over_u(2) + 1j * over_u(3)) for s in (1, -1))
-    x = (ap + am + 1j * (bp - bm)) / (4 * np.pi)
-    y = (bp + bm - 1j * (ap - am)) / (4 * np.pi)
-    return QSignal(ax_x, ax_y, np.stack((x.real, x.imag, y.real, y.imag), axis=-1))
+    return QSignal(ax_x, ax_y, _two_sided(spec.combined, spec.ax_u, spec.ax_v, ax_x, ax_y, +1))
 
 
 def q_modulus_field(spec: SpectrumQ) -> np.ndarray:
-    """Pointwise Q-modulus energy density sum_c |F(f_c)|^2."""
-    return np.einsum("cijq,cijq->ij", spec.components, spec.components)
+    """Pointwise sum_c |F(f_c)|^2: the mean of |F(f)|^2 over (+-u, +-v), as parities cancel."""
+    return _parity_part(qarr_modulus_sq(spec.combined), 0, spec.ax_u, spec.ax_v)
 
 
 def spectral_energy(spec: SpectrumQ, w_half: float = None) -> float:
@@ -197,17 +204,19 @@ def spectral_energy(spec: SpectrumQ, w_half: float = None) -> float:
 def parseval_check(f: QSignal, tail_budget: float = 1e-10) -> float:
     """Relative discrepancy between grid energy and spectral Q-modulus energy.
 
-    The frequency window must capture the spectrum: the Q-modulus energy in
-    the outer 20% annulus of the window is required to stay below
+    The frequency window must capture the spectrum: the Q-modulus energy
+    outside |u| <= 0.8 u_stop, |v| <= 0.8 v_stop is required to stay below
     tail_budget of the total, otherwise WindowTooSmall is raised.
     """
     ef = energy(f, Region.full())
     if ef <= 0:
         raise ZeroSignal("parseval_check requires a nonzero signal")
-    ax_u, ax_v = dual_frequency_axes(f)
-    spec = forward_qft(f, ax_u, ax_v)
-    e_spec = spectral_energy(spec)
-    inner = spectral_energy(spec, 0.8 * ax_u.stop)
+    axes = dual_frequency_axes(f)
+    q = q_modulus_field(forward_qft(f, *axes))
+    wu, wv = (ax.trapezoid_weights() for ax in axes)
+    e_spec = float(wu @ q @ wv)
+    iu, iv = (np.abs(ax.samples()) <= 0.8 * ax.stop for ax in axes)
+    inner = float((wu * iu) @ q @ (wv * iv))
     if e_spec - inner > tail_budget * e_spec:
         raise WindowTooSmall(
             f"spectral tail {e_spec - inner:.3e} exceeds budget {tail_budget:.1e} x {e_spec:.3e}")
@@ -236,10 +245,7 @@ def sinc_bandlimit_kernel(dx, dy, w_half: float):
 
 
 def mask_spectrum(spec: SpectrumQ, w_half: float) -> SpectrumQ:
-    """Zero the spectrum (combined and components) outside the closed band square."""
+    """Zero the spectrum outside the closed band square."""
     if w_half > min(spec.ax_u.stop, spec.ax_v.stop) * (1 + _SYM_TOL):
         raise WindowTooSmall("band exceeds the sampled frequency window")
-    m = spec.band_mask(w_half)
-    combined = spec.combined * m[..., None]
-    comps = spec.components * m[None, ..., None]
-    return SpectrumQ(spec.ax_u, spec.ax_v, combined, comps)
+    return SpectrumQ(spec.ax_u, spec.ax_v, spec.combined * spec.band_mask(w_half)[..., None])

@@ -3,7 +3,8 @@
 Layout (little-endian): magic "QGRD", u32 version = 1, u32 nx, u32 ny,
 f64 x0, dx, y0, dy, then nx*ny*4 f64 samples, row-major with the x index
 outermost, component order (w, i, j, k).  Spectra reuse the container with
-the axes interpreted as (u, v); component spectra get suffixes .c0 - .c3.
+the axes interpreted as (u, v); the component spectra derived from the
+combined one get suffixes .c0 - .c3.
 """
 
 from __future__ import annotations
@@ -68,24 +69,17 @@ def save_csv(path, f: QSignal) -> None:
 
 
 def save_spectrum(path, spec: SpectrumQ) -> list:
-    """Write combined plus the four component spectra; returns the paths."""
+    """Write combined plus the four component spectra, one at a time; returns the paths."""
     path = Path(path)
-    combined = QSignal(spec.ax_u, spec.ax_v, spec.combined)
-    save_qgrid(path, combined)
+    save_qgrid(path, QSignal(spec.ax_u, spec.ax_v, spec.combined))
     written = [path]
     for c in range(4):
-        comp_path = path.with_name(path.name + f".c{c}")
-        save_qgrid(comp_path, QSignal(spec.ax_u, spec.ax_v, spec.components[c]))
-        written.append(comp_path)
+        written.append(path.with_name(path.name + f".c{c}"))
+        save_qgrid(written[-1], QSignal(spec.ax_u, spec.ax_v, spec.component(c)))
     return written
 
 
 def load_spectrum(path) -> SpectrumQ:
-    path = Path(path)
+    """Read the combined spectrum; the component files are derived from it and not read."""
     combined = load_qgrid(path)
-    comps = []
-    for c in range(4):
-        comp = load_qgrid(path.with_name(path.name + f".c{c}"))
-        comps.append(comp.values)
-    return SpectrumQ(combined.ax_x, combined.ax_y, combined.values,
-                     np.stack(comps, axis=0))
+    return SpectrumQ(combined.ax_x, combined.ax_y, combined.values)

@@ -4,8 +4,7 @@ import pytest
 from qpswf.concentration import band_limit
 from qpswf.errors import NonUniformGrid, WindowTooSmall, ZeroSignal
 from qpswf.grid import GridAxis, QSignal, energy
-from qpswf.qft import (_assemble_symmetric, dual_frequency_axes,
-                       dual_frequency_axis, forward_qft, inverse_qft,
+from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft,
                        mask_spectrum, modulate, parseval_check,
                        q_modulus_field, sinc_bandlimit_kernel, spectral_energy,
                        spectrum_from_complex_components)
@@ -31,7 +30,7 @@ def test_zero_signal_zero_spectrum():
     ax_u, ax_v = _axes()
     spec = forward_qft(QSignal.zeros(AX, AX), ax_u, ax_v)
     assert np.all(spec.combined == 0.0)
-    assert np.all(spec.components == 0.0)
+    assert all(np.all(spec.component(c) == 0.0) for c in range(4))
     f = inverse_qft(spec, AX, AX)
     assert np.all(f.values == 0.0)
 
@@ -42,7 +41,7 @@ def test_real_gaussian_spectrum_structure():
     f = QSignal.from_components(AX, AX, g)
     ax_u, ax_v = _axes()
     spec = forward_qft(f, ax_u, ax_v)
-    fc = spec.components[0]
+    fc = spec.component(0)
     # even real input: all sine-quadrature parts vanish
     assert np.abs(fc[..., 1:]).max() < 1e-13 * np.abs(fc[..., 0]).max()
     assert fc[..., 0].max() > 0
@@ -60,7 +59,9 @@ def test_roundtrip_bandlimited():
 def test_symmetric_representation_invariant():
     f, spec = _random_bandlimited(22)
     spec2 = forward_qft(f, spec.ax_u, spec.ax_v)
-    assembled = _assemble_symmetric(spec2.components)
+    i, j = np.eye(4)[1], np.eye(4)[2]
+    f0, f1, f2, f3 = (spec2.component(c) for c in range(4))
+    assembled = f0 + qarr_mul(i, f1) + qarr_mul(f2, j) + qarr_mul(qarr_mul(i, f3), j)
     assert np.abs(assembled - spec2.combined).max() < 1e-15
 
 
@@ -73,7 +74,7 @@ def test_q_modulus_field():
     g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2))
     spec = forward_qft(QSignal.from_components(AX, AX, g), ax_u, ax_v)
     dens = q_modulus_field(spec)
-    only0 = qarr_modulus_sq(spec.components[0])
+    only0 = qarr_modulus_sq(spec.component(0))
     assert np.abs(dens - only0).max() < 1e-14 * dens.max()
 
 
@@ -94,6 +95,31 @@ def test_parseval_window_certification():
         parseval_check(f)
     with pytest.raises(ZeroSignal):
         parseval_check(QSignal.zeros(AX, AX))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_parseval_window_per_axis(transpose):
+    # smooth in x, (-1)^n in y: all spectral energy sits at the v Nyquist edge,
+    # outside the inner 80% of the v window although inside 0.8 u_stop
+    ax_x, ax_y = GridAxis.symmetric(4.0, 129), GridAxis.symmetric(4.0, 33)
+    x = ax_x.samples()
+    vals = np.exp(-x ** 2)[:, None] * (-1.0) ** np.arange(ax_y.count)[None, :]
+    f = (QSignal.from_components(ax_y, ax_x, vals.T) if transpose
+         else QSignal.from_components(ax_x, ax_y, vals))
+    with pytest.raises(WindowTooSmall):
+        parseval_check(f)
+
+
+def test_component_needs_symmetric_axes():
+    f, spec = _random_bandlimited(29)
+    shifted = GridAxis(spec.ax_u.start + spec.ax_u.step, spec.ax_u.step, spec.ax_u.count)
+    off = forward_qft(f, shifted, spec.ax_v)
+    assert np.abs(off.combined[:-1] - spec.combined[1:]).max() \
+        <= 1e-12 * np.abs(spec.combined).max()
+    with pytest.raises(NonUniformGrid):
+        off.component(0)
+    with pytest.raises(NonUniformGrid):
+        q_modulus_field(off)
 
 
 def test_forward_linearity_real_scalars():
@@ -225,11 +251,14 @@ def test_fft_qft_matches_dense_oracle(nx, ny, count):
     f = QSignal(ax_x, ax_y, CounterRng(40 + nx + ny).normal_field((nx, ny, 4)))
     spec = forward_qft(f, ax_u, ax_v)
     assert _rel(spec.combined, _dense_qft(f.values, ax_x, ax_y, ax_u, ax_v, -1)) <= 1e-12
+    q_oracle = 0.0
     for c in range(4):
         only_c = np.zeros_like(f.values)
         only_c[..., 0] = f.component(c)
         oracle = _dense_qft(only_c, ax_x, ax_y, ax_u, ax_v, -1)
-        assert _rel(spec.components[c], oracle) <= 1e-12
+        assert _rel(spec.component(c), oracle) <= 1e-12
+        q_oracle += qarr_modulus_sq(oracle)
+    assert _rel(q_modulus_field(spec), q_oracle) <= 1e-12
     back = inverse_qft(spec, ax_x, ax_y)
     oracle = _dense_qft(spec.combined, ax_u, ax_v, ax_x, ax_y, +1)
     assert _rel(back.values, oracle) <= 1e-12
