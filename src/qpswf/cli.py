@@ -203,7 +203,7 @@ def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
     # per element: lowpass, finite QFT, mu-lambda relation and allpass excess
     residuals = [(0.0, 0.0, 0.0, 0.0)]
     for q, (entry, path) in enumerate(zip(entries, paths)):
-        stored = _read_qgrid(path)
+        stored = _read_qgrid(path) if q else first
         if (stored.ax_x, stored.ax_y) != (basis.ax_x, basis.ax_y):
             raise CliError(2, "manifest", f"{entry['file']}: grid axes differ from those of "
                            f"{entries[0]['file']}")
@@ -324,29 +324,34 @@ def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> in
 
 
 def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
-    from .qft import dual_frequency_axes, dual_frequency_axis, forward_qft, inverse_qft
+    from .qft import _SYM_TOL, dual_frequency_axis, forward_qft, inverse_qft
     from .qgrid_io import load_qgrid, load_spectrum, save_qgrid, save_spectrum
+
+    def dual_axes(*axes):
+        # the opposite direction maps each dual back to its own dual, which must be the axis
+        duals = [dual_frequency_axis(ax) for ax in axes]
+        for ax, back in zip(axes, map(dual_frequency_axis, duals)):
+            if back.count != ax.count or abs(back.start - ax.start) > _SYM_TOL * ax.step:
+                raise ValueError(f"axis of {ax.count} nodes from {ax.start:.6g} is not symmetric"
+                                 " about 0 with an odd count; the opposite direction changes it")
+        return duals
 
     def forward(path):
         sig = load_qgrid(path)
-        if sig.ax_x.count % 2 == 0 or sig.ax_y.count % 2 == 0:
-            raise ValueError("axis counts must be odd; qft inverse cannot restore an even one")
-        return forward_qft(sig, *dual_frequency_axes(sig))
+        return forward_qft(sig, *dual_axes(sig.ax_x, sig.ax_y))
 
     def inverse(path):
-        # the dual of each frequency axis is the spatial axis it came from
         spec = load_spectrum(path)
-        return inverse_qft(spec, dual_frequency_axis(spec.ax_u), dual_frequency_axis(spec.ax_v))
+        return inverse_qft(spec, *dual_axes(spec.ax_u, spec.ax_v))
 
     # only reading and transforming count as a bad input; a failed write is ERROR 2 output
     result = _read_qgrid(input_path, read=forward if direction == "forward" else inverse)
     out.mkdir(parents=True, exist_ok=True)
     if direction == "forward":
         written = save_spectrum(out / "spectrum.qgrid", result)
-        print(f"wrote {', '.join(str(p) for p in written)}")
     else:
-        save_qgrid(out / "signal.qgrid", result)
-        print(f"wrote {out / 'signal.qgrid'}")
+        save_qgrid(written := out / "signal.qgrid", result)
+    print(f"wrote {written}")
     return 0
 
 

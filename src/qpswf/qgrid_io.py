@@ -2,9 +2,8 @@
 
 Layout (little-endian): magic "QGRD", u32 version = 1, u32 nx, u32 ny,
 f64 x0, dx, y0, dy, then nx*ny*4 f64 samples, row-major with the x index
-outermost, component order (w, i, j, k).  Spectra reuse the container with
-the axes interpreted as (u, v); the component spectra derived from the
-combined one get suffixes .c0 - .c3.
+outermost, component order (w, i, j, k).  A spectrum is one such file
+holding the combined F(f), with the axes interpreted as (u, v).
 """
 
 from __future__ import annotations
@@ -68,18 +67,13 @@ def save_csv(path, f: QSignal) -> None:
                 fh.write(",".join(repr(float(c)) for c in row) + "\n")
 
 
-def save_spectrum(path, spec: SpectrumQ) -> list:
-    """Write combined plus the four component spectra, one at a time; returns the paths."""
-    path = Path(path)
+def save_spectrum(path, spec: SpectrumQ) -> Path:
+    """Write the combined spectrum F(f); returns its path."""
     save_qgrid(path, QSignal(spec.ax_u, spec.ax_v, spec.combined))
-    written = [path]
-    for c in range(4):
-        written.append(path.with_name(path.name + f".c{c}"))
-        save_qgrid(written[-1], QSignal(spec.ax_u, spec.ax_v, spec.component(c)))
-    return written
+    return Path(path)
 
 
 def load_spectrum(path) -> SpectrumQ:
-    """Read the combined spectrum; the component files are derived from it and not read."""
+    """Read the combined spectrum F(f); SpectrumQ.component derives each F(f_c)."""
     combined = load_qgrid(path)
     return SpectrumQ(combined.ax_x, combined.ax_y, combined.values)

@@ -471,8 +471,7 @@ def test_qft_cli_roundtrip(extrap_files, tmp_path):
     r = run_cli("--config", str(cfg), "qft", "forward",
                 "--input", str(extrap_files / "truth.qgrid"))
     assert r.returncode == 0, r.stderr
-    for suffix in ("", ".c0", ".c1", ".c2", ".c3"):
-        assert (tmp_path / "q" / f"spectrum.qgrid{suffix}").exists()
+    assert [p.name for p in (tmp_path / "q").iterdir()] == ["spectrum.qgrid"]
     r2 = run_cli("--config", str(cfg), "--output", str(tmp_path / "q2"),
                  "qft", "inverse", "--input", str(tmp_path / "q" / "spectrum.qgrid"))
     assert r2.returncode == 0, r2.stderr
@@ -481,24 +480,6 @@ def test_qft_cli_roundtrip(extrap_files, tmp_path):
     truth = load_qgrid(extrap_files / "truth.qgrid")
     assert np.abs(back.values - truth.values).max() \
         <= 1e-8 * np.abs(truth.values).max()
-
-
-def test_qft_inverse_reads_only_the_combined_spectrum(extrap_files, tmp_path):
-    # inverse uses the combined spectrum alone: without .c0 - .c3 it writes the same bytes
-    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
-    r = run_cli("--config", str(cfg), "qft", "forward",
-                "--input", str(extrap_files / "truth.qgrid"))
-    assert r.returncode == 0, r.stderr
-    spectrum = tmp_path / "q" / "spectrum.qgrid"
-    written = []
-    for out in ("with", "without"):
-        r = run_cli("--config", str(cfg), "--output", str(tmp_path / out),
-                    "qft", "inverse", "--input", str(spectrum))
-        assert r.returncode == 0, r.stderr
-        written.append((tmp_path / out / "signal.qgrid").read_bytes())
-        for c in range(4):
-            spectrum.with_name(f"spectrum.qgrid.c{c}").unlink(missing_ok=True)
-    assert written[0] == written[1]
 
 
 def test_qft_forward_rejects_axis_nodes_not_distinct(tmp_path):
@@ -542,12 +523,15 @@ def test_qft_cli_non_square_roundtrip(tmp_path):
     assert np.abs(back.values - sig.values).max() <= 1e-8 * np.abs(sig.values).max()
 
 
-@pytest.mark.parametrize("counts", [(100, 100), (65, 100)])
+# (nx, ny) on [-4, 4]^2, or (nx, ny, x0) with x on [x0, x0 + 8]
+@pytest.mark.parametrize("counts", [(100, 100), (65, 100), (33, 33, 0.0)])
 def test_qft_forward_rejects_even_axis(tmp_path, counts):
-    # an even axis maps to one frequency fewer, so inverse could not give it back
+    # inverse gives back each axis as a symmetric one with an odd count: an even axis
+    # maps to one frequency fewer, and x on [0, 8] would come back on [-4, 4]
     from qpswf.grid import GridAxis, QSignal
     from qpswf.qgrid_io import save_qgrid
-    ax_x, ax_y = (GridAxis.symmetric(4.0, n) for n in counts)
+    nx, ny, x0 = counts if len(counts) == 3 else (*counts, -4.0)
+    ax_x, ax_y = GridAxis(x0, 8 / (nx - 1), nx), GridAxis.symmetric(4.0, ny)
     x, y = ax_x.samples()[:, None], ax_y.samples()[None, :]
     save_qgrid(tmp_path / "sig.qgrid",
                QSignal.from_components(ax_x, ax_y, np.exp(-3 * (x ** 2 + y ** 2))))
@@ -559,10 +543,26 @@ def test_qft_forward_rejects_even_axis(tmp_path, counts):
     assert not list((tmp_path / "q").glob("spectrum*"))
 
 
+def test_qft_inverse_rejects_even_axis(tmp_path):
+    # a 32-node u axis would come back as a 31-node x axis with a longer step
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax_u, ax_v = GridAxis.symmetric(4.0, 32), GridAxis.symmetric(4.0, 33)
+    u, v = ax_u.samples()[:, None], ax_v.samples()[None, :]
+    save_qgrid(tmp_path / "spec.qgrid",
+               QSignal.from_components(ax_u, ax_v, np.exp(-(u ** 2 + v ** 2))))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", "inverse", "--input", str(tmp_path / "spec.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 qgrid:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "q").exists()
+
+
 def test_qft_forward_unwritable_output(extrap_files, tmp_path):
     # a failed write is an output error, not a bad input
     out = tmp_path / "q"
-    (out / "spectrum.qgrid.c2").mkdir(parents=True)
+    (out / "spectrum.qgrid").mkdir(parents=True)
     r = run_cli("--output", str(out), "qft", "forward",
                 "--input", str(extrap_files / "truth.qgrid"))
     assert r.returncode == 2

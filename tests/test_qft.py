@@ -257,6 +257,9 @@ def test_fft_qft_matches_dense_oracle(nx, ny, count):
         only_c[..., 0] = f.component(c)
         oracle = _dense_qft(only_c, ax_x, ax_y, ax_u, ax_v, -1)
         assert _rel(spec.component(c), oracle) <= 1e-12
+        # qft forward on a file holding f_c alone gives F(f_c)
+        assert _rel(forward_qft(QSignal(ax_x, ax_y, only_c), ax_u, ax_v).combined,
+                    spec.component(c)) <= 1e-12
         q_oracle += qarr_modulus_sq(oracle)
     assert _rel(q_modulus_field(spec), q_oracle) <= 1e-12
     back = inverse_qft(spec, ax_x, ax_y)
