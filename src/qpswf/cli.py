@@ -404,6 +404,9 @@ def main(argv=None) -> int:
         code, check, detail = exc.code, exc.check, exc.detail
     except FloatingPointError as exc:
         code, check, detail = 2, "range", f"{exc}: an input is too large for double precision"
+    except MemoryError as exc:
+        reason = str(exc) or type(exc).__name__
+        code, check, detail = 2, "range", f"{reason}: an input is too large for memory"
     except OSError as exc:
         # every input read is wrapped above, so what reaches here is a write
         code, check, detail = 2, "output", str(exc)

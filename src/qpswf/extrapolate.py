@@ -8,7 +8,10 @@ synthetic problems built from the eigenbasis on the band Gauss rule, where
 the closed-form error law can be checked at full precision, and for
 file-based problems on the dual-lattice bins inside the band.  Each axis's
 step matrix is Hermitian, so the recursion runs in its eigenframe, where
-every mode contracts by its own factor and a step is elementwise.
+every mode contracts by its own factor and a step is elementwise.  The frame
+keeps only the modes whose eigenvalue eigh resolves from 0 (7 of 256 on the
+band Gauss rule at T = W = 1); the truth's content below that cut is not
+iterated but carried as a fixed residual in E_n and sup_e.
 """
 
 from __future__ import annotations
@@ -169,12 +172,17 @@ def _lattice_rule(ax: GridAxis, w_half: float):
 
 
 def _axis_frame(rule, s, w_s, inside):
-    """One axis's step M = F diag(chi_D) E = V diag(lam) V^H: returns (V^H F, lam, V).
+    """One axis's step M = F diag(chi_D) E ~ V diag(lam) V^H: returns (V^H F, lam, V).
 
     E = band_kernel(s, u, w_u) evaluates at the points s and F = conj(E)^T
     diag(w_s) analyses there, so M = E^H diag(w_s chi_D) E is Hermitian.  Its
     entries sqrt(w_u w_u') sum_{s in D} w_s cos(s (u' - u)) / 2 pi are real when
     the rule and the points in D are symmetric about 0 (V is real then).
+    V is n x r with orthonormal columns: the eigenpairs with
+    lam > n eps lam_max for a rule of size n, the eigenvalues eigh resolves
+    from 0 (its backward error is about n eps ||M||).  That keeps 7 of 256 on
+    the band Gauss rule at T = W = 1 and all 3 per axis on the default
+    257-point grid with d = 2, W = 1.
     """
     e = band_kernel(s, *rule)
     f = e.conj().T * w_s
@@ -187,7 +195,9 @@ def _axis_frame(rule, s, w_s, inside):
         lam, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"step matrix eigensolver failed: {exc}") from exc
-    return v.conj().T @ f, lam, v
+    keep = lam > len(lam) * np.finfo(float).eps * lam.max()
+    v = v[:, keep]
+    return v.conj().T @ f, lam[keep], v
 
 
 def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
@@ -200,9 +210,14 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     s = Vx^H spec conj(Vy), where each step is elementwise:
     s <- s + Vx^H G conj(Vy) - (lam_x lam_y^T) * s.  The frame is folded
     into the kernels once (analysis V^H F, synthesis E V, mode tables
-    band conj(V)); V is unitary, so every energy is the same sum of
-    squares.  Synthetic problems take the band Gauss rule and the time Gauss
-    nodes (all in D) and probe 81^2 points over [-3d, 3d]^2; others take the
+    band conj(V)).  V is n x r, the r modes _axis_frame resolves from 0, so
+    a step works on r x r arrays.  Content below that cut is not iterated:
+    there lam ~ 0 and the iteration would leave it in the error, so the
+    truth's part outside the frame is computed once and carried as a fixed
+    residual in E_n and in the probe values.  V's columns are orthonormal,
+    so every in-frame energy is the same sum of squares.  Synthetic
+    problems take the band Gauss rule and the time Gauss nodes (all in D)
+    and probe 81^2 points over [-3d, 3d]^2; others take the
     dual-lattice bins inside the band and the grid nodes, where the
     recursion is pg_step exactly, and probe the grid nodes.
     """
@@ -224,7 +239,8 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
                   for rule, ax in zip(rules, axes)]
         probe_x = [ax.samples() for ax in axes]
     analysis, (lam_x, lam_y), frame = zip(*frames)
-    probe = [band_kernel(x, *rule) @ v for x, rule, v in zip(probe_x, rules, frame)]
+    probe_full = [band_kernel(x, *rule) for x, rule in zip(probe_x, rules)]
+    probe = [k @ v for k, v in zip(probe_full, frame)]
     final = [band_kernel(ax.samples(), *rule) @ v for ax, rule, v in zip(axes, rules, frame)]
 
     truth, residual, residual_energy = None, 0.0, 0.0
@@ -241,10 +257,15 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             return out
 
         truth = modal_spectra(synth.coeffs, np.empty_like(g))
+        # truth - f_n = in-frame error + the truth's fixed out-of-frame part
+        outside = synth.band_spectra() - frame[0] @ truth @ frame[1].T
+        residual = _component_values(outside, *probe_full)
+        residual_energy = _energy(outside)
     else:
         g = _analyse(grid.values, *analysis)
         if problem.truth is not None:
-            # grid energy of truth - f_n = in-band Parseval sum + out-of-band residual energy
+            # grid energy of truth - f_n = in-frame Parseval sum + the energy of the
+            # truth's part outside the frame (out of band or below the cut)
             truth = _analyse(problem.truth.values, *analysis)
             residual = np.moveaxis(problem.truth.values, -1, 0) - _component_values(truth, *final)
             residual_energy = energy(grid.with_values(np.moveaxis(residual, 0, -1)))

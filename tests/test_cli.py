@@ -330,6 +330,20 @@ def test_input_that_overflows_double_precision(tmp_path):
     assert r.stderr.startswith("ERROR 2 range:") and len(r.stderr.splitlines()) == 1
 
 
+def test_input_too_large_for_memory(tmp_path, monkeypatch, capsys):
+    # the solver's MemoryError stands in for a config whose arrays do not fit
+    from qpswf import cli, prolate
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(prolate, "build_basis", fail)
+    code = cli.main(["--config", str(_write_cfg(tmp_path)), "--output", str(tmp_path / "b"),
+                     "basis"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "ERROR 2 range: MemoryError: an input is too large for memory\n"
+
+
 def test_concentration_where_lambda0_rounds_to_one(tmp_path):
     # c = 25: lambda0 is 1.0 in double, so no xi in [sqrt(lambda0), 1) is left
     # and the zero-xi construction needs an even element with lambda2d < 1

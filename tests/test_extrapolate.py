@@ -19,6 +19,9 @@ AX = GridAxis.symmetric(4.0, 129)
 # nodes -4.05 + k/16: those in D = [-0.95, 0.95] are not symmetric about 0,
 # so this axis has a complex step matrix
 OFFSET_AX = GridAxis(-4.05, 1 / 16, 129)
+# step 1/4, so its dual lattice has 21 bins in |u| <= 2 and few of them are
+# concentrated in D = [-0.5, 0.5]
+SUB_CUT_AX = GridAxis.symmetric(16.0, 129)
 
 
 def _grid_truth(seed, ax_x=AX, ax_y=AX, w_half=1.0):
@@ -269,18 +272,22 @@ def _reference_grid_run(problem, max_steps, stop_tol):
 
 
 @pytest.mark.parametrize("case", ["square", "non_square", "offset", "both_offset",
-                                  "not_bandlimited"])
+                                  "not_bandlimited", "sub_cut", "sub_cut_not_bandlimited"])
 def test_grid_run_matches_pg_step(case):
     # W = 2 holds 5 dual-lattice bins on the 129-point axes and 3 on the
     # 97-point one; d = 1 is a node of the symmetric axes and d = 0.95 of the
     # offset one, so a mask one node narrower changes every run.  both_offset
-    # makes both step matrices complex, so it pins the frame's conjugation on x
+    # makes both step matrices complex, so it pins the frame's conjugation on x.
+    # On SUB_CUT_AX, W = 2 holds 21 bins and d = 0.5 leaves 5 step eigenvalues
+    # above the frame's cut, so the truth's rest is carried as a fixed residual
     ax_x, ax_y, d_half = {"square": (AX, AX, 1.0),
                           "non_square": (AX, GridAxis.symmetric(3.0, 97), 1.0),
                           "offset": (AX, OFFSET_AX, 0.95),
                           "both_offset": (OFFSET_AX, OFFSET_AX, 0.95),
-                          "not_bandlimited": (AX, AX, 1.0)}[case]
-    if case == "not_bandlimited":
+                          "not_bandlimited": (AX, AX, 1.0),
+                          "sub_cut": (SUB_CUT_AX, SUB_CUT_AX, 0.5),
+                          "sub_cut_not_bandlimited": (SUB_CUT_AX, SUB_CUT_AX, 0.5)}[case]
+    if case.endswith("not_bandlimited"):
         truth = gaussian_mixed_qsignal(ax_x, ax_y, CounterRng(58), 1.0, 2.0)
     else:
         truth = _grid_truth(59, ax_x, ax_y, w_half=2.0)
@@ -350,6 +357,31 @@ def test_axis_frame_diagonalises_the_step():
     assert np.abs(v.conj().T @ v - np.eye(len(lam))).max() <= 1e-14
     assert np.abs(analysis - v.conj().T @ f).max() <= 1e-14 * np.abs(f).max()
     assert np.all((lam > -1e-14) & (lam < 1 + 1e-14))
+
+
+@pytest.mark.parametrize("case, kept, size", [("band_rule", 7, 256), ("sub_cut", 5, 21),
+                                              ("default_grid", 3, 3)])
+def test_axis_frame_keeps_the_modes_resolved_from_zero(basis36, case, kept, size):
+    # the frame keeps exactly the eigenpairs with lam > n eps lam_max, n the rule size
+    if case == "band_rule":
+        b1 = basis36.basis1d
+        rule, s, w_s, inside = band_rule(b1), b1.nodes, b1.weights, np.ones(len(b1.nodes), bool)
+    else:
+        ax, d_half, w_half = {"sub_cut": (SUB_CUT_AX, 0.5, 2.0),
+                              "default_grid": (GridAxis.symmetric(4.0, 257), 2.0, 1.0)}[case]
+        s, w_s = ax.samples(), ax.trapezoid_weights()
+        rule, inside = _lattice_rule(ax, w_half), np.abs(s) <= d_half + 1e-9
+    e = band_kernel(s, *rule)
+    m = (e.conj().T * (w_s * inside)) @ e
+    full = np.linalg.eigvalsh(m)
+    assert len(full) == size
+    analysis, lam, v = _axis_frame(rule, s, w_s, inside)
+    assert v.shape == (size, kept) and analysis.shape == (kept, len(s))
+    assert np.array_equal(np.sort(lam), lam)
+    assert np.allclose(lam, full[full > size * np.finfo(float).eps * full.max()],
+                       rtol=0, atol=1e-14 * full.max())
+    assert np.abs(v.conj().T @ v - np.eye(kept)).max() <= 1e-14
+    assert np.abs(v @ np.diag(lam) @ v.conj().T - m).max() <= 1e-14 * np.abs(m).max()
 
 
 def test_axis_frame_rejects_a_step_that_is_not_hermitian():
