@@ -200,6 +200,14 @@ def _axis_frame(rule, s, w_s, inside):
     return v.conj().T @ f, lam[keep], v
 
 
+def _axis_kernels(points, rules) -> list:
+    """band_kernel at each axis's points on its rule, built once when both axes share them."""
+    first = band_kernel(points[0], *rules[0])
+    shared = all(np.array_equal(a, b) for a, b in zip((points[0], *rules[0]),
+                                                       (points[1], *rules[1])))
+    return [first, first if shared else band_kernel(points[1], *rules[1])]
+
+
 def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
            stop_tol: float = 1e-10, compare_closed_form: bool = False) -> ExtrapolationTrace:
     """Run the iteration until the relative update drops below stop_tol.
@@ -239,9 +247,9 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
                   for rule, ax in zip(rules, axes)]
         probe_x = [ax.samples() for ax in axes]
     analysis, (lam_x, lam_y), frame = zip(*frames)
-    probe_full = [band_kernel(x, *rule) for x, rule in zip(probe_x, rules)]
+    probe_full = _axis_kernels(probe_x, rules)
     probe = [k @ v for k, v in zip(probe_full, frame)]
-    final = [band_kernel(ax.samples(), *rule) @ v for ax, rule, v in zip(axes, rules, frame)]
+    final = [k @ v for k, v in zip(_axis_kernels([ax.samples() for ax in axes], rules), frame)]
 
     truth, residual, residual_energy = None, 0.0, 0.0
     if synth is not None:

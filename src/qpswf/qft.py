@@ -103,31 +103,47 @@ def _lattice_length(src: GridAxis, dst: GridAxis) -> int:
 
 
 def _fold(z: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
-    """Sum the samples along axis into n periodic bins (index mod n)."""
-    z = np.moveaxis(z, axis, -1)
-    bins = np.zeros(z.shape[:-1] + (n,), dtype=z.dtype)
-    for k in range(0, z.shape[-1], n):
-        bins[..., :min(n, z.shape[-1] - k)] += z[..., k:k + n]
-    return np.moveaxis(bins, -1, axis)
+    """Sum the samples along axis into n periodic bins (index mod n), in place.
+
+    Returns the first n samples along axis, a view of z that holds the bins
+    (z is overwritten); an axis shorter than n is zero-padded into a new array.
+    """
+    m = z.shape[axis]
+    if m < n:
+        pad = [(0, 0)] * z.ndim
+        pad[axis] = (0, n - m)
+        return np.pad(z, pad)
+    lead = (slice(None),) * (axis % z.ndim)
+    for k in range(n, m, n):
+        z[lead + (slice(0, min(n, m - k)),)] += z[lead + (slice(k, k + n),)]
+    return z[lead + (slice(0, n),)]
 
 
-def _lattice_dft(vals: np.ndarray, src: GridAxis, dst: GridAxis, sign: int,
-                 axis: int) -> np.ndarray:
-    """sum_a w_a vals_a e^{sign i s_a t_b} along axis by one length-L FFT.
+def _lattice_dft(z: np.ndarray, src: GridAxis, dst: GridAxis, signs, axis: int) -> list:
+    """sum_a w_a z_a e^{s i s_a t_b} along axis, one array for each sign s in signs.
 
-    With ds dt L = 2*pi, s_a t_b = s0 t_b + a ds t0 + 2*pi a b / L: the
-    a-phase goes on the weighted samples, which fold mod L (the half-weight
-    ends of a dual axis share a bin), the FFT supplies 2*pi a b / L, and the
-    s0 t_b phase goes on the bins gathered mod L.
+    With ds dt L = 2*pi and t0 = k0 dt + r (k0 an integer),
+    s_a t_b = s0 t_b + a ds r + 2*pi a (k0 + b) / L: the a-phase goes on the
+    weighted samples, which fold mod L in place (the half-weight ends of a
+    dual axis share a bin), the FFT bin -s (k0 + b) mod L supplies
+    2*pi a (k0 + b) / L, and the s0 t_b phase goes on the gathered bins.
+    When dst starts on its step lattice (r = 0, as every symmetric odd axis
+    does) the folded samples do not depend on s, so one FFT serves both signs.
     """
     n = _lattice_length(src, dst)
-    pre = np.exp(sign * 1j * src.step * dst.start * np.arange(src.count))
-    z = np.moveaxis(vals, axis, -1) * (src.trapezoid_weights() * pre)
-    bins = np.fft.fft(_fold(z, n)) if sign < 0 else np.fft.ifft(_fold(z, n), norm="forward")
-    # take, unlike bins[..., idx], keeps the result C-ordered
-    out = np.take(bins, np.arange(dst.count) % n, axis=-1) \
-        * np.exp(sign * 1j * src.start * dst.samples())
-    return np.moveaxis(out, -1, axis)
+    k0 = round(dst.start / dst.step)
+    r = dst.start - k0 * dst.step
+    along = (-1,) + (1,) * (z.ndim - 1 - axis % z.ndim)  # a 1D factor broadcast along axis
+    w, a, b = src.trapezoid_weights(), np.arange(src.count), k0 + np.arange(dst.count)
+    sums = []
+    for s in signs:
+        if r or not sums:
+            pre = w * np.exp(s * 1j * src.step * r * a)
+            bins = np.fft.fft(_fold(z * pre.reshape(along), n, axis), axis=axis)
+        out = np.take(bins, -s * b % n, axis=axis)
+        out *= np.exp(s * 1j * src.start * dst.samples()).reshape(along)
+        sums.append(out)
+    return sums
 
 
 def _band_bins(ax: GridAxis, ax_f: GridAxis, w_half: float) -> np.ndarray:
@@ -138,27 +154,43 @@ def _band_bins(ax: GridAxis, ax_f: GridAxis, w_half: float) -> np.ndarray:
     return np.roll(bins, -(ax_f.count // 2))
 
 
-def _combine(ap, am, bp, bm, sign: int) -> np.ndarray:
-    """(A cos - s B sin) + (s A sin + B cos) j over 2pi, as a (..., 4) array.
+def _combine(shape, half, sign: int) -> np.ndarray:
+    """X + Y j = (A cos - s B sin) + (s A sin + B cos) j over 2pi, as a (..., 4) array.
 
-    From the e^{+ivy} (p) and e^{-ivy} (m) sums: cos = (p + m) / 2, sin = (p - m) / 2i.
+    half(0) and half(1) give the e^{+ivy} (p) and e^{-ivy} (m) sums of A and
+    of B, with cos = (p + m) / 2, sin = (p - m) / 2i.  Each pair is added to
+    the complex (X, Y) view of the output and released before the next is
+    made; p is overwritten.
     """
-    x = (ap + am + sign * 1j * (bp - bm)) / (4 * np.pi)
-    y = (bp + bm - sign * 1j * (ap - am)) / (4 * np.pi)
-    return np.stack((x.real, x.imag, y.real, y.imag), axis=-1)
+    out = np.zeros(tuple(shape) + (4,))
+    out_c = out.view(np.complex128)
+    for h in (0, 1):
+        p, m = half(h)
+        out_c[..., h] += p
+        out_c[..., h] += m
+        p -= m
+        p *= (2 * h - 1) * sign * 1j
+        out_c[..., 1 - h] += p
+        del p, m
+    out /= 4 * np.pi
+    return out
 
 
 def _two_sided(values, src_x: GridAxis, src_y: GridAxis, dst_x: GridAxis, dst_y: GridAxis,
                sign: int) -> np.ndarray:
     """(1/2pi) sum w_x w_y e^{s i x u} q(x, y) e^{s j y v} over the src grid, on the dst grid.
 
-    q = A + B j with A = q0 + i q1, B = q2 + i q3: e^{s i x u} commutes with
-    A and B (one complex x-pass each), and e^{s j v y} = cos + s j sin.
+    q = A + B j with A = q0 + i q1, B = q2 + i q3, read as the complex view of
+    the samples: e^{s i x u} commutes with A and B (one complex x-pass each),
+    and e^{s j v y} = cos + s j sin needs the e^{+ivy} and e^{-ivy} y-sums.
     """
-    halves = (_lattice_dft(values[..., h] + 1j * values[..., h + 1], src_x, dst_x, sign, 0)
-              for h in (0, 2))
-    (ap, am), (bp, bm) = ([_lattice_dft(z, src_y, dst_y, s, 1) for s in (1, -1)] for z in halves)
-    return _combine(ap, am, bp, bm, sign)
+    q = np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
+
+    def half(h):
+        (zx,) = _lattice_dft(q[..., h], src_x, dst_x, (sign,), 0)
+        return _lattice_dft(zx, src_y, dst_y, (1, -1), 1)
+
+    return _combine((dst_x.count, dst_y.count), half, sign)
 
 
 def forward_qft(f: QSignal, ax_u: GridAxis, ax_v: GridAxis) -> SpectrumQ:
@@ -178,8 +210,12 @@ def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
     """
     _check_symmetric(ax_v, "frequency v")
     g = np.asarray(g, dtype=complex)
-    am, bm = g[0] + 1j * g[1], g[2] + 1j * g[3]
-    return SpectrumQ(ax_u, ax_v, _combine(am[:, ::-1], am, bm[:, ::-1], bm, -1))
+
+    def half(h):
+        m = g[2 * h] + 1j * g[2 * h + 1]
+        return m[:, ::-1].copy(), m
+
+    return SpectrumQ(ax_u, ax_v, _combine(g.shape[1:], half, -1))
 
 
 def inverse_qft(spec: SpectrumQ, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:

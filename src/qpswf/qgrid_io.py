@@ -8,6 +8,7 @@ holding the combined F(f), with the axes interpreted as (u, v).
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -23,33 +24,38 @@ _HEADER = struct.Struct("<4sIII4d")  # magic, version, nx, ny, x0, dx, y0, dy
 
 
 def save_qgrid(path, f: QSignal) -> None:
-    path = Path(path)
     header = _HEADER.pack(MAGIC, VERSION, f.ax_x.count, f.ax_y.count,
                           f.ax_x.start, f.ax_x.step, f.ax_y.start, f.ax_y.step)
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
-    path.write_bytes(header + payload)
+    payload = np.ascontiguousarray(f.values, dtype="<f8")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(payload).cast("B"))
 
 
 def load_qgrid(path) -> QSignal:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise QgridFormatError(f"{path}: truncated header")
-    magic, version, nx, ny, x0, dx, y0, dy = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise QgridFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise QgridFormatError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + nx * ny * 4 * 8
-    if len(raw) != expected:
-        raise QgridFormatError(f"{path}: size {len(raw)} != expected {expected}")
-    if not np.isfinite([x0, dx, y0, dy]).all() or dx <= 0 or dy <= 0 or nx < 2 or ny < 2:
-        raise QgridFormatError(f"{path}: invalid axis metadata")
-    ax_x, ax_y = GridAxis(x0, dx, int(nx)), GridAxis(y0, dy, int(ny))
-    for name, ax in (("x", ax_x), ("y", ax_y)):
-        if not np.all(np.diff(ax.samples()) > 0):
-            raise QgridFormatError(f"{path}: {name} axis nodes are not distinct in double")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size) \
-        .reshape(nx, ny, 4).astype(np.float64)
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise QgridFormatError(f"{path}: truncated header")
+        magic, version, nx, ny, x0, dx, y0, dy = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise QgridFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise QgridFormatError(f"{path}: unsupported version {version}")
+        expected = _HEADER.size + nx * ny * 4 * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise QgridFormatError(f"{path}: size {size} != expected {expected}")
+        if not np.isfinite([x0, dx, y0, dy]).all() or dx <= 0 or dy <= 0 or nx < 2 or ny < 2:
+            raise QgridFormatError(f"{path}: invalid axis metadata")
+        ax_x, ax_y = GridAxis(x0, dx, int(nx)), GridAxis(y0, dy, int(ny))
+        for name, ax in (("x", ax_x), ("y", ax_y)):
+            if not np.all(np.diff(ax.samples()) > 0):
+                raise QgridFormatError(f"{path}: {name} axis nodes are not distinct in double")
+        values = np.empty((nx, ny, 4), dtype="<f8")
+        if fh.readinto(memoryview(values).cast("B")) != values.nbytes:
+            raise QgridFormatError(f"{path}: truncated samples")
+    values = values.astype(np.float64, copy=False)  # a copy only on big-endian hosts
     if not np.isfinite(values).all():
         raise QgridFormatError(f"{path}: non-finite samples (NaN or Inf)")
     return QSignal(ax_x, ax_y, values)

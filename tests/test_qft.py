@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,50 @@ def test_fft_qft_matches_dense_oracle(nx, ny, count):
         keep = spec.band_mask(w_half)[..., None]
         oracle = _dense_qft(spec.combined * keep, ax_u, ax_v, ax_x, ax_y, +1)
         assert _rel(band_limit(f, w_half, ax_u, ax_v).values, oracle) <= 1e-12
+
+
+# destination axes whose start is off their step lattice take one FFT per
+# sign (x: -4.05 = -64.8 steps); the shifted u axis starts on it but is not
+# symmetric, so the shared y-bins are gathered off centre
+@pytest.mark.parametrize("case", ["inverse_x_off_lattice", "inverse_y_off_lattice",
+                                  "forward_u_shifted"])
+def test_fft_qft_off_centre_axes_match_dense_oracle(case):
+    f = QSignal(AX, AX, CounterRng(46).normal_field((AX.count, AX.count, 4)))
+    ax_u, ax_v = _axes()
+    off = GridAxis(-4.05, 1 / 16, 129)
+    if case == "forward_u_shifted":
+        shifted = GridAxis(ax_u.start + ax_u.step, ax_u.step, ax_u.count)
+        got = forward_qft(f, shifted, ax_v).combined
+        oracle = _dense_qft(f.values, AX, AX, shifted, ax_v, -1)
+    else:
+        spec = forward_qft(f, ax_u, ax_v)
+        ax_x, ax_y = (off, AX) if case == "inverse_x_off_lattice" else (AX, off)
+        got = inverse_qft(spec, ax_x, ax_y).values
+        oracle = _dense_qft(spec.combined, ax_u, ax_v, ax_x, ax_y, +1)
+    assert _rel(got, oracle) <= 1e-12
+
+
+def _alloc_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates on top of what is live when it starts."""
+    fn(*args)  # warm up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_qft_memory_peak():
+    # the output plus the +-v sums of one half and their FFT bins, transformed
+    # one half at a time: about 3x the input, not one copy per pass
+    ax = GridAxis.symmetric(4.0, 257)
+    f = QSignal(ax, ax, CounterRng(47).normal_field((257, 257, 4)))
+    ax_u, ax_v = dual_frequency_axes(f)
+    assert _alloc_peak(forward_qft, f, ax_u, ax_v) <= 3.75 * f.values.nbytes
+    spec = forward_qft(f, ax_u, ax_v)
+    assert _alloc_peak(inverse_qft, spec, ax, ax) <= 3.75 * spec.combined.nbytes
 
 
 def test_band_limit_is_masked_qft_roundtrip():

@@ -1,3 +1,8 @@
+import gc
+import struct
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +45,49 @@ def test_format_errors(tmp_path):
     bad.write_bytes(raw[:4] + (99).to_bytes(4, "little") + raw[8:])
     with pytest.raises(QgridFormatError):
         load_qgrid(bad)
+
+
+@pytest.mark.parametrize("view", ["transposed", "reversed", "float32_reversed"])
+def test_saved_bytes_do_not_depend_on_memory_layout(tmp_path, view):
+    vals = _signal().values
+    vals = {"transposed": vals.transpose(1, 0, 2), "reversed": vals[::-1, ::-1],
+            "float32_reversed": vals.astype(np.float32)[::-1]}[view]
+    ax_x, ax_y = GridAxis.symmetric(2.0, 33), GridAxis.symmetric(1.5, 33)
+    save_qgrid(tmp_path / "view.qgrid", QSignal(ax_x, ax_y, vals))
+    copy = np.ascontiguousarray(vals, dtype=np.float64)
+    save_qgrid(tmp_path / "copy.qgrid", QSignal(ax_x, ax_y, copy))
+    raw = (tmp_path / "view.qgrid").read_bytes()
+    assert raw == (tmp_path / "copy.qgrid").read_bytes()
+    header = struct.pack("<4sIII4d", b"QGRD", 1, 33, 33, ax_x.start, ax_x.step,
+                         ax_y.start, ax_y.step)
+    assert raw == header + copy.astype("<f8").tobytes()
+
+
+def test_loaded_values_are_a_writable_native_array(tmp_path):
+    save_qgrid(tmp_path / "f.qgrid", _signal())
+    values = load_qgrid(tmp_path / "f.qgrid").values
+    assert values.dtype == np.float64 and values.dtype.isnative
+    assert values.flags.c_contiguous and values.flags.writeable
+
+
+@pytest.mark.parametrize("counts", [(34, 33), (33, 32), (2**32 - 1, 2**32 - 1)],
+                         ids=["larger", "smaller", "huge"])
+def test_counts_not_matching_the_size_rejected(tmp_path, monkeypatch, counts):
+    # the counts are u32 at bytes 8 and 12; a file left open on the way out
+    # would warn when collected
+    path = tmp_path / "f.qgrid"
+    save_qgrid(path, _signal())
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = np.array(counts, dtype="<u4").tobytes()
+    path.write_bytes(bytes(raw))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(QgridFormatError, match="size"):
+            load_qgrid(path)
+        gc.collect()
+    assert not unraisable
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
