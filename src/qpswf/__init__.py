@@ -25,7 +25,7 @@ from .concentration import (ComboSignal, EnergyReport, band_limit,
                             least_angle_check, sweep_admissible_region,
                             time_limit)
 from .extrapolate import (ExtrapolationProblem, ExtrapolationTrace,
-                          SyntheticTruth, closed_form_iterate, error_energy,
+                          closed_form_iterate, error_energy,
                           make_synthetic_problem, pg_run, pg_step,
                           pointwise_bound)
 from .grid import (GridAxis, QSignal, Region, angle, energy, inner_product,
@@ -42,7 +42,7 @@ from .quaternion import Quaternion, q_conj, q_modulus, q_mul
 __all__ = [
     "BasisSet2D", "ComboSignal", "EnergyReport", "ExtrapolationProblem",
     "ExtrapolationTrace", "GridAxis", "ProlateBasis1D", "QSignal", "Qpswf2D",
-    "Quaternion", "Region", "SpectrumQ", "SyntheticTruth", "angle",
+    "Quaternion", "Region", "SpectrumQ", "angle",
     "band_limit", "boundary_eta", "build_basis", "build_boundary_signal",
     "build_eta_one_signal", "build_qpswf_basis", "build_sinc_operator",
     "build_zero_xi_signal", "closed_form_iterate", "dual_frequency_axes",

@@ -237,18 +237,15 @@ class SweepResult:
     points: list         # per-construction EnergyReport dicts with a source tag
 
 
-def sweep_admissible_region(basis: BasisSet2D, xi_values=None,
-                            curve_samples: int = 200) -> SweepResult:
-    """Boundary curve plus measured reports of the extremal constructions."""
+def sweep_admissible_region(basis: BasisSet2D) -> SweepResult:
+    """Boundary curve (200 samples) plus measured reports of the extremal constructions,
+    the boundary ones at 10 xi from sqrt(lambda0) to 90% of the way to 1."""
     lam0 = basis.lambda0
     s0 = np.sqrt(lam0)
-    if xi_values is None:
-        xi_values = [x for x in np.linspace(s0, s0 + 0.9 * (1.0 - s0), 10) if s0 <= x < 1.0]
-    xs = np.linspace(s0, 1.0, curve_samples)
-    curve = [(float(x), boundary_eta(float(x), lam0)) for x in xs]
+    curve = [(float(x), boundary_eta(float(x), lam0)) for x in np.linspace(s0, 1.0, 200)]
 
     points = []
-    for xi in xi_values:
+    for xi in [x for x in np.linspace(s0, s0 + 0.9 * (1.0 - s0), 10) if s0 <= x < 1.0]:
         rep = build_boundary_signal(float(xi), basis).report()
         points.append({"source": "boundary", **rep.as_dict()})
     rep = _combo(basis, [(PSI, 0, 1.0)]).report()

@@ -30,42 +30,20 @@ from .signals import ModalField, _analyse, _component_values, _energy
 
 
 @dataclass(frozen=True)
-class SyntheticTruth:
-    """Truth in the span of basis elements: f = sum_j coeffs[j] psi_j."""
-
-    basis: BasisSet2D
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or len(c) > len(self.basis):
-            raise LengthMismatch("coefficients must be a prefix of the basis")
-        object.__setattr__(self, "coeffs", c)
-
-    def lambdas(self) -> np.ndarray:
-        return self.basis.eigenvalues()[: len(self.coeffs)]
-
-    @property
-    def modal(self) -> ModalField:
-        return ModalField.of(self.basis, self.coeffs)
-
-    def band_spectra(self) -> np.ndarray:
-        return self.modal.band_rep().spectra
-
-    def gauss_values(self) -> np.ndarray:
-        """Quaternion nodal values on the time Gauss grid."""
-        return self.modal.nodal_values()
-
-
-@dataclass(frozen=True)
 class ExtrapolationProblem:
-    """Band-limited extrapolation task: recover f from f restricted to D."""
+    """Band-limited extrapolation task: recover f from f restricted to D.
+
+    observed is f on the grid, zero outside D = [-d, d]^2; truth, when known,
+    is f on the same grid.  synthetic, set by make_synthetic_problem, is f as
+    a combination of basis elements (a ModalField without cut terms, on a
+    basis built for T = d and W); pg_run then iterates on the band Gauss rule.
+    """
 
     observed: QSignal
     d_half: float
     w_half: float
     truth: QSignal = None
-    synthetic: SyntheticTruth = field(default=None, repr=False)
+    synthetic: ModalField = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.w_half > 0:
@@ -82,16 +60,26 @@ class ExtrapolationProblem:
             if np.abs(masked - self.observed.values).max() > 1e-12 * scale:
                 raise BadParameters("observation is not the truth restricted to D")
         if self.synthetic is not None:
-            if abs(self.synthetic.basis.t_half - self.d_half) > 1e-12:
+            b = self.synthetic.tables.basis1d
+            if abs(b.t_half - self.d_half) > 1e-12:
                 raise BadParameters("synthetic truth requires a basis built on D")
-            if abs(self.synthetic.basis.w_half - self.w_half) > 1e-12:
+            if abs(b.w_half - self.w_half) > 1e-12:
                 raise BadParameters("synthetic truth requires a basis built for W")
+            if self.synthetic.cut.any():
+                raise BadParameters("synthetic truth must be band-limited (no cut terms)")
 
 
 def make_synthetic_problem(basis: BasisSet2D, coeffs) -> ExtrapolationProblem:
-    """Problem whose truth is a basis combination, observed on D = basis T."""
-    synth = SyntheticTruth(basis, np.asarray(coeffs, dtype=float))
-    truth_q = QSignal(basis.ax_x, basis.ax_y, synth.modal.grid_values())
+    """Problem whose truth is f = sum_j coeffs[j] psi_j, observed on D = basis T.
+
+    coeffs (1D) weight a prefix of the basis, else LengthMismatch.  The truth
+    is kept as its ModalField (synthetic) and sampled on the basis grid (truth).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1 or len(coeffs) > len(basis):
+        raise LengthMismatch("coefficients must be a prefix of the basis")
+    synth = ModalField.of(basis, coeffs)
+    truth_q = QSignal(basis.ax_x, basis.ax_y, synth.grid_values())
     observed = time_limit(truth_q, basis.t_half)
     return ExtrapolationProblem(observed=observed, d_half=basis.t_half,
                                 w_half=basis.w_half, truth=truth_q, synthetic=synth)
@@ -225,7 +213,11 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     residual in E_n and in the probe values.  V's columns are orthonormal,
     so every in-frame energy is the same sum of squares.  Synthetic
     problems take the band Gauss rule and the time Gauss nodes (all in D)
-    and probe 81^2 points over [-3d, 3d]^2; others take the
+    and probe 81^2 points over [-3d, 3d]^2; the truth's band table, its
+    (m, n) matrix psi and its quaternion come from problem.synthetic, and
+    the closed-form iterate at step n is psi * (1 - (1 - lam lam^T)^n)
+    over the 1D eigenvalues lam (element phi_m(x) phi_n(y) contracts by
+    1 - lam_m lam_n per step).  Others take the
     dual-lattice bins inside the band and the grid nodes, where the
     recursion is pg_step exactly, and probe the grid nodes.
     """
@@ -234,7 +226,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     grid, synth = problem.observed, problem.synthetic
     axes = (grid.ax_x, grid.ax_y)
     if synth is not None:
-        b1 = synth.basis.basis1d
+        b1 = synth.tables.basis1d
         reach = max(3 * problem.d_half, *(max(-ax.start, ax.stop) for ax in axes))
         check_phase(len(b1.nodes), (reach + problem.d_half) * problem.w_half, "the grid and probe")
         rules = [band_rule(b1)] * 2
@@ -253,20 +245,22 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
 
     truth, residual, residual_energy = None, 0.0, 0.0
     if synth is not None:
-        g = _analyse(synth.gauss_values(), *analysis)
-        tables = [synth.basis.tables.band @ v.conj() for v in frame]
+        g = _analyse(synth.nodal_values(), *analysis)
+        tables = [synth.tables.band @ v.conj() for v in frame]
+        lam_1d = b1._lam_ld[:len(synth.psi)]
+        # 1 - lambda_m lambda_n, the product rounded once from long double as each lambda2d is
+        decay = 1.0 - np.outer(lam_1d, lam_1d).astype(float)
 
-        def modal_spectra(weights, out):
-            """Eigenframe band coefficients of sum_j weights[j] psi_j, written to out."""
-            modal = ModalField.of(synth.basis, weights)
-            s = tables[0].T @ modal.psi @ tables[1]
-            for o, q in zip(out, modal.coeff.as_array()):
+        def modal_spectra(psi, out):
+            """Eigenframe band coefficients of the (m, n) matrix psi, written to out."""
+            s = tables[0].T @ psi @ tables[1]
+            for o, q in zip(out, synth.coeff.as_array()):
                 np.multiply(s, q, out=o)
             return out
 
-        truth = modal_spectra(synth.coeffs, np.empty_like(g))
+        truth = modal_spectra(synth.psi, np.empty_like(g))
         # truth - f_n = in-frame error + the truth's fixed out-of-frame part
-        outside = synth.band_spectra() - frame[0] @ truth @ frame[1].T
+        outside = synth.band_rep().spectra - frame[0] @ truth @ frame[1].T
         residual = _component_values(outside, *probe_full)
         residual_energy = _energy(outside)
     else:
@@ -299,7 +293,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             sup_e = float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
             bound = pointwise_bound(e_n, half_width)
         if compare_closed_form and synth is not None:
-            cf = modal_spectra(synth.coeffs * (1.0 - (1.0 - synth.lambdas()) ** n), correction)
+            cf = modal_spectra(synth.psi * (1.0 - decay ** n), correction)
             cf_gap = _energy(np.subtract(spec, cf, out=cf)) ** 0.5
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
                              delta=delta, cf_gap=cf_gap))

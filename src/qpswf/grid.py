@@ -9,7 +9,7 @@ which keeps masking idempotent and energy additivity exact on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -109,13 +109,12 @@ class QSignal:
     """Quaternion-valued field sampled on a uniform 2D grid.
 
     values has shape (ax_x.count, ax_y.count, 4), row-major with the x
-    index first; quad_weights is the product trapezoid rule for the grid.
+    index first.
     """
 
     ax_x: GridAxis
     ax_y: GridAxis
     values: np.ndarray
-    quad_weights: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -123,15 +122,12 @@ class QSignal:
             raise BadParameters(
                 f"values shape {v.shape} != ({self.ax_x.count}, {self.ax_y.count}, 4)")
         object.__setattr__(self, "values", v)
-        if self.quad_weights is None:
-            w = np.outer(self.ax_x.trapezoid_weights(), self.ax_y.trapezoid_weights())
-            object.__setattr__(self, "quad_weights", w)
 
     def same_grid(self, other: "QSignal") -> bool:
         return self.ax_x == other.ax_x and self.ax_y == other.ax_y
 
     def with_values(self, values: np.ndarray) -> "QSignal":
-        return QSignal(self.ax_x, self.ax_y, values, self.quad_weights)
+        return QSignal(self.ax_x, self.ax_y, values)
 
     def component(self, c: int) -> np.ndarray:
         return self.values[..., c]
@@ -156,10 +152,12 @@ class QSignal:
 
 
 def _region_weights(f: QSignal, region: Region) -> np.ndarray:
+    """The product trapezoid rule of the region on f's grid."""
     if region.kind is RegionKind.FULL_GRID:
-        return f.quad_weights
-    wx = _axis_region_weights(f.ax_x, region.halfwidth)
-    wy = _axis_region_weights(f.ax_y, region.halfwidth)
+        wx, wy = f.ax_x.trapezoid_weights(), f.ax_y.trapezoid_weights()
+    else:
+        wx = _axis_region_weights(f.ax_x, region.halfwidth)
+        wy = _axis_region_weights(f.ax_y, region.halfwidth)
     return np.outer(wx, wy)
 
 

@@ -101,12 +101,9 @@ def sinc_kernel_ld(d, w_half) -> np.ndarray:
 
 
 def _operator_ld(t_half: float, w_half: float, n: int):
-    """Gauss nodes/weights on [-T, T], the kernel on them and the symmetrized Nystrom matrix."""
+    """Gauss nodes/weights on [-T, T] and the kernel on them."""
     x, w = gauss_rule_ld(n, -t_half, t_half)
-    kern = sinc_kernel_ld(x[:, None] - x[None, :], w_half)
-    sw = np.sqrt(w)
-    a = sw[:, None] * kern * sw[None, :]
-    return x, w, kern, (a + a.T) / 2
+    return x, w, sinc_kernel_ld(x[:, None] - x[None, :], w_half)
 
 
 def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
@@ -115,7 +112,10 @@ def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
         raise BadParameters("T and W must be positive")
     if n < 16:
         raise BadParameters("need at least 16 quadrature nodes")
-    return _operator_ld(t_half, w_half, n)[3].astype(np.float64)
+    _, w, kern = _operator_ld(t_half, w_half, n)
+    sw = np.sqrt(w)
+    a = sw[:, None] * kern * sw[None, :]
+    return ((a + a.T) / 2).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +215,17 @@ class ProlateBasis1D:
         """Kernel frequency scale W/T appearing in the finite-Fourier form."""
         return self.w_half / self.t_half
 
-    def extend_ld(self, k, x, floor: float = _EVAL_FLOOR) -> np.ndarray:
+    def extend_ld(self, k, x) -> np.ndarray:
         """phi_k at arbitrary points via the quadrature extension formula.
 
         k is one mode index, giving shape (len(x),), or an index array,
-        giving one row per mode; every mode shares one kernel.
+        giving one row per mode; every mode shares one kernel.  A mode with
+        lambda_k at or below _EVAL_FLOOR raises EigenvalueTooSmall.
         """
         for j in np.atleast_1d(k):
-            if not self._lam_ld[j] > floor:
+            if not self._lam_ld[j] > _EVAL_FLOOR:
                 raise EigenvalueTooSmall(f"lambda_{j} = {float(self._lam_ld[j]):.3e} "
-                                         f"is below the evaluation floor {floor:.0e}")
+                                         f"is below the evaluation floor {_EVAL_FLOOR:.0e}")
         lam = self._lam_ld[k]
         x = np.atleast_1d(np.asarray(x, dtype=_LD))
         kern = sinc_kernel_ld(x[:, None] - self._x_ld[None, :], self.w_half)
@@ -270,7 +271,7 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     beta = beta * np.where(at0 < 0, -1, 1)
     phi = beta.T @ (scale[:, None] * _legendre_ld(len(beta) - 1, t))
 
-    x, w, kern, _ = _operator_ld(t_half, w_half, n)
+    x, w, kern = _operator_ld(t_half, w_half, n)
     phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None]   # weighted-orthonormal
     # Rayleigh quotients; numpy sums a contiguous row pairwise, where a matmul's
     # running sums leave ~1e-21 of noise (1e-11 relative at lambda_5, c = 1)

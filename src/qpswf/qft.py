@@ -23,6 +23,7 @@ from .quaternion import qarr_left_mul_complex, qarr_modulus_sq
 
 _SYM_TOL = 1e-9
 _LATTICE_TOL = 1e-12  # relative distance of 2*pi/(step product) from an integer
+_TAIL_BUDGET = 1e-10  # parseval_check: largest spectral energy fraction outside 0.8 x the window
 
 
 def _check_symmetric(ax: GridAxis, name: str):
@@ -139,7 +140,10 @@ def _lattice_dft(z: np.ndarray, src: GridAxis, dst: GridAxis, signs, axis: int) 
     for s in signs:
         if r or not sums:
             pre = w * np.exp(s * 1j * src.step * r * a)
-            bins = np.fft.fft(_fold(z * pre.reshape(along), n, axis), axis=axis)
+            bins = _fold(z * pre.reshape(along), n, axis)
+            if not r:
+                del z  # no other sign reads z: free it before the FFT if the caller let go
+            bins = np.fft.fft(bins, axis=axis)
         out = np.take(bins, -s * b % n, axis=axis)
         out *= np.exp(s * 1j * src.start * dst.samples()).reshape(along)
         sums.append(out)
@@ -187,8 +191,9 @@ def _two_sided(values, src_x: GridAxis, src_y: GridAxis, dst_x: GridAxis, dst_y:
     q = np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
 
     def half(h):
-        (zx,) = _lattice_dft(q[..., h], src_x, dst_x, (sign,), 0)
-        return _lattice_dft(zx, src_y, dst_y, (1, -1), 1)
+        # the x-pass result is passed on, not kept, so the y-pass can release it
+        return _lattice_dft(_lattice_dft(q[..., h], src_x, dst_x, (sign,), 0)[0],
+                            src_y, dst_y, (1, -1), 1)
 
     return _combine((dst_x.count, dst_y.count), half, sign)
 
@@ -237,12 +242,12 @@ def spectral_energy(spec: SpectrumQ, w_half: float = None) -> float:
     return float(np.einsum("ij,ij->", w2, q))
 
 
-def parseval_check(f: QSignal, tail_budget: float = 1e-10) -> float:
+def parseval_check(f: QSignal) -> float:
     """Relative discrepancy between grid energy and spectral Q-modulus energy.
 
     The frequency window must capture the spectrum: the Q-modulus energy
     outside |u| <= 0.8 u_stop, |v| <= 0.8 v_stop is required to stay below
-    tail_budget of the total, otherwise WindowTooSmall is raised.
+    _TAIL_BUDGET (1e-10) of the total, otherwise WindowTooSmall is raised.
     """
     ef = energy(f, Region.full())
     if ef <= 0:
@@ -253,9 +258,9 @@ def parseval_check(f: QSignal, tail_budget: float = 1e-10) -> float:
     e_spec = float(wu @ q @ wv)
     iu, iv = (np.abs(ax.samples()) <= 0.8 * ax.stop for ax in axes)
     inner = float((wu * iu) @ q @ (wv * iv))
-    if e_spec - inner > tail_budget * e_spec:
+    if e_spec - inner > _TAIL_BUDGET * e_spec:
         raise WindowTooSmall(
-            f"spectral tail {e_spec - inner:.3e} exceeds budget {tail_budget:.1e} x {e_spec:.3e}")
+            f"spectral tail {e_spec - inner:.3e} exceeds budget {_TAIL_BUDGET:.1e} x {e_spec:.3e}")
     return abs(ef - e_spec) / ef
 
 

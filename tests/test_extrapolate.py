@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, inverse_qft,
                        spectrum_from_complex_components)
 from qpswf.quaternion import qarr_modulus
 from qpswf.rng import CounterRng
-from qpswf.signals import gaussian_mixed_qsignal, random_bandlimited_grid_spectrum
+from qpswf.signals import (ModalField, gaussian_mixed_qsignal,
+                           random_bandlimited_grid_spectrum)
 
 AX = GridAxis.symmetric(4.0, 129)
 # nodes -4.05 + k/16: those in D = [-0.95, 0.95] are not symmetric about 0,
@@ -80,6 +83,17 @@ def test_observation_validation(basis36):
         ExtrapolationProblem(observed=wrong, d_half=1.0, w_half=1.0, truth=truth)
 
 
+def test_synthetic_truth_validation(basis36):
+    with pytest.raises(LengthMismatch):
+        make_synthetic_problem(basis36, np.ones(len(basis36) + 1))
+    with pytest.raises(LengthMismatch):
+        make_synthetic_problem(basis36, np.ones((2, 3)))
+    prob = make_synthetic_problem(basis36, [0.5, -0.25])
+    # a time-limited cut is not band-limited, so it cannot be a synthetic truth
+    with pytest.raises(BadParameters):
+        dataclasses.replace(prob, synthetic=ModalField.of(basis36, [0.5], [0.25]))
+
+
 def test_closed_form_iterate_limits(basis36):
     coeffs = [0.7, -0.3, 0.2]
     lams = basis36.eigenvalues()[:3]
@@ -142,17 +156,19 @@ def test_pg_run_oracle_agreement(basis36):
     assert all(a > b for a, b in zip(energies, energies[1:]))
 
 
-def _explicit_band_run(problem, max_steps, stop_tol):
+def _explicit_band_run(problem, basis, coeffs, max_steps, stop_tol):
     """The band-side iteration written out step by step.
 
     Each step evaluates the iterate's band coefficients (sqrt(w_u w_v) F / 2 pi
     for spectra F) at the time Gauss nodes (T), substitutes the observation
     there (every node lies in D, so the update is g - f at each node) and
-    band-limits the result back onto the band nodes (B).  Returns the rows
+    band-limits the result back onto the band nodes (B).  The closed form
+    comes from the basis and the truth's coefficients.  Returns the rows
     (E_n, sup_e, delta, cf_gap) and the final iterate on the problem grid.
     """
     synth = problem.synthetic
-    b = synth.basis.basis1d
+    b = basis.basis1d
+    lams = basis.eigenvalues()[:len(coeffs)]
     u, wu = band_rule(b)
     sw = np.sqrt(wu / (2 * np.pi))
 
@@ -168,8 +184,8 @@ def _explicit_band_run(problem, max_steps, stop_tol):
     to_nodes = synthesis(b.nodes)
     to_band = sw[:, None] * np.exp(-1j * np.outer(u, b.nodes)) * b.weights
     to_probe = synthesis(np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81))
-    g = synth.gauss_values()
-    truth = synth.band_spectra()
+    g = synth.nodal_values()
+    truth = synth.band_rep().spectra
     spec = np.zeros_like(truth)
     rows = []
     for n in range(1, max_steps + 1):
@@ -179,7 +195,7 @@ def _explicit_band_run(problem, max_steps, stop_tol):
         err = truth - spec
         sup_e = np.sqrt((values(err, to_probe, to_probe) ** 2).sum(axis=-1)).max()
         delta = norm(corr) / norm(spec)
-        cf = closed_form_band_spectra(synth.coeffs, synth.lambdas(), n, synth.basis)
+        cf = closed_form_band_spectra(coeffs, lams, n, basis)
         rows.append((norm(err) ** 2, sup_e, delta, norm(spec - cf)))
         if delta < stop_tol:
             break
@@ -191,10 +207,10 @@ def test_band_run_matches_explicit_iteration(basis36):
     coeffs = CounterRng(57).normal(int(np.sum(basis36.eigenvalues() >= 1e-12)))
     prob = make_synthetic_problem(basis36, coeffs)
     scale = np.sqrt(np.sum(coeffs ** 2))
-    ref, ref_final = _explicit_band_run(prob, 50, 0.0)
+    ref, ref_final = _explicit_band_run(prob, basis36, coeffs, 50, 0.0)
     # a stop_tol between the 20th and 21st updates stops both runs at step 21
     stop_tol = float(np.sqrt(ref[19, 2] * ref[20, 2]))
-    ref_stop, ref_stop_final = _explicit_band_run(prob, 50, stop_tol)
+    ref_stop, ref_stop_final = _explicit_band_run(prob, basis36, coeffs, 50, stop_tol)
     assert len(ref_stop) == 21
     for steps, tol, want, want_final in ((50, 0.0, ref, ref_final),
                                          (50, stop_tol, ref_stop, ref_stop_final)):

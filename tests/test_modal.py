@@ -10,8 +10,8 @@ import pytest
 
 from qpswf.concentration import (CUT, PSI, _combo, build_boundary_signal,
                                  build_zero_xi_signal)
-from qpswf.extrapolate import (SyntheticTruth, closed_form_band_spectra,
-                               closed_form_iterate)
+from qpswf.extrapolate import (closed_form_band_spectra, closed_form_iterate,
+                               make_synthetic_problem)
 from qpswf.grid import GridAxis, Region, region_mask
 from qpswf.prolate import build_basis, gram_matrix
 from qpswf.quaternion import Quaternion, q_mul
@@ -103,13 +103,13 @@ def test_combo_matches_term_loops(basis36, kind):
 
 def test_synthetic_truth_matches_element_loops(basis36):
     coeffs = CounterRng(61).normal(10)
-    synth = SyntheticTruth(basis36, coeffs)
+    synth = make_synthetic_problem(basis36, coeffs).synthetic
     b = basis36.basis1d
     spectra = sum(a * _element_spectra(basis36[j], _axis_band) for j, a in enumerate(coeffs))
     nodal = sum(a * np.outer(b.eigvecs[basis36[j].m], b.eigvecs[basis36[j].n])[..., None]
                 * basis36[j].coeff.as_array() for j, a in enumerate(coeffs))
-    assert _close(synth.band_spectra(), spectra)
-    assert _close(synth.gauss_values(), nodal)
+    assert _close(synth.band_rep().spectra, spectra)
+    assert _close(synth.nodal_values(), nodal)
 
 
 def test_closed_form_matches_element_loops(basis36):
