@@ -3,15 +3,15 @@
 Given a band-limited signal observed only on a square D, the iteration
 replaces the current iterate by the observation on D and band-limits the
 result; the error contracts mode-by-mode with factor (1 - lambda_j) per
-step.  pg_run runs it as one linear recursion on band coefficients: for
+step.  pg_run writes it as one linear recursion on band coefficients: for
 synthetic problems built from the eigenbasis on the band Gauss rule, where
 the closed-form error law can be checked at full precision, and for
-file-based problems on the dual-lattice bins inside the band.  Each axis's
-step matrix is Hermitian, so the recursion runs in its eigenframe, where
-every mode contracts by its own factor and a step is elementwise.  The frame
-keeps only the modes whose eigenvalue eigh resolves from 0 (7 of 256 on the
-band Gauss rule at T = W = 1); the truth's content below that cut is not
-iterated but carried as a fixed residual in E_n and sup_e.
+file-based problems on the dual-lattice bins inside the band.  In the
+eigenframe of each axis's Hermitian step matrix the iterate after n steps is
+the Landweber filter G (1 - (1 - lam)^n) / lam, evaluated in closed form.
+The frame keeps only the modes whose eigenvalue eigh resolves from 0 (7 of
+256 on the band Gauss rule at T = W = 1); the truth's content below that cut
+is not iterated but carried as a fixed residual in E_n and sup_e.
 """
 
 from __future__ import annotations
@@ -196,29 +196,45 @@ def _axis_kernels(points, rules) -> list:
     return [first, first if shared else band_kernel(points[1], *rules[1])]
 
 
+def _landweber(lam):
+    """n -> iterate gain (1 - (1 - lam)^n) / lam and update factor (1 - lam)^n, n = inf too.
+
+    Below lam = 1/2 both come from n log1p(-lam), formed once; from 1/2 up
+    1 - lam is exact and the plain power is used (log1p(-1) = -inf).
+    """
+    small = lam < 0.5
+    log_decay = np.log1p(-np.minimum(lam, 0.5))
+
+    def at(n):
+        decay = np.where(small, np.exp(n * log_decay), (1.0 - lam) ** n)
+        return np.where(small, -np.expm1(n * log_decay), 1.0 - decay) / lam, decay
+    return at
+
+
 def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
            stop_tol: float = 1e-10, compare_closed_form: bool = False) -> ExtrapolationTrace:
     """Run the iteration until the relative update drops below stop_tol.
 
     f <- f + B (g - T f) is the recursion spec <- spec + G - Mx spec My^T on
     f's band coefficients (signals' units, so each energy is a sum of
-    squares).  It runs in the eigenframe of the Hermitian step matrices,
-    s = Vx^H spec conj(Vy), where each step is elementwise:
-    s <- s + Vx^H G conj(Vy) - (lam_x lam_y^T) * s.  The frame is folded
-    into the kernels once (analysis V^H F, synthesis E V, mode tables
-    band conj(V)).  V is n x r, the r modes _axis_frame resolves from 0, so
-    a step works on r x r arrays.  Content below that cut is not iterated:
-    there lam ~ 0 and the iteration would leave it in the error, so the
-    truth's part outside the frame is computed once and carried as a fixed
-    residual in E_n and in the probe values.  V's columns are orthonormal,
-    so every in-frame energy is the same sum of squares.  Synthetic
-    problems take the band Gauss rule and the time Gauss nodes (all in D)
-    and probe 81^2 points over [-3d, 3d]^2; the truth's band table, its
-    (m, n) matrix psi and its quaternion come from problem.synthetic, and
-    the closed-form iterate at step n is psi * (1 - (1 - lam lam^T)^n)
-    over the 1D eigenvalues lam (element phi_m(x) phi_n(y) contracts by
-    1 - lam_m lam_n per step).  Others take the
-    dual-lattice bins inside the band and the grid nodes, where the
+    squares).  In the eigenframe of the Hermitian step matrices,
+    s = Vx^H spec conj(Vy), it is s <- s + Gs - Lam * s elementwise, so row n
+    takes s_n = Gs (1 - (1 - Lam)^n) / Lam and the update Gs (1 - Lam)^(n-1)
+    in closed form from _landweber, with no rounding carried between steps.
+    The frame is folded into the kernels once (analysis V^H F, synthesis
+    E V, mode tables band conj(V)).  V is n x r, the r modes _axis_frame
+    resolves from 0, so a row works on r x r arrays.  Content below that cut
+    is not iterated: there lam ~ 0 and the iteration would leave it in the
+    error, so the truth's part outside the frame is computed once and
+    carried as a fixed residual in E_n and in the probe values.  V's columns
+    are orthonormal, so every in-frame energy is the same sum of squares.
+    Synthetic problems take the band Gauss rule and the time Gauss nodes
+    (all in D) and probe 81^2 points over [-3d, 3d]^2; the truth's band
+    table, its (m, n) matrix psi and its quaternion come from
+    problem.synthetic, and cf_gap compares with the modal closed form
+    psi * (1 - (1 - lam lam^T)^n) over the 1D eigenvalues lam (element
+    phi_m(x) phi_n(y) contracts by 1 - lam_m lam_n per step).  Others take
+    the dual-lattice bins inside the band and the grid nodes, where the
     recursion is pg_step exactly, and probe the grid nodes.
     """
     if max_steps < 1:
@@ -251,14 +267,11 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         # 1 - lambda_m lambda_n, the product rounded once from long double as each lambda2d is
         decay = 1.0 - np.outer(lam_1d, lam_1d).astype(float)
 
-        def modal_spectra(psi, out):
-            """Eigenframe band coefficients of the (m, n) matrix psi, written to out."""
-            s = tables[0].T @ psi @ tables[1]
-            for o, q in zip(out, synth.coeff.as_array()):
-                np.multiply(s, q, out=o)
-            return out
+        def modal_spectra(psi):
+            """Eigenframe band coefficients of the (m, n) matrix psi."""
+            return synth.coeff.as_array()[:, None, None] * (tables[0].T @ psi @ tables[1])
 
-        truth = modal_spectra(synth.psi, np.empty_like(g))
+        truth = modal_spectra(synth.psi)
         # truth - f_n = in-frame error + the truth's fixed out-of-frame part
         outside = synth.band_rep().spectra - frame[0] @ truth @ frame[1].T
         residual = _component_values(outside, *probe_full)
@@ -273,28 +286,25 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             residual_energy = energy(grid.with_values(np.moveaxis(residual, 0, -1)))
 
     half_width = float(np.sqrt(rules[0][1].sum() * rules[1][1].sum()) / 2)
-    contraction = np.outer(lam_x, lam_y)
-    spec = np.zeros_like(g)
-    correction = np.empty_like(g)
+    landweber = _landweber(np.outer(lam_x, lam_y))
+    decay_prev = 1.0  # (1 - Lam)^(n - 1)
     rows = []
     for n in range(1, max_steps + 1):
-        np.multiply(spec, contraction, out=correction)
-        np.subtract(g, correction, out=correction)
-        spec += correction
-
+        gain, decay_n = landweber(n)
+        spec = g * gain
         # delta is 0 when the update and the iterate both vanish, inf when only the iterate does
-        update, norm = _energy(correction) ** 0.5, _energy(spec) ** 0.5
+        update, norm = _energy(g * decay_prev) ** 0.5, _energy(spec) ** 0.5
+        decay_prev = decay_n
         delta = update / norm if norm > 0 else (0.0 if update == 0 else float("inf"))
         e_n = sup_e = bound = cf_gap = float("nan")
         if truth is not None:
-            err = np.subtract(truth, spec, out=correction)  # free until the next step
+            err = truth - spec
             e_n = _energy(err) + residual_energy
             err_probe = _component_values(err, *probe) + residual
             sup_e = float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
             bound = pointwise_bound(e_n, half_width)
         if compare_closed_form and synth is not None:
-            cf = modal_spectra(synth.psi * (1.0 - decay ** n), correction)
-            cf_gap = _energy(np.subtract(spec, cf, out=cf)) ** 0.5
+            cf_gap = _energy(spec - modal_spectra(synth.psi * (1.0 - decay ** n))) ** 0.5
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
                              delta=delta, cf_gap=cf_gap))
         if delta < stop_tol:

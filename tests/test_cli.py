@@ -11,7 +11,8 @@ CFG = {"T": 1.0, "W": 1.0, "grid_halfwidth": 4.0, "grid_n": 129, "quad_n": 128,
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "qpswf.cli", *args],
+    # -W error: a warning would reach stderr beside the ERROR contract, so it fails the test
+    return subprocess.run([sys.executable, "-W", "error", "-m", "qpswf.cli", *args],
                           capture_output=True, text=True)
 
 
@@ -395,6 +396,7 @@ def test_extrapolate_cli(extrap_files, tmp_path):
                 "--problem", str(extrap_files / "problem.json"),
                 "--observation", str(extrap_files / "obs.qgrid"))
     assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
     rows = (tmp_path / "e" / "trace.csv").read_text().splitlines()
     assert rows[0] == "n,E_n,sup_e,bound,delta"
     e1 = float(rows[1].split(",")[1])

@@ -6,7 +6,7 @@ import pytest
 from qpswf.concentration import band_limit, time_limit
 from qpswf.errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
                           WindowTooSmall)
-from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _lattice_rule,
+from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _landweber, _lattice_rule,
                                closed_form_band_spectra, closed_form_iterate, error_energy,
                                make_synthetic_problem, pg_run, pg_step, pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
@@ -123,7 +123,6 @@ def test_error_energy_matches_quadrature(basis36):
     truth = sum(a * basis36[j].values.values for j, a in enumerate(coeffs))
     iterate = closed_form_iterate(coeffs, lams, n, basis36)
     # residual truth - f_n lives in the basis span; measure on the band side
-    from qpswf.extrapolate import closed_form_band_spectra
     from qpswf.signals import BandRep, element_band_rep
     truth_spec = sum(a * element_band_rep(basis36[j]).spectra
                      for j, a in enumerate(coeffs))
@@ -139,6 +138,23 @@ def test_pointwise_bound():
         == pytest.approx(1 / np.sqrt(2))
     with pytest.raises(BadParameters):
         pointwise_bound(-1.0, 1.0)
+
+
+def test_landweber_filter_matches_fifty_digits():
+    # n = 10^6 and n = inf are out of the reach of a step loop; lam = 1/2, the
+    # double below it and 1 sit on both sides of the switch to the plain power
+    mp = pytest.importorskip("mpmath")
+    lam = np.concatenate([np.logspace(-16, 0, 33), [0.5, np.nextafter(0.5, 0.0), 1.0]])
+    landweber = _landweber(lam)
+    with mp.workdps(50):
+        for n in (1, 2, 50, 10 ** 6, np.inf):
+            gain, decay = landweber(n)
+            for x, got_gain, got_decay in zip(lam, gain, decay):
+                want_decay = (1 - mp.mpf(float(x))) ** (mp.inf if n == np.inf else n)
+                want_gain = (1 - want_decay) / mp.mpf(float(x))
+                assert abs(got_gain - want_gain) <= 1e-13 * want_gain, (n, x)
+                if want_decay > 1e-30:
+                    assert abs(got_decay - want_decay) <= 1e-13 * want_decay, (n, x)
 
 
 def test_pg_run_oracle_agreement(basis36):
