@@ -5,12 +5,11 @@ unit-energy signal is bounded by arccos(xi) + arccos(eta_Q) >= arccos of
 sqrt(lambda_0); the constructions here realize the boundary and the
 degenerate edges of that region.
 
-Extremal signals are returned as ComboSignal, a QSignal carrying its exact
-expansion over basis elements and their time-limited cuts.  Reports for
-such signals go through the expansion's modal form (signals.ModalField):
-energies are traces of the 1D time-square and whole-line Grams and band
-ratios come from the band-side Gauss rule, which sidesteps the O(1/X)
-spatial tails that grid windows cannot capture.
+Extremal signals are returned as ComboSignal, a signals.ModalField (a
+combination of basis elements and their time-limited cuts) that reports
+its own energy ratios: energies are traces of the 1D time-square and
+whole-line Grams and band ratios come from the band-side Gauss rule, which
+sidesteps the O(1/X) spatial tails that grid windows cannot capture.
 """
 
 from __future__ import annotations
@@ -68,87 +67,48 @@ class EnergyReport:
                 "angle_sum_deficit": self.angle_sum_deficit}
 
 
-def _report(xi: float, eta: float, lam0: float) -> EnergyReport:
-    xi = float(np.clip(xi, 0.0, 1.0))
-    eta = float(np.clip(eta, 0.0, 1.0))
+def _report(e_time: float, e_band: float, e_total: float, lam0: float) -> EnergyReport:
+    """Report from a signal's energies on the time square, on the band and in total."""
+    if e_total <= 0:
+        raise ZeroSignal("energy_ratios requires a nonzero signal")
+    xi = float(np.clip(np.sqrt(e_time / e_total), 0.0, 1.0))
+    eta = float(np.clip(np.sqrt(e_band / e_total), 0.0, 1.0))
     deficit = float(np.arccos(xi) + np.arccos(eta) - np.arccos(np.sqrt(lam0)))
     return EnergyReport(xi=xi, eta_q=eta, lambda0=lam0, angle_sum_deficit=deficit)
 
 
-@dataclass(frozen=True)
-class ComboSignal(QSignal):
-    """QSignal backed by an exact expansion over basis elements and cuts.
-
-    terms is a tuple of (kind, element_index, real_coefficient) with kind
-    PSI or CUT; the sampled values live on the basis evaluation grid.
-    """
-
-    terms: tuple = ()
-    basis: BasisSet2D = None
-
-    @property
-    def modal(self) -> ModalField:
-        return ModalField.of_terms(self.basis, self.terms)
-
-    def band_spectra(self) -> BandRep:
-        """Band coefficients of the combination's band-limited part."""
-        return self.modal.band_rep()
-
-    def time_energy(self) -> float:
-        return self.modal.time_energy()
-
-    def total_energy(self) -> float:
-        """Exact energy from the Gram identities of the expansion."""
-        return self.modal.total_energy()
+class ComboSignal(ModalField):
+    """A ModalField that reports its energy ratios against its own basis."""
 
     def report(self) -> EnergyReport:
-        e_total = self.total_energy()
-        if e_total <= 0:
-            raise ZeroSignal("combination has zero energy")
-        xi = np.sqrt(self.time_energy() / e_total)
-        eta = np.sqrt(self.band_spectra().total_energy() / e_total)
-        return _report(xi, eta, self.basis.lambda0)
-
-
-def _combo(basis: BasisSet2D, terms) -> ComboSignal:
-    terms = tuple(terms)
-    return ComboSignal(ax_x=basis.ax_x, ax_y=basis.ax_y,
-                       values=ModalField.of_terms(basis, terms).grid_values(),
-                       terms=terms, basis=basis)
+        # the long-double product that BasisSet2D.lambda0 rounds for element 0
+        lam = self.tables.basis1d._lam_ld
+        return _report(self.time_energy(), self.band_rep().total_energy(),
+                       self.total_energy(), float(lam[0] * lam[0]))
 
 
 def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:
-    """Energy ratio report for a sampled signal against the basis's (T, W).
+    """Energy ratio report for a grid signal against the basis's (T, W).
 
-    ComboSignal inputs are measured through their exact expansions.  For
-    plain grid signals the time ratio uses the region-restricted trapezoid
-    rule and the band ratio integrates the Q-modulus density over the band
-    with the basis's band Gauss rule; total energy is the grid energy, which
-    is accurate when the signal has negligible mass at the grid edge.
-    lambda_0 is the basis's leading 2D eigenvalue.
+    The time ratio uses the region-restricted trapezoid rule and the band
+    ratio integrates the Q-modulus density over the band with the basis's
+    band Gauss rule; total energy is the grid energy, which is accurate when
+    the signal has negligible mass at the grid edge.  lambda_0 is the
+    basis's leading 2D eigenvalue.  Extremal constructions report through
+    ComboSignal.report instead.
     """
-    if isinstance(f, ComboSignal):
-        return f.report()
     e_total = energy(f, Region.full())
-    if e_total <= 0:
-        raise ZeroSignal("energy_ratios requires a nonzero signal")
     e_time = energy(f, Region.square(basis.t_half))
-
     rule = band_rule(basis.basis1d)
     fx, fy = (band_kernel(ax.samples(), *rule).conj().T * ax.trapezoid_weights()
               for ax in (f.ax_x, f.ax_y))
-    e_band = _energy(_analyse(f.values, fx, fy))
-
-    return _report(np.sqrt(e_time / e_total), np.sqrt(e_band / e_total), basis.lambda0)
+    return _report(e_time, _energy(_analyse(f.values, fx, fy)), e_total, basis.lambda0)
 
 
 def energy_ratios_band(f: BandRep, basis: BasisSet2D) -> EnergyReport:
     """Report for an exactly band-limited signal given on the band side."""
     e_total = f.total_energy()
-    if e_total <= 0:
-        raise ZeroSignal("energy_ratios requires a nonzero signal")
-    xi = np.sqrt(f.time_energy() / e_total)
-    return _report(xi, 1.0, basis.lambda0)
+    return _report(f.time_energy(), e_total, e_total, basis.lambda0)
 
 
 def energy_ratios_time_nodal(nodal: np.ndarray, basis: BasisSet2D) -> EnergyReport:
@@ -156,10 +116,8 @@ def energy_ratios_time_nodal(nodal: np.ndarray, basis: BasisSet2D) -> EnergyRepo
     b = basis.basis1d
     dens = np.einsum("ijc,ijc->ij", nodal, nodal)
     e_total = float(np.einsum("i,j,ij->", b.weights, b.weights, dens))
-    if e_total <= 0:
-        raise ZeroSignal("energy_ratios requires a nonzero signal")
-    e_band = band_rep_from_time_nodal(b, nodal).total_energy()
-    return _report(1.0, np.sqrt(e_band / e_total), basis.lambda0)
+    return _report(e_total, band_rep_from_time_nodal(b, nodal).total_energy(), e_total,
+                   basis.lambda0)
 
 
 def least_angle_check(basis: BasisSet2D) -> tuple[float, float]:
@@ -182,7 +140,7 @@ def build_boundary_signal(xi: float, basis: BasisSet2D) -> ComboSignal:
         raise XiOutOfRange(f"xi must lie in [sqrt(lambda0), 1) = [{np.sqrt(lam0):.6f}, 1)")
     p = np.sqrt((1 - xi ** 2) / (1 - lam0))
     q = xi / np.sqrt(lam0) - p
-    return _combo(basis, [(PSI, 0, float(p)), (CUT, 0, float(q))])
+    return ComboSignal.of_terms(basis, [(PSI, 0, float(p)), (CUT, 0, float(q))])
 
 
 def build_zero_xi_signal(n_index: int, basis: BasisSet2D) -> ComboSignal:
@@ -199,7 +157,7 @@ def build_zero_xi_signal(n_index: int, basis: BasisSet2D) -> ComboSignal:
     if not el.lambda2d < 1.0:
         raise BadIndex("eigenvalue must be < 1")
     s = 1.0 / np.sqrt(1.0 - el.lambda2d)
-    return _combo(basis, [(PSI, n_index, s), (CUT, n_index, -s)])
+    return ComboSignal.of_terms(basis, [(PSI, n_index, s), (CUT, n_index, -s)])
 
 
 def build_eta_one_signal(xi: float, basis: BasisSet2D, n_index: int = None) -> ComboSignal:
@@ -218,12 +176,14 @@ def build_eta_one_signal(xi: float, basis: BasisSet2D, n_index: int = None) -> C
                 break
         else:
             raise NoAdmissibleIndex(f"no element with lambda < xi^2 = {xi ** 2:.3e}")
+    elif not 0 <= n_index < len(basis):
+        raise BadIndex(f"element {n_index} not in basis")
     lam_n = basis[n_index].lambda2d
     if not lam_n < xi ** 2:
         raise NoAdmissibleIndex(f"element {n_index} has lambda = {lam_n:.3e} >= xi^2")
     a0 = np.sqrt((xi ** 2 - lam_n) / (lam0 - lam_n))
     an = np.sqrt((lam0 - xi ** 2) / (lam0 - lam_n))
-    return _combo(basis, [(PSI, 0, float(a0)), (PSI, n_index, float(an))])
+    return ComboSignal.of_terms(basis, [(PSI, 0, float(a0)), (PSI, n_index, float(an))])
 
 
 def boundary_eta(xi: float, lam0: float) -> float:
@@ -248,7 +208,7 @@ def sweep_admissible_region(basis: BasisSet2D) -> SweepResult:
     for xi in [x for x in np.linspace(s0, s0 + 0.9 * (1.0 - s0), 10) if s0 <= x < 1.0]:
         rep = build_boundary_signal(float(xi), basis).report()
         points.append({"source": "boundary", **rep.as_dict()})
-    rep = _combo(basis, [(PSI, 0, 1.0)]).report()
+    rep = ComboSignal.of(basis, [1.0]).report()
     points.append({"source": "psi0", **rep.as_dict()})
     for q in range(len(basis)):
         el = basis[q]

@@ -397,13 +397,6 @@ class Qpswf2D:
         outer = (t.ext_x[self.m][:, None] * t.ext_y[self.n][None, :]).astype(np.float64)
         return QSignal(t.ax_x, t.ax_y, outer[..., None] * self.coeff.as_array()[None, None, :])
 
-    def gauss_field_ld(self) -> np.ndarray:
-        """coeff * phi_m(x) phi_n(y) on the Gauss x Gauss grid, long double."""
-        b = self.basis1d
-        outer = b._phi_ld[self.m][:, None] * b._phi_ld[self.n][None, :]
-        comps = self.coeff.as_array()
-        return outer[..., None].astype(_LD) * comps[None, None, :].astype(_LD)
-
 
 @dataclass(frozen=True)
 class BasisSet2D:
@@ -491,19 +484,20 @@ def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
     if len(pairs) < count:
         raise BadParameters("1D basis too small for the requested 2D count")
     selected = pairs[:count]
-    smallest = float(lam[selected[-1][0]] * lam[selected[-1][1]])
-    boundary = float(max(lam[0], 0) * max(lam[n1 - 1], 0))
-    if boundary > smallest:
-        raise BadParameters(
-            "1D basis too short to order the requested 2D selection; "
-            f"need lambda_0*lambda_last <= {smallest:.3e}, got {boundary:.3e}")
-
+    # the floor first: a selection from more modes needs a below-floor mode too,
+    # so build_basis would grow the 1D basis in vain
     n_modes = 1 + max(max(mn) for mn in selected)
     for k in range(n_modes):
         if not lam[k] > _EVAL_FLOOR:
             raise EigenvalueTooSmall(
                 f"1D mode {k} (lambda = {float(lam[k]):.3e}) cannot be evaluated "
                 "in extended precision; reduce the basis count")
+    smallest = float(lam[selected[-1][0]] * lam[selected[-1][1]])
+    boundary = float(max(lam[0], 0) * max(lam[n1 - 1], 0))
+    if boundary > smallest:
+        raise BadParameters(
+            "1D basis too short to order the requested 2D selection; "
+            f"need lambda_0*lambda_last <= {smallest:.3e}, got {boundary:.3e}")
 
     tables = _mode_tables(basis1d, n_modes, ax_x, ax_y)
     items = tuple(Qpswf2D(m=m, n=n, lambda2d=float(lam[m] * lam[n]), coeff=coeff,

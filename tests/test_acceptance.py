@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from qpswf.concentration import (PSI, _combo, build_boundary_signal,
+from qpswf.concentration import (ComboSignal, build_boundary_signal,
                                  build_zero_xi_signal, energy_ratios,
                                  energy_ratios_band, energy_ratios_time_nodal,
                                  sweep_admissible_region)
@@ -124,7 +124,7 @@ def test_criterion_5_concentration_extremals(basis36, tmp_path):
         worst_xi = max(worst_xi, energy_ratios_band(f, basis36).xi)
     ok_a = worst_xi <= s0 + 1e-8
 
-    rep0 = _combo(basis36, [(PSI, 0, 1.0)]).report()
+    rep0 = ComboSignal.of(basis36, [1.0]).report()
     ok_b = abs(rep0.xi ** 2 - lam0) <= 1e-6 and abs(rep0.eta_q - 1.0) <= 1e-6
 
     worst_deficit_b = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qpswf.concentration import (CUT, PSI, _combo, band_limit, boundary_eta,
+from qpswf.concentration import (CUT, PSI, ComboSignal, band_limit, boundary_eta,
                                  build_boundary_signal, build_eta_one_signal,
                                  build_zero_xi_signal, energy_ratios,
                                  energy_ratios_band, energy_ratios_time_nodal,
@@ -12,7 +12,7 @@ from qpswf.errors import (BadIndex, NoAdmissibleIndex, RegionOutOfGrid,
 from qpswf.grid import GridAxis, QSignal, Region, angle, energy, region_mask
 from qpswf.qft import _sinc_factor, modulate
 from qpswf.rng import CounterRng
-from qpswf.signals import (gaussian_mixed_qsignal, random_bandlimited,
+from qpswf.signals import (ModalField, gaussian_mixed_qsignal, random_bandlimited,
                            random_time_nodal)
 
 AX = GridAxis.symmetric(4.0, 129)
@@ -120,7 +120,7 @@ def test_energy_ratios_time_supported(basis36):
 
 
 def test_psi0_extremal_report(basis36):
-    rep = _combo(basis36, [(PSI, 0, 1.0)]).report()
+    rep = ComboSignal.of(basis36, [1.0]).report()
     lam0 = basis36.lambda0
     assert rep.xi ** 2 == pytest.approx(lam0, abs=1e-6)
     assert rep.eta_q == pytest.approx(1.0, abs=1e-6)
@@ -163,9 +163,8 @@ def test_boundary_signals(basis36):
     s0 = np.sqrt(lam0)
     # xi = sqrt(lambda0) collapses to psi_0 itself
     g = build_boundary_signal(s0, basis36)
-    terms = dict(((k, q), r) for k, q, r in g.terms)
-    assert terms[(PSI, 0)] == pytest.approx(1.0, rel=1e-12)
-    assert terms[(CUT, 0)] == pytest.approx(0.0, abs=1e-12)
+    assert g.psi[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert g.cut[0, 0] == pytest.approx(0.0, abs=1e-12)
     for xi in (s0, 0.7, 0.9, 0.99):
         rep = build_boundary_signal(xi, basis36).report()
         assert rep.xi == pytest.approx(xi, abs=1e-6)
@@ -196,7 +195,7 @@ def test_zero_xi_odd_case_reported(basis36):
              if basis36[i].m % 2 == 1 and basis36[i].n % 2 == 1)
     el = basis36[q]
     s = 1.0 / np.sqrt(1.0 - el.lambda2d)
-    g = _combo(basis36, [(PSI, q, s), (CUT, q, -s)])
+    g = ComboSignal.of_terms(basis36, [(PSI, q, s), (CUT, q, -s)])
     rep = g.report()
     formal = (1.0 + el.lambda2d ** 2) / (1.0 - el.lambda2d)
     assert formal > 1.0
@@ -215,6 +214,9 @@ def test_eta_one_signal(basis36):
     # element 1 has lambda ~ 0.036 > xi^2 = 0.0225: not admissible
     with pytest.raises(NoAdmissibleIndex):
         build_eta_one_signal(0.15, basis36, n_index=1)
+    for bad in (36, 100, -1, -36):
+        with pytest.raises(BadIndex):
+            build_eta_one_signal(0.3, basis36, n_index=bad)
 
 
 def test_not_both_limited(basis36):
@@ -230,8 +232,7 @@ def test_not_both_limited(basis36):
 def test_duality_equality_case(basis36):
     # D_T psi_0 attains eta = sqrt(lambda0) among time-limited signals
     b1 = basis36.basis1d
-    el = basis36[0]
-    nodal = el.gauss_field_ld().astype(float)
+    nodal = ComboSignal.of(basis36, [1.0]).nodal_values()
     rep = energy_ratios_time_nodal(nodal, basis36)
     assert rep.eta_q == pytest.approx(np.sqrt(basis36.lambda0), abs=1e-6)
     # and no random time-limited signal beats it
@@ -257,7 +258,7 @@ def test_admissibility_mixed(basis36):
 def test_modulated_escape(basis36):
     q = next(i for i in range(1, len(basis36))
              if basis36[i].m % 2 == 0 and basis36[i].n % 2 == 0)
-    g = build_zero_xi_signal(q, basis36)
+    g = QSignal(basis36.ax_x, basis36.ax_y, build_zero_xi_signal(q, basis36).grid_values())
     etas = []
     for r in (0.0, 2.0, 4.0, 8.0, 16.0):
         fm = modulate(g, r)
@@ -268,8 +269,17 @@ def test_modulated_escape(basis36):
     assert etas[-1] < 0.01
 
 
-def test_sweep(basis36):
+def test_sweep(basis36, monkeypatch):
+    # the reports come from the 1D tables: the sweep samples no grid
+    calls, grid_values = [], ModalField.grid_values
+
+    def counted_grid_values(self):
+        calls.append(self)
+        return grid_values(self)
+
+    monkeypatch.setattr(ModalField, "grid_values", counted_grid_values)
     sweep = sweep_admissible_region(basis36)
+    assert not calls
     lam0 = basis36.lambda0
     assert sweep.curve[0][1] == pytest.approx(1.0, abs=1e-12)
     assert sweep.curve[-1][1] == pytest.approx(np.sqrt(lam0), abs=1e-12)

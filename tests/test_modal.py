@@ -8,7 +8,7 @@ combinations became (m, n) coefficient matrices over 1D factor tables.
 import numpy as np
 import pytest
 
-from qpswf.concentration import (CUT, PSI, _combo, build_boundary_signal,
+from qpswf.concentration import (CUT, PSI, ComboSignal, build_boundary_signal,
                                  build_zero_xi_signal)
 from qpswf.extrapolate import (closed_form_band_spectra, closed_form_iterate,
                                make_synthetic_problem)
@@ -91,14 +91,16 @@ def test_combo_matches_term_loops(basis36, kind):
     elif kind == "zero_xi":
         g = build_zero_xi_signal(_zero_xi_index(basis36), basis36)
     else:
-        g = _combo(basis36, [(PSI, 0, 0.7), (CUT, 3, -0.4), (PSI, 7, 0.2),
-                             (CUT, 0, 0.3), (PSI, 3, 0.1)])
-    spectra, nodal, time_energy, total, values = _reference_combo(basis36, g.terms)
-    assert _close(g.band_spectra().spectra, spectra)
-    assert _close(g.modal.nodal_values(), nodal, scale=np.abs(values).max())
+        g = ComboSignal.of_terms(basis36, [(PSI, 0, 0.7), (CUT, 3, -0.4), (PSI, 7, 0.2),
+                                           (CUT, 0, 0.3), (PSI, 3, 0.1)])
+    terms = [(kind, q, mat[m, n]) for kind, mat in ((PSI, g.psi), (CUT, g.cut))
+             for q, (m, n) in enumerate(basis36.modes) if mat[m, n]]
+    spectra, nodal, time_energy, total, values = _reference_combo(basis36, terms)
+    assert _close(g.band_rep().spectra, spectra)
+    assert _close(g.nodal_values(), nodal, scale=np.abs(values).max())
     assert _close(g.total_energy(), total)
     assert _close(g.time_energy(), time_energy, scale=total)
-    assert _close(g.values, values)
+    assert _close(g.grid_values(), values)
 
 
 def test_synthetic_truth_matches_element_loops(basis36):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qpswf import prolate
 from qpswf.errors import (BadIndex, BadParameters, ConvergenceFailure,
                           EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
 from qpswf.grid import Region
@@ -321,7 +322,18 @@ def test_completeness_proxy(basis36):
         assert captured <= 1.0 + 1e-9
 
 
-def test_build_basis_selection_safety():
+def test_build_basis_selection_safety(monkeypatch):
     # requesting more elements than extended precision can evaluate fails loudly
-    with pytest.raises((EigenvalueTooSmall, BadParameters)):
+    with pytest.raises(EigenvalueTooSmall):
         build_basis(1.0, 1.0, 128, 100)
+    # and after one solve: growing the 1D basis cannot lift a mode above the floor
+    calls, solve = [], prolate.eig_prolate_1d
+
+    def counted_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(prolate, "eig_prolate_1d", counted_solve)
+    with pytest.raises(EigenvalueTooSmall):
+        build_basis(1.0, 1.0, 256, 100)
+    assert len(calls) == 1
