@@ -81,10 +81,8 @@ class ComboSignal(ModalField):
     """A ModalField that reports its energy ratios against its own basis."""
 
     def report(self) -> EnergyReport:
-        # the long-double product that BasisSet2D.lambda0 rounds for element 0
-        lam = self.tables.basis1d._lam_ld
         return _report(self.time_energy(), self.band_rep().total_energy(),
-                       self.total_energy(), float(lam[0] * lam[0]))
+                       self.total_energy(), float(self.tables.lambda2d[0, 0]))
 
 
 def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:

@@ -263,9 +263,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     if synth is not None:
         g = _analyse(synth.nodal_values(), *analysis)
         tables = [synth.tables.band @ v.conj() for v in frame]
-        lam_1d = b1._lam_ld[:len(synth.psi)]
-        # 1 - lambda_m lambda_n, the product rounded once from long double as each lambda2d is
-        decay = 1.0 - np.outer(lam_1d, lam_1d).astype(float)
+        decay = 1.0 - synth.tables.lambda2d
 
         def modal_spectra(psi):
             """Eigenframe band coefficients of the (m, n) matrix psi."""

@@ -10,12 +10,11 @@ which keeps masking idempotent and energy additivity exact on the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import BadParameters, GridMismatch, RegionOutOfGrid, ZeroSignal
-from .quaternion import Quaternion, qarr_conj, qarr_modulus_sq, qarr_mul
+from .quaternion import Quaternion, qarr, qarr_conj, qarr_modulus_sq, qarr_mul
 
 # node-coordinate comparisons tolerate this fraction of one step
 _NODE_TOL = 1e-9
@@ -58,50 +57,41 @@ class GridAxis:
         return GridAxis(-halfwidth, step, count)
 
 
-class RegionKind(Enum):
-    FULL_GRID = "full"
-    CENTERED_SQUARE = "square"
-
-
 @dataclass(frozen=True, slots=True)
 class Region:
-    """Integration/masking region: the whole grid or [-h, h] x [-h, h]."""
+    """Integration/masking region: [-h, h] x [-h, h], or the whole grid when h is None."""
 
-    kind: RegionKind
-    halfwidth: float = 0.0
+    halfwidth: float = None
 
     def __post_init__(self):
-        if self.kind is RegionKind.CENTERED_SQUARE and not (self.halfwidth > 0):
-            raise BadParameters("CenteredSquare halfwidth must be > 0")
+        if self.halfwidth is not None and not (self.halfwidth > 0):
+            raise BadParameters("square halfwidth must be > 0")
 
     @staticmethod
     def full() -> "Region":
-        return Region(RegionKind.FULL_GRID)
+        return Region()
 
     @staticmethod
     def square(halfwidth: float) -> "Region":
-        return Region(RegionKind.CENTERED_SQUARE, halfwidth)
-
-
-def _axis_region_weights(ax: GridAxis, h: float) -> np.ndarray:
-    """Trapezoid weights of [-h, h] restricted to the axis nodes."""
-    x = ax.samples()
-    tol = _NODE_TOL * ax.step
-    if x[0] > -h + tol or x[-1] < h - tol:
-        raise RegionOutOfGrid(f"region [-{h}, {h}] exceeds axis [{x[0]}, {x[-1]}]")
-    inside = np.abs(x) <= h + tol
-    w = np.where(inside, ax.step, 0.0)
-    on_edge = inside & (np.abs(np.abs(x) - h) <= tol)
-    w[on_edge] = ax.step / 2
-    return w
+        return Region(halfwidth)
 
 
 def _axis_region_mask(ax: GridAxis, h: float) -> np.ndarray:
+    """Node membership of the closed interval [-h, h]; RegionOutOfGrid if it leaves the axis."""
     x = ax.samples()
     tol = _NODE_TOL * ax.step
     if x[0] > -h + tol or x[-1] < h - tol:
         raise RegionOutOfGrid(f"region [-{h}, {h}] exceeds axis [{x[0]}, {x[-1]}]")
     return np.abs(x) <= h + tol
+
+
+def _axis_region_weights(ax: GridAxis, h: float) -> np.ndarray:
+    """Trapezoid weights of [-h, h] restricted to the axis nodes."""
+    inside = _axis_region_mask(ax, h)
+    w = np.where(inside, ax.step, 0.0)
+    on_edge = inside & (np.abs(np.abs(ax.samples()) - h) <= _NODE_TOL * ax.step)
+    w[on_edge] = ax.step / 2
+    return w
 
 
 @dataclass(frozen=True)
@@ -141,19 +131,13 @@ class QSignal:
 
     @staticmethod
     def from_components(ax_x: GridAxis, ax_y: GridAxis, w, x=None, y=None, z=None) -> "QSignal":
-        shape = (ax_x.count, ax_y.count)
-        comps = []
-        for c in (w, x, y, z):
-            if c is None:
-                comps.append(np.zeros(shape))
-            else:
-                comps.append(np.broadcast_to(np.asarray(c, dtype=float), shape))
-        return QSignal(ax_x, ax_y, np.stack(comps, axis=-1))
+        w = np.broadcast_to(np.asarray(w, dtype=float), (ax_x.count, ax_y.count))
+        return QSignal(ax_x, ax_y, qarr(w, *(0.0 if c is None else c for c in (x, y, z))))
 
 
 def _region_weights(f: QSignal, region: Region) -> np.ndarray:
     """The product trapezoid rule of the region on f's grid."""
-    if region.kind is RegionKind.FULL_GRID:
+    if region.halfwidth is None:
         wx, wy = f.ax_x.trapezoid_weights(), f.ax_y.trapezoid_weights()
     else:
         wx = _axis_region_weights(f.ax_x, region.halfwidth)
@@ -163,7 +147,7 @@ def _region_weights(f: QSignal, region: Region) -> np.ndarray:
 
 def region_mask(f: QSignal, region: Region) -> np.ndarray:
     """Boolean node membership of the closed region."""
-    if region.kind is RegionKind.FULL_GRID:
+    if region.halfwidth is None:
         return np.ones((f.ax_x.count, f.ax_y.count), dtype=bool)
     mx = _axis_region_mask(f.ax_x, region.halfwidth)
     my = _axis_region_mask(f.ax_y, region.halfwidth)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (BadIndex, BadParameters, ConvergenceFailure,
                      EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
-from .grid import GridAxis, QSignal, Region, RegionKind
+from .grid import GridAxis, QSignal, Region
 from .quaternion import Quaternion, q_mul
 
 _LD = np.longdouble
@@ -350,6 +350,7 @@ class ModeTables:
     cut: np.ndarray             # (M, N) complex, the same for phi_k restricted to [-T, T]
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
     gram_r: np.ndarray          # (M, M) long double, <phi_a, phi_b> on the line
+    lambda2d: np.ndarray        # (M, M) float64, lambda_a lambda_b rounded once from long double
     _windows: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -367,10 +368,12 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
     # whole-line Gram from the band-side self-similarity:
     # <phi_a, phi_b>_R = (W/T)/(2 pi) mu_a conj(mu_b) / (lambda_a lambda_b) <phi_a, phi_b>_T
     mu, lam = b._mu_ld[:m], b._lam_ld[:m]
+    lam2 = lam[:, None] * lam[None, :]
     scale = (_LD(b.w_half) / _LD(b.t_half) / (2 * _LD(np.pi))) \
-        * mu[:, None] * np.conj(mu)[None, :] / (lam[:, None] * lam[None, :])
+        * mu[:, None] * np.conj(mu)[None, :] / lam2
     return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, ext_x=ext_x, ext_y=ext_y,
-                      band=band, cut=cut, gram_t=gram_t, gram_r=np.real(scale * gram_t))
+                      band=band, cut=cut, gram_t=gram_t, gram_r=np.real(scale * gram_t),
+                      lambda2d=lam2.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -500,7 +503,7 @@ def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
             f"need lambda_0*lambda_last <= {smallest:.3e}, got {boundary:.3e}")
 
     tables = _mode_tables(basis1d, n_modes, ax_x, ax_y)
-    items = tuple(Qpswf2D(m=m, n=n, lambda2d=float(lam[m] * lam[n]), coeff=coeff,
+    items = tuple(Qpswf2D(m=m, n=n, lambda2d=float(tables.lambda2d[m, n]), coeff=coeff,
                           mu_x=complex(basis1d.mu[m]), mu_y=complex(basis1d.mu[n]),
                           basis1d=basis1d, tables=tables)
                   for (m, n) in selected)
@@ -681,7 +684,7 @@ def gram_matrix(basis: BasisSet2D, region: Region) -> np.ndarray:
     plane is evaluated on the band side (component Parseval), since window
     quadrature at desk scales loses the O(1/X) eigenfunction tails.
     """
-    if region.kind is RegionKind.CENTERED_SQUARE:
+    if region.halfwidth is not None:
         if abs(region.halfwidth - basis.t_half) > 1e-9 * basis.t_half:
             raise RegionOutOfGrid("time-square Gram supports only the basis region T")
         ax_gram = basis.tables.gram_t

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import BadParameters, NonUniformGrid, WindowTooSmall, ZeroSignal
 from .grid import GridAxis, QSignal, Region, energy
-from .quaternion import qarr_left_mul_complex, qarr_modulus_sq
+from .prolate import sinc_kernel_ld
+from .quaternion import qarr, qarr_modulus_sq, qarr_mul
 
 _SYM_TOL = 1e-9
 _LATTICE_TOL = 1e-12  # relative distance of 2*pi/(step product) from an integer
@@ -266,23 +267,16 @@ def parseval_check(f: QSignal) -> float:
 
 def modulate(f: QSignal, r: float) -> QSignal:
     """Pointwise left multiplication by e^{i r x}; preserves |f| at every node."""
-    x = f.ax_x.samples()
-    ct = np.cos(r * x)[:, None]
-    st = np.sin(r * x)[:, None]
-    return f.with_values(qarr_left_mul_complex(ct, st, f.values))
-
-
-def _sinc_factor(d, w_half):
-    d = np.asarray(d, dtype=float)
-    safe = np.where(np.abs(d) < 1e-14, 1.0, d)
-    return np.where(np.abs(d) < 1e-14, w_half / np.pi, np.sin(w_half * safe) / (np.pi * safe))
+    rx = r * f.ax_x.samples()[:, None]
+    return f.with_values(qarr_mul(qarr(np.cos(rx), np.sin(rx)), f.values))
 
 
 def sinc_bandlimit_kernel(dx, dy, w_half: float):
-    """Separable low-pass kernel sin(W dx)/(pi dx) * sin(W dy)/(pi dy)."""
+    """Separable low-pass kernel sin(W dx)/(pi dx) * sin(W dy)/(pi dy), the product of
+    two prolate.sinc_kernel_ld factors rounded once to double."""
     if not w_half > 0:
         raise BadParameters("band half-width must be > 0")
-    return _sinc_factor(dx, w_half) * _sinc_factor(dy, w_half)
+    return (sinc_kernel_ld(dx, w_half) * sinc_kernel_ld(dy, w_half)).astype(np.float64)
 
 
 def mask_spectrum(spec: SpectrumQ, w_half: float) -> SpectrumQ:

@@ -39,19 +39,14 @@ class Quaternion:
         f = float(other)
         return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)
 
-    def __rmul__(self, other):
-        # real scalars commute; quaternion*quaternion handled by __mul__
-        f = float(other)
-        return Quaternion(self.w * f, self.x * f, self.y * f, self.z * f)
+    # real scalars commute; quaternion*quaternion never reaches __rmul__
+    __rmul__ = __mul__
 
     def conj(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def modulus(self) -> float:
         return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
-
-    def scalar_part(self) -> float:
-        return self.w
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
@@ -70,12 +65,7 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 def q_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a*b (non-commutative)."""
-    return Quaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return Quaternion.from_array(qarr_mul(a.as_array(), b.as_array()))
 
 
 def q_conj(q: Quaternion) -> Quaternion:
@@ -126,32 +116,11 @@ def qarr_modulus(a: np.ndarray) -> np.ndarray:
     return np.sqrt(qarr_modulus_sq(a))
 
 
-def qarr_scalar(a: np.ndarray) -> np.ndarray:
-    return a[..., 0]
-
-
-def qarr_left_mul_complex(ct: np.ndarray, st: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Left-multiply by the unit quaternion cos + i*sin, given its parts.
-
-    Used for modulation e^{i r x} * f; the factor commutes with i but swaps
-    sign structure on the j/k pair.
-    """
-    w, x, y, z = (a[..., c] for c in range(4))
-    return np.stack(
-        (ct * w - st * x, ct * x + st * w, ct * y - st * z, ct * z + st * y),
-        axis=-1,
-    )
-
-
 def qarr_left_mul(q: Quaternion, a: np.ndarray) -> np.ndarray:
     """q * a pointwise for a fixed quaternion q."""
-    qa = np.zeros(a.shape[:-1] + (4,))
-    qa[...] = q.as_array()
-    return qarr_mul(qa, a)
+    return qarr_mul(q.as_array(), a)
 
 
 def qarr_right_mul(a: np.ndarray, q: Quaternion) -> np.ndarray:
     """a * q pointwise for a fixed quaternion q."""
-    qa = np.zeros(a.shape[:-1] + (4,))
-    qa[...] = q.as_array()
-    return qarr_mul(a, qa)
+    return qarr_mul(a, q.as_array())

@@ -27,6 +27,15 @@ def _ticks(lo: float, hi: float, n: int = 6):
     return out
 
 
+def _widen(lo: float, hi: float):
+    """(lo, hi), or (lo, lo + 1) when hi - lo is at most 1e-9 of their magnitude (zero
+    included): _ticks steps by about a fifth of the span, and a step below half the
+    spacing of the doubles at lo would never advance."""
+    if hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
+        return lo, lo + 1
+    return lo, hi
+
+
 class SvgFigure:
     """Fixed-size line/scatter plot with linear or log-y axes."""
 
@@ -57,12 +66,8 @@ class SvgFigure:
                 ys.append(math.log10(y) if self.logy else y)
         if not xs:
             return 0.0, 1.0, 0.0, 1.0
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
-        if x1 == x0:
-            x1 = x0 + 1
-        if y1 == y0:
-            y1 = y0 + 1
+        x0, x1 = _widen(min(xs), max(xs))
+        y0, y1 = _widen(min(ys), max(ys))
         padx = 0.03 * (x1 - x0)
         pady = 0.05 * (y1 - y0)
         return x0 - padx, x1 + padx, y0 - pady, y1 + pady

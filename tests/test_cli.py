@@ -358,6 +358,16 @@ def test_concentration_where_lambda0_rounds_to_one(tmp_path):
     assert all(p["xi"] < 1.0 for p in report["points"] if p["source"] == "boundary")
 
 
+def test_concentration_where_eta_spans_less_than_double_spacing(tmp_path):
+    # c = 49: lambda0 rounds to 1.0 and the plotted eta values span 4.4e-16
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"T": 7, "W": 7, "grid_halfwidth": 28, "grid_n": 257,
+                                "basis_count": 36}))
+    r = run_cli("--config", str(path), "--output", str(tmp_path / "c"), "concentration")
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "c" / "region.svg").read_text().endswith("</svg>")
+
+
 @pytest.mark.parametrize("command", ["basis", "concentration"])
 def test_unwritable_output_is_one_error_line(tmp_path, command):
     (tmp_path / "regular").write_text("")

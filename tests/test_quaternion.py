@@ -55,14 +55,25 @@ def test_hamilton_algebra_bulk():
                   - qarr_modulus(a) * qarr_modulus(b)).max() <= 1e-12 * scale
 
 
+def _left_matrix(a):
+    """The real 4x4 matrix of b -> a b, written from i^2 = j^2 = k^2 = ijk = -1."""
+    w, x, y, z = a
+    return np.array([[w, -x, -y, -z],
+                     [x, w, -z, y],
+                     [y, z, w, -x],
+                     [z, -y, x, w]])
+
+
 def test_array_scalar_consistency():
     rng = CounterRng(102)
     a = _random_qarr(rng, 50)
     b = _random_qarr(rng, 50)
     prod = qarr_mul(a, b)
     for row in (0, 17, 49):
-        expect = q_mul(Quaternion.from_array(a[row]), Quaternion.from_array(b[row]))
-        assert np.allclose(prod[row], expect.as_array(), atol=1e-15)
+        expect = _left_matrix(a[row]) @ b[row]
+        assert np.allclose(prod[row], expect, atol=1e-15)
+        assert q_mul(Quaternion.from_array(a[row]),
+                     Quaternion.from_array(b[row])) == Quaternion.from_array(prod[row])
     assert np.allclose(qarr_conj(a)[:, 1:], -a[:, 1:])
 
 
@@ -73,9 +84,8 @@ def test_fixed_side_multiplication():
     left = qarr_left_mul(q, a)
     right = qarr_right_mul(a, q)
     for row in (0, 19):
-        qa = Quaternion.from_array(a[row])
-        assert np.allclose(left[row], q_mul(q, qa).as_array(), atol=1e-15)
-        assert np.allclose(right[row], q_mul(qa, q).as_array(), atol=1e-15)
+        assert np.allclose(left[row], _left_matrix(q.as_array()) @ a[row], atol=1e-15)
+        assert np.allclose(right[row], _left_matrix(a[row]) @ q.as_array(), atol=1e-15)
     # non-commutative in general
     assert not np.allclose(left, right)
 
