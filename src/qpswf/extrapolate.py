@@ -11,7 +11,10 @@ eigenframe of each axis's Hermitian step matrix the iterate after n steps is
 the Landweber filter G (1 - (1 - lam)^n) / lam, evaluated in closed form.
 The frame keeps only the modes whose eigenvalue eigh resolves from 0 (7 of
 256 on the band Gauss rule at T = W = 1); the truth's content below that cut
-is not iterated but carried as a fixed residual in E_n and sup_e.
+is not iterated but carried as a fixed residual in E_n and sup_e.  A
+synthetic truth is the basis's unit quaternion q times a real field, which
+the run iterates as one component; its band-rule frame and kernels depend
+only on the basis and are kept in the basis's ModeTables memo.
 """
 
 from __future__ import annotations
@@ -48,16 +51,22 @@ class ExtrapolationProblem:
     def __post_init__(self):
         if not self.w_half > 0:
             raise BadParameters("band half-width W must be > 0")
-        outside = ~region_mask(self.observed, Region.square(self.d_half))
-        if np.any(self.observed.values[outside] != 0.0):
+        obs = self.observed
+        if not np.isfinite(obs.values).all():
+            raise BadParameters("observation has non-finite samples")
+        # D is the block of the rows in mx and the columns in my
+        mx, my = (_axis_region_mask(ax, self.d_half) for ax in (obs.ax_x, obs.ax_y))
+        if obs.values[~mx].any() or obs.values[mx][:, ~my].any():
             raise BadParameters("observation must vanish outside D")
         if self.truth is not None:
-            if not self.observed.same_grid(self.truth):
+            if not obs.same_grid(self.truth):
                 raise GridMismatch("truth and observation grids differ")
-            masked = self.truth.values * region_mask(
-                self.truth, Region.square(self.d_half))[..., None]
-            scale = float(np.abs(self.truth.values).max()) or 1.0
-            if np.abs(masked - self.observed.values).max() > 1e-12 * scale:
+            scale = float(np.abs(self.truth.values).max())
+            if not np.isfinite(scale):
+                raise BadParameters("truth has non-finite samples")
+            block = np.ix_(mx, my)
+            gap = np.abs(self.truth.values[block] - obs.values[block]).max(initial=0.0)
+            if gap > 1e-12 * (scale or 1.0):
                 raise BadParameters("observation is not the truth restricted to D")
         if self.synthetic is not None:
             b = self.synthetic.tables.basis1d
@@ -196,6 +205,12 @@ def _axis_kernels(points, rules) -> list:
     return [first, first if shared else band_kernel(points[1], *rules[1])]
 
 
+def _frame_kernels(points, rules, frame):
+    """band_kernel E at each axis's points, and E V, the same folded into the frame."""
+    full = _axis_kernels(points, rules)
+    return full, [k @ v for k, v in zip(full, frame)]
+
+
 def _landweber(lam):
     """n -> iterate gain (1 - (1 - lam)^n) / lam and update factor (1 - lam)^n, n = inf too.
 
@@ -230,51 +245,62 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     are orthonormal, so every in-frame energy is the same sum of squares.
     Synthetic problems take the band Gauss rule and the time Gauss nodes
     (all in D) and probe 81^2 points over [-3d, 3d]^2; the truth's band
-    table, its (m, n) matrix psi and its quaternion come from
+    table, its (m, n) matrix psi and its quaternion q come from
     problem.synthetic, and cf_gap compares with the modal closed form
     psi * (1 - (1 - lam lam^T)^n) over the 1D eigenvalues lam (element
-    phi_m(x) phi_n(y) contracts by 1 - lam_m lam_n per step).  Others take
-    the dual-lattice bins inside the band and the grid nodes, where the
-    recursion is pg_step exactly, and probe the grid nodes.
+    phi_m(x) phi_n(y) contracts by 1 - lam_m lam_n per step).  The truth is
+    q s for the real field s of psi, so the run carries s as one component:
+    energies scale by |q|^2, norms and sup_e by |q|, and q multiplies the
+    final grid.  The frame, the probe kernels and each grid's final kernels
+    depend only on the basis, which keeps them (ModeTables.memo).  Others
+    take the dual-lattice bins inside the band and the grid nodes, where
+    the recursion is pg_step exactly, and probe the grid nodes.
     """
     if max_steps < 1:
         raise BadParameters("max_steps must be >= 1")
     grid, synth = problem.observed, problem.synthetic
     axes = (grid.ax_x, grid.ax_y)
+    samples = [ax.samples() for ax in axes]
     if synth is not None:
-        b1 = synth.tables.basis1d
+        b1, memo = synth.tables.basis1d, synth.tables.memo
         reach = max(3 * problem.d_half, *(max(-ax.start, ax.stop) for ax in axes))
         check_phase(len(b1.nodes), (reach + problem.d_half) * problem.w_half, "the grid and probe")
         rules = [band_rule(b1)] * 2
-        frames = [_axis_frame(rules[0], b1.nodes, b1.weights, True)] * 2
-        probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2
+        frames = [memo("band_frame",
+                       lambda: _axis_frame(rules[0], b1.nodes, b1.weights, True))] * 2
     else:
         rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
-        frames = [_axis_frame(rule, ax.samples(), ax.trapezoid_weights(),
+        frames = [_axis_frame(rule, x, ax.trapezoid_weights(),
                               _axis_region_mask(ax, problem.d_half))
-                  for rule, ax in zip(rules, axes)]
-        probe_x = [ax.samples() for ax in axes]
+                  for rule, x, ax in zip(rules, samples, axes)]
     analysis, (lam_x, lam_y), frame = zip(*frames)
-    probe_full = _axis_kernels(probe_x, rules)
-    probe = [k @ v for k, v in zip(probe_full, frame)]
-    final = [k @ v for k, v in zip(_axis_kernels([ax.samples() for ax in axes], rules), frame)]
 
-    truth, residual, residual_energy = None, 0.0, 0.0
+    truth, residual, residual_energy, scale = None, 0.0, 0.0, 1.0
     if synth is not None:
-        g = _analyse(synth.nodal_values(), *analysis)
-        tables = [synth.tables.band @ v.conj() for v in frame]
+        probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2
+        probe_full, probe = memo(("probe", problem.d_half),
+                                 lambda: _frame_kernels(probe_x, rules, frame))
+        final = memo(("final", *axes), lambda: _frame_kernels(samples, rules, frame)[1])
+        # the truth is q s, q the basis's quaternion and s the real field of psi
+        # (no cut terms): s is iterated as one component and q applied to the final grid
+        scale = synth.coeff.modulus()
+        phi = b1.eigvecs[:len(synth.psi)]
+        g = _analyse((phi.T @ synth.psi @ phi)[..., None], *analysis)
+        band = synth.tables.band
+        tables = [band @ v.conj() for v in frame]
         decay = 1.0 - synth.tables.lambda2d
 
         def modal_spectra(psi):
-            """Eigenframe band coefficients of the (m, n) matrix psi."""
-            return synth.coeff.as_array()[:, None, None] * (tables[0].T @ psi @ tables[1])
+            """Eigenframe band coefficients of s for the (m, n) matrix psi."""
+            return (tables[0].T @ psi @ tables[1])[None]
 
         truth = modal_spectra(synth.psi)
-        # truth - f_n = in-frame error + the truth's fixed out-of-frame part
-        outside = synth.band_rep().spectra - frame[0] @ truth @ frame[1].T
+        # s - s_n = in-frame error + the fixed part of s outside the frame
+        outside = (band.T @ synth.psi @ band)[None] - frame[0] @ truth @ frame[1].T
         residual = _component_values(outside, *probe_full)
         residual_energy = _energy(outside)
     else:
+        probe = final = _frame_kernels(samples, rules, frame)[1]
         g = _analyse(grid.values, *analysis)
         if problem.truth is not None:
             # grid energy of truth - f_n = in-frame Parseval sum + the energy of the
@@ -291,23 +317,25 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         gain, decay_n = landweber(n)
         spec = g * gain
         # delta is 0 when the update and the iterate both vanish, inf when only the iterate does
-        update, norm = _energy(g * decay_prev) ** 0.5, _energy(spec) ** 0.5
+        update, norm = scale * _energy(g * decay_prev) ** 0.5, scale * _energy(spec) ** 0.5
         decay_prev = decay_n
         delta = update / norm if norm > 0 else (0.0 if update == 0 else float("inf"))
         e_n = sup_e = bound = cf_gap = float("nan")
         if truth is not None:
             err = truth - spec
-            e_n = _energy(err) + residual_energy
+            e_n = scale ** 2 * (_energy(err) + residual_energy)
             err_probe = _component_values(err, *probe) + residual
-            sup_e = float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
+            sup_e = scale * float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
             bound = pointwise_bound(e_n, half_width)
         if compare_closed_form and synth is not None:
-            cf_gap = _energy(spec - modal_spectra(synth.psi * (1.0 - decay ** n))) ** 0.5
+            cf_gap = scale * _energy(spec - modal_spectra(synth.psi * (1.0 - decay ** n))) ** 0.5
         rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
                              delta=delta, cf_gap=cf_gap))
         if delta < stop_tol:
             break
 
     values = np.moveaxis(_component_values(spec, *final), 0, -1)
+    if synth is not None:
+        values = values * synth.coeff.as_array()
     return ExtrapolationTrace(rows=tuple(rows), final=grid.with_values(values),
                               converged=bool(delta < stop_tol))

@@ -337,8 +337,10 @@ class ModeTables:
     Every 2D quantity of a basis element or combination is a product of
     two rows (signals.ModalField does the contractions).  The top products
     always use a prefix of the modes, all above the evaluation floor.
-    _windows memoizes the all-pass window images of every mode per window
-    half-width (see _window_images).
+    _memo is the one per-basis memo (see memo), keyed per purpose: the
+    all-pass window images of every mode per window half-width
+    (_window_images), and extrapolate's band-rule eigenframe, probe kernels
+    and final-grid kernels.
     """
 
     basis1d: ProlateBasis1D
@@ -351,7 +353,13 @@ class ModeTables:
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
     gram_r: np.ndarray          # (M, M) long double, <phi_a, phi_b> on the line
     lambda2d: np.ndarray        # (M, M) float64, lambda_a lambda_b rounded once from long double
-    _windows: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def memo(self, key, build):
+        """build() on the first call with key; every later call returns that same result."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
 
 def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> ModeTables:
@@ -633,7 +641,7 @@ def _window_images(tables: ModeTables, h: float):
     Computed once per basis and window half-width: each element's check
     takes its two rows.
     """
-    if h not in tables._windows:
+    def build():
         b, m = tables.basis1d, len(tables.band)
         ax = GridAxis.symmetric(h, _WINDOW_COUNT)
         wt = ax.trapezoid_weights().astype(_LD)
@@ -643,8 +651,8 @@ def _window_images(tables: ModeTables, h: float):
                               b.w_half)
         idx = np.arange(_WINDOW_COUNT)
         k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + _WINDOW_COUNT - 1].T
-        tables._windows[h] = wt, phi, k
-    return tables._windows[h]
+        return wt, phi, k
+    return tables.memo(("window", h), build)
 
 
 def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck:

@@ -29,17 +29,17 @@ CUT = "cut"  # time-limited cut D_T psi
 
 
 def _analyse(values: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
-    """Band coefficients fx f_c fy^T of the real components of (Nx, Ny, 4) point values.
+    """Band coefficients fx f_c fy^T of the real components of (Nx, Ny, C) point values.
 
     fx = conj(E_x)^T diag(w_x) analyses samples at the points x with weights w_x.
     """
-    return np.stack([fx @ values[..., c] @ fy.T for c in range(4)])
+    return np.stack([fx @ values[..., c] @ fy.T for c in range(values.shape[-1])])
 
 
 def _component_values(coeffs: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """Real component fields E_x a_c E_y^T at the points of two band kernels."""
-    out = np.empty((4, len(ex), len(ey)))
-    for c in range(4):
+    """Real component fields E_x a_c E_y^T at the points of two band kernels, one per a_c."""
+    out = np.empty((len(coeffs), len(ex), len(ey)))
+    for c in range(len(coeffs)):
         out[c] = (ex @ coeffs[c] @ ey.T).real
     return out
 

@@ -10,10 +10,10 @@ from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _landweber, _l
                                closed_form_band_spectra, closed_form_iterate, error_energy,
                                make_synthetic_problem, pg_run, pg_step, pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
-from qpswf.prolate import band_kernel, band_rule, build_basis
+from qpswf.prolate import band_kernel, band_rule, build_basis, build_qpswf_basis
 from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, inverse_qft,
                        spectrum_from_complex_components)
-from qpswf.quaternion import qarr_modulus
+from qpswf.quaternion import Quaternion, qarr_modulus
 from qpswf.rng import CounterRng
 from qpswf.signals import (ModalField, gaussian_mixed_qsignal,
                            random_bandlimited_grid_spectrum)
@@ -81,6 +81,21 @@ def test_observation_validation(basis36):
     wrong = obs.with_values(obs.values * 1.001)
     with pytest.raises(BadParameters):
         ExtrapolationProblem(observed=wrong, d_half=1.0, w_half=1.0, truth=truth)
+
+
+def test_non_finite_samples_rejected(basis36):
+    # NaN compares false against every tolerance, so each check must test finiteness itself
+    truth = basis36[0].values
+    obs = time_limit(truth, 1.0)
+    centre = (truth.ax_x.count // 2, truth.ax_y.count // 2, 0)  # the node x = y = 0, in D
+    for bad in (np.nan, np.inf):
+        bad_truth, bad_obs = (f.with_values(f.values.copy()) for f in (truth, obs))
+        bad_truth.values[centre] = bad_obs.values[centre] = bad
+        with pytest.raises(BadParameters, match="truth"):
+            ExtrapolationProblem(observed=obs, d_half=1.0, w_half=1.0, truth=bad_truth)
+        for known in (None, truth):
+            with pytest.raises(BadParameters, match="observation"):
+                ExtrapolationProblem(observed=bad_obs, d_half=1.0, w_half=1.0, truth=known)
 
 
 def test_synthetic_truth_validation(basis36):
@@ -219,14 +234,15 @@ def _explicit_band_run(problem, basis, coeffs, max_steps, stop_tol):
     return np.array(rows), values(spec, synthesis(ax_x.samples()), synthesis(ax_y.samples()))
 
 
-def test_band_run_matches_explicit_iteration(basis36):
-    coeffs = CounterRng(57).normal(int(np.sum(basis36.eigenvalues() >= 1e-12)))
-    prob = make_synthetic_problem(basis36, coeffs)
+def _check_band_run(basis):
+    """pg_run against _explicit_band_run, run to 50 steps and stopped at step 21."""
+    coeffs = CounterRng(57).normal(int(np.sum(basis.eigenvalues() >= 1e-12)))
+    prob = make_synthetic_problem(basis, coeffs)
     scale = np.sqrt(np.sum(coeffs ** 2))
-    ref, ref_final = _explicit_band_run(prob, basis36, coeffs, 50, 0.0)
+    ref, ref_final = _explicit_band_run(prob, basis, coeffs, 50, 0.0)
     # a stop_tol between the 20th and 21st updates stops both runs at step 21
     stop_tol = float(np.sqrt(ref[19, 2] * ref[20, 2]))
-    ref_stop, ref_stop_final = _explicit_band_run(prob, basis36, coeffs, 50, stop_tol)
+    ref_stop, ref_stop_final = _explicit_band_run(prob, basis, coeffs, 50, stop_tol)
     assert len(ref_stop) == 21
     for steps, tol, want, want_final in ((50, 0.0, ref, ref_final),
                                          (50, stop_tol, ref_stop, ref_stop_final)):
@@ -239,6 +255,41 @@ def test_band_run_matches_explicit_iteration(basis36):
         assert np.all(np.abs(got[:, 3] - want[:, 3]) <= 1e-12 * scale)
         assert np.abs(trace.final.values - want_final).max() \
             <= 1e-13 * np.abs(want_final).max()
+
+
+def test_band_run_matches_explicit_iteration(basis36):
+    _check_band_run(basis36)
+
+
+def test_band_run_matches_explicit_iteration_with_a_non_dyadic_quaternion(basis36):
+    # pg_run iterates the truth's real field and applies the quaternion at the end;
+    # the default (1, 1, 1, 1) / 2 scales exactly, so only a coefficient whose
+    # products round shows a factor applied twice, never, or to the wrong quantity
+    coeff = Quaternion.from_array(np.arange(1.0, 5.0) / np.sqrt(30.0))
+    _check_band_run(build_qpswf_basis(basis36.basis1d, len(basis36), coeff))
+
+
+def test_band_frame_is_computed_once_per_basis(basis36, monkeypatch):
+    # a basis built afresh on the same 1D modes starts with an empty memo
+    basis = build_qpswf_basis(basis36.basis1d, len(basis36))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    coeffs = CounterRng(62).normal(10)
+    runs = [pg_run(make_synthetic_problem(basis, coeffs), max_steps=20, stop_tol=0.0,
+                   compare_closed_form=True) for _ in range(2)]
+    assert len(calls) == 1
+    assert runs[0].rows == runs[1].rows
+    assert np.array_equal(runs[0].final.values, runs[1].final.values)
+    # the final-grid kernels are kept per grid: a second grid on this basis gets
+    # the final of a run on a basis built for that grid
+    ax = GridAxis.symmetric(3.0, 129)
+    fresh = make_synthetic_problem(
+        build_qpswf_basis(basis36.basis1d, len(basis36), grid=(ax, ax)), coeffs)
+    same = dataclasses.replace(fresh, synthetic=ModalField.of(basis, coeffs))
+    want = pg_run(fresh, max_steps=20, stop_tol=0.0).final
+    got = pg_run(same, max_steps=20, stop_tol=0.0).final
+    assert got.ax_x == ax and np.array_equal(got.values, want.values)
 
 
 def test_single_mode_geometric_ratio(basis36):
