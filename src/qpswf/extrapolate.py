@@ -13,13 +13,18 @@ The frame keeps only the modes whose eigenvalue eigh resolves from 0 (7 of
 256 on the band Gauss rule at T = W = 1); the truth's content below that cut
 is not iterated but carried as a fixed residual in E_n and sup_e.  A
 synthetic truth is the basis's unit quaternion q times a real field, which
-the run iterates as one component; its band-rule frame and kernels depend
-only on the basis and are kept in the basis's ModeTables memo.
+the run iterates as one component.  Its band-rule frame, the 1D mode
+tables folded into it and its kernels depend only on the basis and are kept
+in the basis's ModeTables memo, so a synthetic run forms no array on the
+grid or on the N x N band rule but its final grid, and its problem samples
+the truth on a grid only when a caller reads it.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +34,31 @@ from .errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMism
 from .grid import GridAxis, QSignal, Region, _axis_region_mask, energy, region_mask
 from .prolate import BasisSet2D, band_kernel, band_rule, check_phase
 from .qft import _band_bins, dual_frequency_axis
-from .signals import ModalField, _analyse, _component_values, _energy
+from .signals import ModalField, _analyse, _component_values, _energy, _pair
+
+
+class _Sampled(QSignal):
+    """A synthetic truth's samples on its basis grid, taken on the first read of values.
+
+    source is the truth's ModalField, or for the observation the truth's
+    _Sampled grid, time-limited to D = [-d_half, d_half]^2.  pg_run reads
+    only a synthetic problem's axes, so its grids are sampled only for a
+    caller that reads them.
+    """
+
+    def __init__(self, ax_x: GridAxis, ax_y: GridAxis, source, d_half: float = None):
+        for name, value in (("ax_x", ax_x), ("ax_y", ax_y), ("source", source), ("d_half", d_half)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        if self.d_half is None:
+            return self.source.grid_values()
+        return time_limit(self.source, self.d_half).values
+
+
+def _finite_positive(x) -> bool:
+    return isinstance(x, numbers.Real) and bool(np.isfinite(x)) and x > 0
 
 
 @dataclass(frozen=True)
@@ -39,7 +68,9 @@ class ExtrapolationProblem:
     observed is f on the grid, zero outside D = [-d, d]^2; truth, when known,
     is f on the same grid.  synthetic, set by make_synthetic_problem, is f as
     a combination of basis elements (a ModalField without cut terms, on a
-    basis built for T = d and W); pg_run then iterates on the band Gauss rule.
+    basis built for T = d and W); pg_run then iterates on the band Gauss rule
+    and reads only the grids' axes, and the two grids are sampled from
+    synthetic when first read.
     """
 
     observed: QSignal
@@ -49,8 +80,26 @@ class ExtrapolationProblem:
     synthetic: ModalField = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.w_half > 0:
-            raise BadParameters("band half-width W must be > 0")
+        if not _finite_positive(self.d_half):
+            raise BadParameters("half-width d of D must be a finite number > 0")
+        if not _finite_positive(self.w_half):
+            raise BadParameters("band half-width W must be a finite number > 0")
+        if self.synthetic is not None:
+            b = self.synthetic.tables.basis1d
+            if abs(b.t_half - self.d_half) > 1e-12:
+                raise BadParameters("synthetic truth requires a basis built on D")
+            if abs(b.w_half - self.w_half) > 1e-12:
+                raise BadParameters("synthetic truth requires a basis built for W")
+            if self.synthetic.cut.any():
+                raise BadParameters("synthetic truth must be band-limited (no cut terms)")
+        # the samples make_synthetic_problem takes of synthetic meet the grid checks by construction
+        truth, obs = self.truth, self.observed
+        if not (isinstance(truth, _Sampled) and truth.source is self.synthetic
+                and isinstance(obs, _Sampled) and obs.source is truth
+                and obs.d_half == self.d_half):
+            self._check_grids()
+
+    def _check_grids(self):
         obs = self.observed
         if not np.isfinite(obs.values).all():
             raise BadParameters("observation has non-finite samples")
@@ -68,30 +117,25 @@ class ExtrapolationProblem:
             gap = np.abs(self.truth.values[block] - obs.values[block]).max(initial=0.0)
             if gap > 1e-12 * (scale or 1.0):
                 raise BadParameters("observation is not the truth restricted to D")
-        if self.synthetic is not None:
-            b = self.synthetic.tables.basis1d
-            if abs(b.t_half - self.d_half) > 1e-12:
-                raise BadParameters("synthetic truth requires a basis built on D")
-            if abs(b.w_half - self.w_half) > 1e-12:
-                raise BadParameters("synthetic truth requires a basis built for W")
-            if self.synthetic.cut.any():
-                raise BadParameters("synthetic truth must be band-limited (no cut terms)")
 
 
 def make_synthetic_problem(basis: BasisSet2D, coeffs) -> ExtrapolationProblem:
     """Problem whose truth is f = sum_j coeffs[j] psi_j, observed on D = basis T.
 
-    coeffs (1D) weight a prefix of the basis, else LengthMismatch.  The truth
-    is kept as its ModalField (synthetic) and sampled on the basis grid (truth).
+    coeffs (1D, finite) weight a prefix of the basis, else LengthMismatch or
+    BadParameters.  The truth is kept as its ModalField (synthetic); truth
+    and observed are its samples on the basis grid, taken when first read.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or len(coeffs) > len(basis):
         raise LengthMismatch("coefficients must be a prefix of the basis")
+    if not np.isfinite(coeffs).all():
+        raise BadParameters("coefficients must be finite")
     synth = ModalField.of(basis, coeffs)
-    truth_q = QSignal(basis.ax_x, basis.ax_y, synth.grid_values())
-    observed = time_limit(truth_q, basis.t_half)
+    truth = _Sampled(basis.ax_x, basis.ax_y, synth)
+    observed = _Sampled(basis.ax_x, basis.ax_y, truth, basis.t_half)
     return ExtrapolationProblem(observed=observed, d_half=basis.t_half,
-                                w_half=basis.w_half, truth=truth_q, synthetic=synth)
+                                w_half=basis.w_half, truth=truth, synthetic=synth)
 
 
 @dataclass(frozen=True)
@@ -197,18 +241,58 @@ def _axis_frame(rule, s, w_s, inside):
     return v.conj().T @ f, lam[keep], v
 
 
-def _axis_kernels(points, rules) -> list:
-    """band_kernel at each axis's points on its rule, built once when both axes share them."""
+def _frame_kernels(points, rules, frame) -> list:
+    """band_kernel E at each axis's points folded into its frame, E V; E built once when shared."""
     first = band_kernel(points[0], *rules[0])
     shared = all(np.array_equal(a, b) for a, b in zip((points[0], *rules[0]),
                                                        (points[1], *rules[1])))
-    return [first, first if shared else band_kernel(points[1], *rules[1])]
+    second = first if shared else band_kernel(points[1], *rules[1])
+    return [first @ frame[0], second @ frame[1]]
 
 
-def _frame_kernels(points, rules, frame):
-    """band_kernel E at each axis's points, and E V, the same folded into the frame."""
-    full = _axis_kernels(points, rules)
-    return full, [k @ v for k, v in zip(full, frame)]
+def _band_frame(tables):
+    """A basis's band-rule frame folded into its 1D mode tables, kept in tables.memo.
+
+    Returns (A phi^T, lam, V, band conj(V), band band^H).  A = V^H F analyses
+    values at the time Gauss nodes, so A phi^T (r, M) takes the real field
+    phi^T psi phi of an (m, n) matrix psi to its analysed observation
+    (A phi^T) psi (A phi^T)^T; band conj(V) (M, r) takes psi to its frame
+    coefficients the same way; and with the real part G of the Gram
+    band band^H (M, M), whose imaginary part is rounding, the energy of
+    band^T psi band is _pair(G, psi, psi).
+    """
+    def build():
+        b1, band = tables.basis1d, tables.band
+        analysis, lam, v = _axis_frame(band_rule(b1), b1.nodes, b1.weights, True)
+        return (analysis @ b1.eigvecs[:len(band)].T, lam, v, band @ v.conj(),
+                (band @ band.conj().T).real)
+    return tables.memo("band_frame", build)
+
+
+def _probe_kernels(tables, d_half):
+    """(E band^T, E V) for band_kernel E at 81 probe points over [-3d, 3d], kept in tables.memo."""
+    def build():
+        e = band_kernel(np.linspace(-3 * d_half, 3 * d_half, 81), *band_rule(tables.basis1d))
+        return e @ tables.band.T, e @ _band_frame(tables)[2]
+    return tables.memo(("probe", d_half), build)
+
+
+def _split_by_frame(synth: ModalField, d_half: float):
+    """The real field s of a synthetic truth, split by the band-rule frame.
+
+    Returns the frame coefficients T of s (1, r, r), and the values at the
+    81^2 probe points (1, 81, 81) and the energy of s's part outside the
+    frame, band^T psi band - V T V^T.  Both come from (M, r), (81, M) and
+    (81, r) tables: the values are s less its in-frame part, and as V's
+    columns are orthonormal the energy is that of s less that of T, which
+    rounding can take below 0 when s lies in the frame.
+    """
+    t, psi = synth.tables, synth.psi
+    mode_frame, gram = _band_frame(t)[3:]
+    probe_modes, probe_frame = _probe_kernels(t, d_half)
+    truth = mode_frame.T @ psi @ mode_frame
+    values = (probe_modes @ psi @ probe_modes.T - probe_frame @ truth @ probe_frame.T).real
+    return truth[None], values[None], max(_pair(gram, psi, psi) - _energy(truth), 0.0)
 
 
 def _landweber(lam):
@@ -251,56 +335,53 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     phi_m(x) phi_n(y) contracts by 1 - lam_m lam_n per step).  The truth is
     q s for the real field s of psi, so the run carries s as one component:
     energies scale by |q|^2, norms and sup_e by |q|, and q multiplies the
-    final grid.  The frame, the probe kernels and each grid's final kernels
-    depend only on the basis, which keeps them (ModeTables.memo).  Others
-    take the dual-lattice bins inside the band and the grid nodes, where
-    the recursion is pg_step exactly, and probe the grid nodes.
+    final grid.  A synthetic run forms no N x N array and reads only the
+    grid's axes: the analysed observation is (A phi^T) psi (A phi^T)^T for
+    A = V^H F and the nodal values phi, and the truth's part outside the
+    frame comes from _split_by_frame, all over (r, M), (M, r), (81, M) and
+    (81, r) tables.  Those tables and each grid's final kernels depend only
+    on the basis (and d), which keeps them (ModeTables.memo).  Others take
+    the dual-lattice bins inside the band and the grid nodes, where the
+    recursion is pg_step exactly, and probe the grid nodes.  max_steps must
+    be an int >= 1 and stop_tol a number >= 0, else BadParameters.
     """
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral):
+        raise BadParameters(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise BadParameters("max_steps must be >= 1")
+    if not (isinstance(stop_tol, numbers.Real) and stop_tol >= 0):
+        raise BadParameters(f"stop_tol must be a number >= 0, got {stop_tol!r}")
     grid, synth = problem.observed, problem.synthetic
     axes = (grid.ax_x, grid.ax_y)
     samples = [ax.samples() for ax in axes]
-    if synth is not None:
-        b1, memo = synth.tables.basis1d, synth.tables.memo
-        reach = max(3 * problem.d_half, *(max(-ax.start, ax.stop) for ax in axes))
-        check_phase(len(b1.nodes), (reach + problem.d_half) * problem.w_half, "the grid and probe")
-        rules = [band_rule(b1)] * 2
-        frames = [memo("band_frame",
-                       lambda: _axis_frame(rules[0], b1.nodes, b1.weights, True))] * 2
-    else:
-        rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
-        frames = [_axis_frame(rule, x, ax.trapezoid_weights(),
-                              _axis_region_mask(ax, problem.d_half))
-                  for rule, x, ax in zip(rules, samples, axes)]
-    analysis, (lam_x, lam_y), frame = zip(*frames)
-
     truth, residual, residual_energy, scale = None, 0.0, 0.0, 1.0
     if synth is not None:
-        probe_x = [np.linspace(-3 * problem.d_half, 3 * problem.d_half, 81)] * 2
-        probe_full, probe = memo(("probe", problem.d_half),
-                                 lambda: _frame_kernels(probe_x, rules, frame))
-        final = memo(("final", *axes), lambda: _frame_kernels(samples, rules, frame)[1])
+        t = synth.tables
+        reach = max(3 * problem.d_half, *(max(-ax.start, ax.stop) for ax in axes))
+        check_phase(len(t.basis1d.nodes), (reach + problem.d_half) * problem.w_half,
+                    "the grid and probe")
+        rules = [band_rule(t.basis1d)] * 2
+        to_frame, lam, v, mode_frame, _ = _band_frame(t)
+        lam_x = lam_y = lam
+        probe = [_probe_kernels(t, problem.d_half)[1]] * 2
+        final = t.memo(("final", *axes), lambda: _frame_kernels(samples, rules, [v, v]))
         # the truth is q s, q the basis's quaternion and s the real field of psi
         # (no cut terms): s is iterated as one component and q applied to the final grid
         scale = synth.coeff.modulus()
-        phi = b1.eigvecs[:len(synth.psi)]
-        g = _analyse((phi.T @ synth.psi @ phi)[..., None], *analysis)
-        band = synth.tables.band
-        tables = [band @ v.conj() for v in frame]
-        decay = 1.0 - synth.tables.lambda2d
+        g = (to_frame @ synth.psi @ to_frame.T)[None]
+        # s - s_n = in-frame error + the fixed part of s outside the frame
+        truth, residual, residual_energy = _split_by_frame(synth, problem.d_half)
+        decay = 1.0 - t.lambda2d
 
         def modal_spectra(psi):
             """Eigenframe band coefficients of s for the (m, n) matrix psi."""
-            return (tables[0].T @ psi @ tables[1])[None]
-
-        truth = modal_spectra(synth.psi)
-        # s - s_n = in-frame error + the fixed part of s outside the frame
-        outside = (band.T @ synth.psi @ band)[None] - frame[0] @ truth @ frame[1].T
-        residual = _component_values(outside, *probe_full)
-        residual_energy = _energy(outside)
+            return (mode_frame.T @ psi @ mode_frame)[None]
     else:
-        probe = final = _frame_kernels(samples, rules, frame)[1]
+        rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
+        analysis, (lam_x, lam_y), frame = zip(*(
+            _axis_frame(rule, x, ax.trapezoid_weights(), _axis_region_mask(ax, problem.d_half))
+            for rule, x, ax in zip(rules, samples, axes)))
+        probe = final = _frame_kernels(samples, rules, frame)
         g = _analyse(grid.values, *analysis)
         if problem.truth is not None:
             # grid energy of truth - f_n = in-frame Parseval sum + the energy of the
@@ -325,7 +406,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
             err = truth - spec
             e_n = scale ** 2 * (_energy(err) + residual_energy)
             err_probe = _component_values(err, *probe) + residual
-            sup_e = scale * float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe)).max())
+            sup_e = scale * float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe).max()))
             bound = pointwise_bound(e_n, half_width)
         if compare_closed_form and synth is not None:
             cf_gap = scale * _energy(spec - modal_spectra(synth.psi * (1.0 - decay ** n))) ** 0.5
@@ -334,8 +415,9 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         if delta < stop_tol:
             break
 
-    values = np.moveaxis(_component_values(spec, *final), 0, -1)
+    values = _component_values(spec, *final)
     if synth is not None:
-        values = values * synth.coeff.as_array()
-    return ExtrapolationTrace(rows=tuple(rows), final=grid.with_values(values),
+        # component-first, so each of q's four products is one contiguous pass
+        values = synth.coeff.as_array()[:, None, None] * values
+    return ExtrapolationTrace(rows=tuple(rows), final=grid.with_values(np.moveaxis(values, 0, -1)),
                               converged=bool(delta < stop_tol))

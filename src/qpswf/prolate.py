@@ -339,8 +339,8 @@ class ModeTables:
     always use a prefix of the modes, all above the evaluation floor.
     _memo is the one per-basis memo (see memo), keyed per purpose: the
     all-pass window images of every mode per window half-width
-    (_window_images), and extrapolate's band-rule eigenframe, probe kernels
-    and final-grid kernels.
+    (_window_images), and extrapolate's band-rule eigenframe with the mode
+    tables folded into it, probe kernels and final-grid kernels.
     """
 
     basis1d: ProlateBasis1D

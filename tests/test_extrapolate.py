@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qpswf.concentration as concentration
+import qpswf.extrapolate as extrapolate
 from qpswf.concentration import band_limit, time_limit
 from qpswf.errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
                           WindowTooSmall)
 from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _landweber, _lattice_rule,
-                               closed_form_band_spectra, closed_form_iterate, error_energy,
-                               make_synthetic_problem, pg_run, pg_step, pointwise_bound)
+                               _split_by_frame, closed_form_band_spectra, closed_form_iterate,
+                               error_energy, make_synthetic_problem, pg_run, pg_step,
+                               pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
 from qpswf.prolate import band_kernel, band_rule, build_basis, build_qpswf_basis
 from qpswf.qft import (dual_frequency_axes, dual_frequency_axis, inverse_qft,
@@ -107,6 +110,102 @@ def test_synthetic_truth_validation(basis36):
     # a time-limited cut is not band-limited, so it cannot be a synthetic truth
     with pytest.raises(BadParameters):
         dataclasses.replace(prob, synthetic=ModalField.of(basis36, [0.5], [0.25]))
+
+
+def test_non_finite_coefficients_rejected(basis36, monkeypatch):
+    # rejected before the truth's ModalField is built
+    def forbidden(*args):
+        raise AssertionError("built a truth from non-finite coefficients")
+    monkeypatch.setattr(ModalField, "of", forbidden)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParameters, match="finite"):
+            make_synthetic_problem(basis36, [0.5, bad])
+
+
+def test_half_widths_must_be_finite_and_positive(basis36):
+    # at d = NaN every node lies outside D, so the grid checks would blame the observation
+    obs = time_limit(basis36[0].values, 1.0)
+    for observed in (QSignal.zeros(obs.ax_x, obs.ax_y), obs):
+        for d_half in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(BadParameters, match="half-width d"):
+                ExtrapolationProblem(observed=observed, d_half=d_half, w_half=1.0)
+        for w_half in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(BadParameters, match="half-width W"):
+                ExtrapolationProblem(observed=observed, d_half=1.0, w_half=w_half)
+
+
+def test_run_parameters_are_checked(basis36):
+    # a NaN stop_tol never stops a run, and a bool is not a step count
+    prob = make_synthetic_problem(basis36, [1.0])
+    for max_steps in (2.5, True, "3", None):
+        with pytest.raises(BadParameters, match="max_steps"):
+            pg_run(prob, max_steps=max_steps)
+    for stop_tol in (np.nan, -1e-3, None):
+        with pytest.raises(BadParameters, match="stop_tol"):
+            pg_run(prob, max_steps=3, stop_tol=stop_tol)
+    assert pg_run(prob, max_steps=np.int64(3), stop_tol=0.0).steps == 3
+
+
+def test_synthetic_problem_samples_its_grids_only_when_read(basis36, monkeypatch):
+    # the run reads only the grid's axes; truth and observed are the truth's
+    # samples on the basis grid, taken when a caller first reads them
+    def forbidden(*args):
+        raise AssertionError("sampled a grid")
+    coeffs = CounterRng(63).normal(10)
+    with monkeypatch.context() as m:
+        m.setattr(ModalField, "grid_values", forbidden)
+        m.setattr(concentration, "time_limit", forbidden)
+        m.setattr(extrapolate, "time_limit", forbidden)
+        prob = make_synthetic_problem(basis36, coeffs)
+        trace = pg_run(prob, max_steps=5, stop_tol=0.0, compare_closed_form=True)
+        same = dataclasses.replace(prob, w_half=prob.w_half)
+    assert trace.final.ax_x == basis36.ax_x and same.observed is prob.observed
+    truth = QSignal(basis36.ax_x, basis36.ax_y, ModalField.of(basis36, coeffs).grid_values())
+    assert np.array_equal(prob.truth.values, truth.values)
+    assert np.array_equal(prob.observed.values, time_limit(truth, basis36.t_half).values)
+    assert prob.truth.values is prob.truth.values
+    # grids that are not the samples of the problem's own truth are checked
+    with pytest.raises(BadParameters, match="vanish outside D"):
+        dataclasses.replace(prob, observed=prob.truth)
+    with pytest.raises(BadParameters, match="not the truth restricted"):
+        dataclasses.replace(prob, truth=make_synthetic_problem(basis36, coeffs[:5]).truth)
+
+
+def test_split_by_frame_matches_the_band_rule_arrays():
+    # at T = W = 1.1 the 49-element basis uses the 1D mode 7 (lambda = 3.8e-15),
+    # below the frame's cut, so a truth on every element has a part outside the
+    # frame; the first row of a run is checked against the same 256^2 arrays
+    coeff = Quaternion.from_array(np.arange(1.0, 5.0) / np.sqrt(30.0))
+    basis = build_basis(1.1, 1.1, 256, 49, coeff=coeff)
+    coeffs = CounterRng(64).normal(len(basis))
+    prob = make_synthetic_problem(basis, coeffs)
+    truth, residual, outside_energy = _split_by_frame(prob.synthetic, prob.d_half)
+
+    b1, band, psi = basis.basis1d, basis.tables.band, prob.synthetic.psi
+    rule = band_rule(b1)
+    analysis, lam, v = _axis_frame(rule, b1.nodes, b1.weights, True)
+    assert len(lam) < len(band)
+    want_truth = (band @ v.conj()).T @ psi @ (band @ v.conj())
+    outside = band.T @ psi @ band - v @ want_truth @ v.T
+    probe = band_kernel(np.linspace(-3.3, 3.3, 81), *rule)
+    want_residual = (probe @ outside @ probe.T).real
+    want_energy = float(np.sum(np.abs(outside) ** 2))
+    assert np.abs(truth[0] - want_truth).max() <= 1e-13 * np.abs(want_truth).max()
+    # both forms take s less its in-frame part, so they round on the scale of s
+    s_probe = (probe @ band.T @ psi @ band @ probe.T).real
+    assert np.abs(residual[0] - want_residual).max() <= 1e-13 * np.abs(s_probe).max()
+    assert abs(outside_energy - want_energy) <= 1e-13 * want_energy
+    assert want_energy > 1e-2 * np.sum(np.abs(want_truth) ** 2)
+
+    # row 1 iterates s_1 = G, the analysed observation
+    phi = b1.eigvecs[:len(band)]
+    err = want_truth - analysis @ (phi.T @ psi @ phi) @ analysis.T
+    err_probe = ((probe @ v) @ err @ (probe @ v).T).real + want_residual
+    q = coeff.modulus()
+    row = pg_run(prob, max_steps=1, stop_tol=0.0).rows[0]
+    want_e = q ** 2 * (np.sum(np.abs(err) ** 2) + want_energy)
+    assert abs(row.e_energy - want_e) <= 1e-13 * want_e
+    assert abs(row.sup_e - q * np.abs(err_probe).max()) <= 1e-13 * row.sup_e
 
 
 def test_closed_form_iterate_limits(basis36):
