@@ -122,13 +122,12 @@ class ExtrapolationProblem:
 def make_synthetic_problem(basis: BasisSet2D, coeffs) -> ExtrapolationProblem:
     """Problem whose truth is f = sum_j coeffs[j] psi_j, observed on D = basis T.
 
-    coeffs (1D, finite) weight a prefix of the basis, else LengthMismatch or
-    BadParameters.  The truth is kept as its ModalField (synthetic); truth
-    and observed are its samples on the basis grid, taken when first read.
+    coeffs (1D, finite) weight a prefix of the basis, else LengthMismatch
+    (from ModalField.of) or BadParameters.  The truth is kept as its
+    ModalField (synthetic); truth and observed are its samples on the basis
+    grid, taken when first read.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or len(coeffs) > len(basis):
-        raise LengthMismatch("coefficients must be a prefix of the basis")
     if not np.isfinite(coeffs).all():
         raise BadParameters("coefficients must be finite")
     synth = ModalField.of(basis, coeffs)
@@ -168,12 +167,17 @@ def pg_step(g_obs: QSignal, f_prev: QSignal, d_half: float, w_half: float) -> QS
     return band_limit(g_obs.with_values(substituted), w_half)
 
 
-def error_energy(coeffs, lambdas, n: int) -> float:
-    """Closed-form error energy sum_j a_j^2 (1 - lambda_j)^(2n)."""
-    a = np.asarray(coeffs, dtype=float)
-    lam = np.asarray(lambdas, dtype=float)
+def _with_eigenvalues(coeffs, lambdas):
+    """coeffs and lambdas as float arrays, else LengthMismatch when their shapes differ."""
+    a, lam = np.asarray(coeffs, dtype=float), np.asarray(lambdas, dtype=float)
     if a.shape != lam.shape:
         raise LengthMismatch("coefficients and eigenvalues differ in length")
+    return a, lam
+
+
+def error_energy(coeffs, lambdas, n: int) -> float:
+    """Closed-form error energy sum_j a_j^2 (1 - lambda_j)^(2n)."""
+    a, lam = _with_eigenvalues(coeffs, lambdas)
     return float(np.sum(a ** 2 * (1.0 - lam) ** (2 * n)))
 
 
@@ -186,17 +190,13 @@ def pointwise_bound(e_energy: float, w_half: float) -> float:
 
 def closed_form_iterate(coeffs, lambdas, n: int, basis: BasisSet2D) -> QSignal:
     """Iterate assembled directly from the error law, as an oracle for pg_run."""
-    a = np.asarray(coeffs, dtype=float)
-    lam = np.asarray(lambdas, dtype=float)
-    if a.shape != lam.shape or len(a) > len(basis):
-        raise LengthMismatch("coefficients must match a basis prefix")
+    a, lam = _with_eigenvalues(coeffs, lambdas)
     weights = a * (1.0 - (1.0 - lam) ** n)
     return QSignal(basis.ax_x, basis.ax_y, ModalField.of(basis, weights).grid_values())
 
 
 def closed_form_band_spectra(coeffs, lambdas, n: int, basis: BasisSet2D) -> np.ndarray:
-    a = np.asarray(coeffs, dtype=float)
-    lam = np.asarray(lambdas, dtype=float)
+    a, lam = _with_eigenvalues(coeffs, lambdas)
     return ModalField.of(basis, a * (1.0 - (1.0 - lam) ** n)).band_rep().spectra
 
 
@@ -242,57 +242,44 @@ def _axis_frame(rule, s, w_s, inside):
 
 
 def _frame_kernels(points, rules, frame) -> list:
-    """band_kernel E at each axis's points folded into its frame, E V; E built once when shared."""
-    first = band_kernel(points[0], *rules[0])
-    shared = all(np.array_equal(a, b) for a, b in zip((points[0], *rules[0]),
-                                                       (points[1], *rules[1])))
-    second = first if shared else band_kernel(points[1], *rules[1])
-    return [first @ frame[0], second @ frame[1]]
+    """band_kernel E at each axis's points folded into its frame, E V."""
+    return [band_kernel(x, *rule) @ v for x, rule, v in zip(points, rules, frame)]
 
 
 def _band_frame(tables):
     """A basis's band-rule frame folded into its 1D mode tables, kept in tables.memo.
 
-    Returns (A phi^T, lam, V, band conj(V), band band^H).  A = V^H F analyses
-    values at the time Gauss nodes, so A phi^T (r, M) takes the real field
-    phi^T psi phi of an (m, n) matrix psi to its analysed observation
+    Returns (A phi^T, lam, V, band conj(V), E band^T, E V) for band_kernel E
+    at the 81 probe points over [-3T, 3T].  A = V^H F analyses values at the
+    time Gauss nodes, so A phi^T (r, M) takes the real field phi^T psi phi
+    of an (m, n) matrix psi to its analysed observation
     (A phi^T) psi (A phi^T)^T; band conj(V) (M, r) takes psi to its frame
-    coefficients the same way; and with the real part G of the Gram
-    band band^H (M, M), whose imaginary part is rounding, the energy of
-    band^T psi band is _pair(G, psi, psi).
+    coefficients and E band^T (81, M) to its probe values the same way.
     """
     def build():
-        b1, band = tables.basis1d, tables.band
-        analysis, lam, v = _axis_frame(band_rule(b1), b1.nodes, b1.weights, True)
+        b1, band, rule = tables.basis1d, tables.band, band_rule(tables.basis1d)
+        analysis, lam, v = _axis_frame(rule, b1.nodes, b1.weights, True)
+        e = band_kernel(np.linspace(-3 * b1.t_half, 3 * b1.t_half, 81), *rule)
         return (analysis @ b1.eigvecs[:len(band)].T, lam, v, band @ v.conj(),
-                (band @ band.conj().T).real)
+                e @ band.T, e @ v)
     return tables.memo("band_frame", build)
 
 
-def _probe_kernels(tables, d_half):
-    """(E band^T, E V) for band_kernel E at 81 probe points over [-3d, 3d], kept in tables.memo."""
-    def build():
-        e = band_kernel(np.linspace(-3 * d_half, 3 * d_half, 81), *band_rule(tables.basis1d))
-        return e @ tables.band.T, e @ _band_frame(tables)[2]
-    return tables.memo(("probe", d_half), build)
-
-
-def _split_by_frame(synth: ModalField, d_half: float):
+def _split_by_frame(synth: ModalField):
     """The real field s of a synthetic truth, split by the band-rule frame.
 
     Returns the frame coefficients T of s (1, r, r), and the values at the
     81^2 probe points (1, 81, 81) and the energy of s's part outside the
     frame, band^T psi band - V T V^T.  Both come from (M, r), (81, M) and
     (81, r) tables: the values are s less its in-frame part, and as V's
-    columns are orthonormal the energy is that of s less that of T, which
-    rounding can take below 0 when s lies in the frame.
+    columns are orthonormal the energy is that of s, _pair(gram_r, psi, psi),
+    less that of T, which rounding can take below 0 when s lies in the frame.
     """
     t, psi = synth.tables, synth.psi
-    mode_frame, gram = _band_frame(t)[3:]
-    probe_modes, probe_frame = _probe_kernels(t, d_half)
+    mode_frame, probe_modes, probe_frame = _band_frame(t)[3:]
     truth = mode_frame.T @ psi @ mode_frame
     values = (probe_modes @ psi @ probe_modes.T - probe_frame @ truth @ probe_frame.T).real
-    return truth[None], values[None], max(_pair(gram, psi, psi) - _energy(truth), 0.0)
+    return truth[None], values[None], max(_pair(t.gram_r, psi, psi) - _energy(truth), 0.0)
 
 
 def _landweber(lam):
@@ -340,7 +327,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     A = V^H F and the nodal values phi, and the truth's part outside the
     frame comes from _split_by_frame, all over (r, M), (M, r), (81, M) and
     (81, r) tables.  Those tables and each grid's final kernels depend only
-    on the basis (and d), which keeps them (ModeTables.memo).  Others take
+    on the basis, which keeps them (ModeTables.memo).  Others take
     the dual-lattice bins inside the band and the grid nodes, where the
     recursion is pg_step exactly, and probe the grid nodes.  max_steps must
     be an int >= 1 and stop_tol a number >= 0, else BadParameters.
@@ -361,16 +348,16 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         check_phase(len(t.basis1d.nodes), (reach + problem.d_half) * problem.w_half,
                     "the grid and probe")
         rules = [band_rule(t.basis1d)] * 2
-        to_frame, lam, v, mode_frame, _ = _band_frame(t)
+        to_frame, lam, v, mode_frame, _, probe_frame = _band_frame(t)
         lam_x = lam_y = lam
-        probe = [_probe_kernels(t, problem.d_half)[1]] * 2
+        probe = [probe_frame] * 2
         final = t.memo(("final", *axes), lambda: _frame_kernels(samples, rules, [v, v]))
         # the truth is q s, q the basis's quaternion and s the real field of psi
         # (no cut terms): s is iterated as one component and q applied to the final grid
         scale = synth.coeff.modulus()
         g = (to_frame @ synth.psi @ to_frame.T)[None]
         # s - s_n = in-frame error + the fixed part of s outside the frame
-        truth, residual, residual_energy = _split_by_frame(synth, problem.d_half)
+        truth, residual, residual_energy = _split_by_frame(synth)
         decay = 1.0 - t.lambda2d
 
         def modal_spectra(psi):

@@ -9,10 +9,10 @@ the solve itself never uses.
 
 2D eigenfunctions are tensor products phi_m(x) phi_n(y) times a fixed unit
 quaternion amplitude, with eigenvalue lambda_m * lambda_n.  Global (whole-
-plane) inner products of basis elements are evaluated on the band side via
-the finite-Fourier self-similarity of the eigenfunctions: at desk-scale
-windows the spatial tails of the eigenfunctions still carry O(1/X) energy,
-so literal window quadrature cannot certify whole-plane identities.
+plane) inner products of basis elements are sums on the band Gauss rule,
+exact for band-limited functions: at desk-scale windows the spatial tails
+of the eigenfunctions still carry O(1/X) energy, so literal window
+quadrature cannot certify whole-plane identities.
 
 A 2D basis keeps 1D factor tables (ModeTables) over the modes its elements
 use; element grids are computed from them on access.  The eigen-form checks
@@ -337,10 +337,11 @@ class ModeTables:
     Every 2D quantity of a basis element or combination is a product of
     two rows (signals.ModalField does the contractions).  The top products
     always use a prefix of the modes, all above the evaluation floor.
-    _memo is the one per-basis memo (see memo), keyed per purpose: the
-    all-pass window images of every mode per window half-width
-    (_window_images), and extrapolate's band-rule eigenframe with the mode
-    tables folded into it, probe kernels and final-grid kernels.
+    _memo is the one per-basis memo (see memo), keyed per purpose:
+    ("window", h), the all-pass window images of every mode for window
+    half-width h (_window_images); "band_frame", extrapolate's band-rule
+    eigenframe with the mode tables and the probe kernels folded into it;
+    ("final", ax_x, ax_y), its final-grid kernels on those axes.
     """
 
     basis1d: ProlateBasis1D
@@ -351,7 +352,7 @@ class ModeTables:
     band: np.ndarray            # (M, N) complex, sqrt(w_u / 2 pi) F(phi_k)(u) on the band rule
     cut: np.ndarray             # (M, N) complex, the same for phi_k restricted to [-T, T]
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
-    gram_r: np.ndarray          # (M, M) long double, <phi_a, phi_b> on the line
+    gram_r: np.ndarray          # (M, M) float64, <phi_a, phi_b> on the line: Re band band^H
     lambda2d: np.ndarray        # (M, M) float64, lambda_a lambda_b rounded once from long double
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -373,15 +374,12 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
     # the cut's transform at u = (W/T) x is the conjugate finite-Fourier image I_k(x)
     cut = (np.conj(b._fphi_ld[:m]) * sw).astype(complex)
     gram_t = (b._phi_ld[:m] * b._w_ld[None, :]) @ b._phi_ld[:m].T
-    # whole-line Gram from the band-side self-similarity:
-    # <phi_a, phi_b>_R = (W/T)/(2 pi) mu_a conj(mu_b) / (lambda_a lambda_b) <phi_a, phi_b>_T
-    mu, lam = b._mu_ld[:m], b._lam_ld[:m]
-    lam2 = lam[:, None] * lam[None, :]
-    scale = (_LD(b.w_half) / _LD(b.t_half) / (2 * _LD(np.pi))) \
-        * mu[:, None] * np.conj(mu)[None, :] / lam2
+    lam = b._lam_ld[:m]
+    # the band rule is exact for band-limited functions, so it gives the whole-line
+    # Gram; its imaginary part is rounding
     return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, ext_x=ext_x, ext_y=ext_y,
-                      band=band, cut=cut, gram_t=gram_t, gram_r=np.real(scale * gram_t),
-                      lambda2d=lam2.astype(np.float64))
+                      band=band, cut=cut, gram_t=gram_t, gram_r=(band @ band.conj().T).real,
+                      lambda2d=(lam[:, None] * lam[None, :]).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -632,25 +630,24 @@ class AllpassCheck:
     window_halfwidth: float
 
 
-_WINDOW_COUNT = 257     # samples per axis of the all-pass window
-
-
 def _window_images(tables: ModeTables, h: float):
     """Trapezoid weights, phi_k and k_k = K_win phi_k on the window [-H, H], every mode.
 
-    Computed once per basis and window half-width: each element's check
-    takes its two rows.
+    The window takes the smallest odd sample count, and at least 257, whose
+    step keeps W step <= 0.9 pi: the sampled kernel aliases once W step
+    exceeds pi.  Computed once per basis and window half-width: each
+    element's check takes its two rows.
     """
     def build():
         b, m = tables.basis1d, len(tables.band)
-        ax = GridAxis.symmetric(h, _WINDOW_COUNT)
+        count = max(257, 1 + 2 * int(np.ceil(h * b.w_half / (0.9 * np.pi))))
+        ax = GridAxis.symmetric(h, count)
         wt = ax.trapezoid_weights().astype(_LD)
         phi = b.extend_ld(np.arange(m), ax.samples())
         # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step
-        lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - _WINDOW_COUNT, _WINDOW_COUNT),
-                              b.w_half)
-        idx = np.arange(_WINDOW_COUNT)
-        k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + _WINDOW_COUNT - 1].T
+        lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - count, count), b.w_half)
+        idx = np.arange(count)
+        k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + count - 1].T
         return wt, phi, k
     return tables.memo(("window", h), build)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LengthMismatch
 from .grid import GridAxis, QSignal, _axis_region_mask
 from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_kernel,
                       band_rule)
@@ -117,10 +118,16 @@ class ModalField:
 
     @classmethod
     def of(cls, basis: BasisSet2D, psi=(), cut=()) -> "ModalField":
-        """sum_q psi[q] psi_q + sum_q cut[q] D_T psi_q over prefixes of the basis."""
+        """sum_q psi[q] psi_q + sum_q cut[q] D_T psi_q over prefixes of the basis.
+
+        psi and cut are 1D and no longer than the basis, else LengthMismatch.
+        """
         mn = basis.modes
         mats = np.zeros((2,) + (len(basis.tables.band),) * 2)
         for mat, a in zip(mats, (psi, cut)):
+            a = np.asarray(a, dtype=float)
+            if a.ndim != 1 or len(a) > len(basis):
+                raise LengthMismatch("coefficients must be a prefix of the basis")
             np.add.at(mat, tuple(mn[:len(a)].T), a)
         return cls(basis.tables, basis.coeff, *mats)
 

@@ -238,6 +238,20 @@ def test_verify_fresh_basis(basis_dir, tmp_path):
     assert report["checks"]["verify_lowpass"] <= 1e-6
 
 
+def test_verify_basis_whose_window_needs_more_samples(tmp_path):
+    # c = 200: a 257-sample all-pass window over [-4T, 4T] has W step = 1.99 pi and aliases
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"T": 10, "W": 20, "grid_halfwidth": 10, "grid_n": 129,
+                               "basis_count": 4}))
+    r = run_cli("--config", str(cfg), "--output", str(tmp_path / "b"), "basis")
+    assert r.returncode == 0, r.stderr
+    r = run_cli("--config", str(cfg), "--output", str(tmp_path / "v"), "verify",
+                "--manifest", str(tmp_path / "b" / "manifest.json"))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert max(report["checks"].values()) <= 1e-6
+
+
 def test_verify_corrupted_eigenvalue(basis_dir, tmp_path):
     manifest = json.loads((basis_dir / "manifest.json").read_text())
     manifest["entries"][0]["lambda2d"] *= 1.2

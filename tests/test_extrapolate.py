@@ -179,7 +179,7 @@ def test_split_by_frame_matches_the_band_rule_arrays():
     basis = build_basis(1.1, 1.1, 256, 49, coeff=coeff)
     coeffs = CounterRng(64).normal(len(basis))
     prob = make_synthetic_problem(basis, coeffs)
-    truth, residual, outside_energy = _split_by_frame(prob.synthetic, prob.d_half)
+    truth, residual, outside_energy = _split_by_frame(prob.synthetic)
 
     b1, band, psi = basis.basis1d, basis.tables.band, prob.synthetic.psi
     rule = band_rule(b1)

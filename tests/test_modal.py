@@ -10,6 +10,7 @@ import pytest
 
 from qpswf.concentration import (CUT, PSI, ComboSignal, build_boundary_signal,
                                  build_zero_xi_signal)
+from qpswf.errors import LengthMismatch
 from qpswf.extrapolate import (closed_form_band_spectra, closed_form_iterate,
                                make_synthetic_problem)
 from qpswf.grid import GridAxis, Region, region_mask
@@ -145,6 +146,29 @@ def test_gram_matrix_matches_pair_loop(basis36, region):
         for q, eb in enumerate(basis36.items):
             expect[p, q, 0] = float(_gram_1d(b, ea.m, eb.m, line) * _gram_1d(b, ea.n, eb.n, line))
     assert _close(gram_matrix(basis36, region), expect)
+
+
+@pytest.mark.parametrize("tw", [1.0, 2.0, 5.0])
+def test_whole_line_gram_matches_self_similarity(basis36, tw):
+    # the band rule's Gram of the band table against the long-double
+    # finite-Fourier self-similarity form of the whole-line Gram
+    basis = basis36 if tw == 1.0 else build_basis(tw, tw, 256, 36)
+    b, m = basis.basis1d, len(basis.tables.band)
+    expect = np.array([[_gram_1d(b, a, c, True) for c in range(m)] for a in range(m)])
+    assert float(np.abs(basis.tables.gram_r - expect).max()) <= 1e-15
+
+
+def test_coefficients_must_be_a_basis_prefix(basis36):
+    lams = basis36.eigenvalues()
+    for bad in (np.ones(len(basis36) + 1), np.ones((2, 3))):
+        with pytest.raises(LengthMismatch):
+            ComboSignal.of(basis36, bad)
+        with pytest.raises(LengthMismatch):
+            ComboSignal.of(basis36, [1.0], bad)
+        with pytest.raises(LengthMismatch):
+            closed_form_band_spectra(bad, np.full(bad.shape, 0.5), 3, basis36)
+    with pytest.raises(LengthMismatch):
+        closed_form_band_spectra([1.0, 2.0], lams[:1], 3, basis36)
 
 
 def test_element_values_are_the_long_double_outer_product(basis36):
