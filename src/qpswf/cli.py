@@ -44,6 +44,11 @@ def _at_least(lo):
     return (lambda v: v >= lo), f">= {lo}"
 
 
+# a complex number as JSON writes it, [real, imaginary]; type() leaves out bools
+_COMPLEX = (lambda v: len(v) == 2 and all(type(x) in (int, float) and math.isfinite(x) for x in v),
+            "two finite numbers")
+
+
 # each input's keys: (type, default or REQUIRED, range or None); unknown keys are rejected
 CONFIG = {
     "T": (float, 1.0, _POSITIVE),
@@ -75,8 +80,8 @@ MANIFEST_ENTRY = {
     "lambda2d": (float, REQUIRED, None),
     "m": (int, None, _at_least(0)),
     "n": (int, None, _at_least(0)),
-    "mu_x": (list, None, None),
-    "mu_y": (list, None, None),
+    "mu_x": (list, None, _COMPLEX),
+    "mu_y": (list, None, _COMPLEX),
 }
 
 
@@ -181,6 +186,20 @@ def cmd_basis(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _check_declared(name: str, manifest: dict, entries: list, basis, tol: float) -> None:
+    """ERROR 4 manifest_consistency unless each c, m, n, mu_x and mu_y the manifest
+    declares is that of the rebuilt basis: c to 1e-12 and mu to tol, relative."""
+    declared = [(name, "c", manifest["c"], manifest["T"] * manifest["W"], 1e-12)]
+    for e, el in zip(entries, basis.items):
+        declared += [(e["file"], "m", e["m"], el.m, 0), (e["file"], "n", e["n"], el.n, 0)]
+        declared += [(e["file"], key, e[key] and complex(*e[key]), want, tol)
+                     for key, want in (("mu_x", el.mu_x), ("mu_y", el.mu_y))]
+    for file, key, got, want, rel in declared:
+        if got is not None and not abs(got - want) <= rel * abs(want):
+            raise CliError(4, "manifest_consistency",
+                           f"{file}: {key} = {got!r} but the rebuilt basis has {want!r}")
+
+
 def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
     from .grid import Region
     from .prolate import EIG_FLOOR, gram_matrix, verify_allpass, verify_finite_qft, verify_lowpass
@@ -197,6 +216,7 @@ def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
     first = _read_qgrid(paths[0])
     basis = _build_basis("manifest", manifest["T"], manifest["W"], manifest["N"],
                          len(entries), (first.ax_x, first.ax_y))
+    _check_declared(manifest_path.name, manifest, entries, basis, tol)
 
     file_dev = 0.0
     skipped = 0

@@ -158,21 +158,20 @@ def _prolate_series(c, count: int) -> np.ndarray:
 
     Returns beta of shape (degrees, count) with psi_n(t) = sum_k beta[k, n]
     sqrt(k + 1/2) P_k(t); each column has unit norm and the other parity's
-    entries are zero.  The series length follows c: it starts near
-    count / 2 + c + 16 terms per parity and doubles until the trailing
-    coefficients of every kept mode fall below the double eps.
+    entries are zero.  The series has ceil(count / 2 + c) + 16 terms per
+    parity, fixed once: the coefficients of psi_n fall faster than
+    geometrically once the degree passes both n and c (Xiao, Rokhlin &
+    Yarvin 2001).  A kept mode whose trailing coefficients are not below the
+    double eps raises ConvergenceFailure.
     """
     size = int(np.ceil(count / 2 + c)) + 16
-    for _ in range(4):
-        beta = np.zeros((2 * size, count), dtype=_LD)
-        for parity in (0, 1):
-            beta[parity::2, parity::2] = _parity_eigvecs(c, parity, size,
-                                                         (count + 1 - parity) // 2)
-        if np.abs(beta[-6:]).max() < np.finfo(np.float64).eps:
-            return beta
-        size *= 2
-    raise ConvergenceFailure(f"Legendre series of c = {c:.6g} did not converge "
-                             f"within {size // 2} terms per parity")
+    beta = np.zeros((2 * size, count), dtype=_LD)
+    for parity in (0, 1):
+        beta[parity::2, parity::2] = _parity_eigvecs(c, parity, size, (count + 1 - parity) // 2)
+    if not np.abs(beta[-6:]).max() < np.finfo(np.float64).eps:
+        raise ConvergenceFailure(f"Legendre series of c = {c:.6g} did not converge "
+                                 f"within {size} terms per parity")
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +292,6 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
         eigvals=lam.astype(np.float64), eigvecs=phi.astype(np.float64),
         mu=mu_ld.astype(complex), _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam,
         _mu_ld=mu_ld, _kphi_ld=(w * phi) @ kern.T, _fphi_ld=integral)
-
-
-@functools.lru_cache(maxsize=8)
-def cached_basis_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateBasis1D:
-    return eig_prolate_1d(t_half, w_half, n, count)
 
 
 def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
@@ -441,23 +435,22 @@ class BasisSet2D:
         raise BadIndex(f"element ({m}, {n}) not in basis")
 
 
-def _required_1d_count(basis_count: int) -> int:
-    # start near the square grid corner; enlarged below if selection-unsafe
-    return max(8, int(np.ceil(np.sqrt(basis_count))) + 2)
-
-
 def build_basis(t_half: float, w_half: float, n_quad: int, count: int,
                 coeff: Quaternion = None,
                 grid: tuple[GridAxis, GridAxis] = None) -> BasisSet2D:
     """Solve the 1D problem and assemble the 2D basis in one call.
 
-    The 1D mode count is grown until the top-count product selection is
-    provably complete.
+    The 1D solve holds max(8, ceil(sqrt(count)) + 2) modes, two past the
+    square corner of the selection, capped at n_quad.  Where build_qpswf_basis
+    cannot prove the top-count selection complete from them, the solve is
+    repeated with 4 more modes: at c = 7 the top 169 = 13^2 products take 15,
+    then 19 modes.  A selection that needs a mode below the evaluation floor
+    raises at once, since more modes cannot help it.
     """
     if count < 1:
         raise BadParameters(f"basis count must be >= 1, got {count}")
     coeff = DEFAULT_COEFF if coeff is None else coeff
-    n1 = _required_1d_count(count)
+    n1 = max(8, int(np.ceil(np.sqrt(count))) + 2)
     while True:
         basis1d = eig_prolate_1d(t_half, w_half, n_quad, min(n1, n_quad))
         try:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import BadIndex, BadParameters, LengthMismatch
 from .grid import GridAxis, QSignal, _axis_region_mask
 from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_kernel,
                       band_rule)
@@ -133,9 +133,16 @@ class ModalField:
 
     @classmethod
     def of_terms(cls, basis: BasisSet2D, terms) -> "ModalField":
-        """From (kind, element_index, real_coefficient) terms, kind PSI or CUT."""
+        """From (kind, element_index, real_coefficient) terms, kind PSI or CUT.
+
+        An index outside [0, len(basis)) is BadIndex, any other kind BadParameters.
+        """
         a = np.zeros((2, len(basis)))
         for kind, q, r in terms:
+            if kind not in (PSI, CUT):
+                raise BadParameters(f"term kind must be {PSI!r} or {CUT!r}, got {kind!r}")
+            if not (isinstance(q, (int, np.integer)) and 0 <= q < len(basis)):
+                raise BadIndex(f"element {q!r} not in basis of {len(basis)}")
             a[int(kind == CUT), q] += r
         return cls.of(basis, *a)
 

@@ -263,6 +263,31 @@ def test_verify_corrupted_eigenvalue(basis_dir, tmp_path):
     assert r.stderr.startswith("ERROR 4 verify_lowpass:")
 
 
+@pytest.mark.parametrize("tamper, code, start", [
+    (lambda m: m.update(c=123.0), 4, "ERROR 4 manifest_consistency: manifest.json: c"),
+    (lambda m: m["entries"][0].update(mu_x=[9.0, 9.0]), 4,
+     "ERROR 4 manifest_consistency: psi_000.qgrid: mu_x"),
+    (lambda m: m["entries"][1].update(m=5, n=5), 4,
+     "ERROR 4 manifest_consistency: psi_001.qgrid: m"),
+    (lambda m: m["entries"][2].update(mu_y=[1.0]), 2, "ERROR 2 manifest: mu_y"),
+    (lambda m: m["entries"][2].update(mu_y=[1.0, float("nan")]), 2, "ERROR 2 manifest: mu_y")],
+    ids=["c", "mu_x", "m_n", "mu_short", "mu_nan"])
+def test_verify_checks_every_declared_value(basis_dir, tmp_path, capsys, tamper, code, start):
+    # c, m, n, mu_x and mu_y are compared with the rebuilt basis when present
+    from qpswf import cli
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    tamper(manifest)
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    for entry in manifest["entries"]:
+        (tmp_path / entry["file"]).write_bytes((basis_dir / entry["file"]).read_bytes())
+    assert cli.main(["--config", str(_write_cfg(tmp_path, output_dir=str(tmp_path / "v"))),
+                     "verify", "--manifest", str(bad)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start) and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "v" / "verify_report.json").exists()
+
+
 def test_verify_missing_file(basis_dir, tmp_path):
     manifest = json.loads((basis_dir / "manifest.json").read_text())
     manifest["entries"][0]["file"] = "nope.qgrid"
@@ -380,6 +405,36 @@ def test_concentration_where_eta_spans_less_than_double_spacing(tmp_path):
     r = run_cli("--config", str(path), "--output", str(tmp_path / "c"), "concentration")
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "c" / "region.svg").read_text().endswith("</svg>")
+
+
+@pytest.mark.parametrize("t, w, halfwidth, grid_n", [
+    (0.5, 0.5, 2, 129), (1, 1, 4, 129), (5, 5, 20, 257), (10, 10, 20, 257),
+    (10, 13, 20, 257), (10, 20, 10, 129)], ids=["c0.25", "c1", "c25", "c100", "c130", "c200"])
+def test_commands_across_c(tmp_path, capsys, t, w, halfwidth, grid_n):
+    # basis -> verify -> concentration in process, from c = T W = 0.25 up to the
+    # c = 200 that the default 256 nodes allow
+    from qpswf import cli
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"T": t, "W": w, "grid_halfwidth": halfwidth, "grid_n": grid_n,
+                               "basis_count": 8}))
+    for command in (["basis"], ["verify", "--manifest", str(tmp_path / "basis" / "manifest.json")],
+                    ["concentration"]):
+        code = cli.main(["--config", str(cfg), "--output", str(tmp_path / command[0]), *command])
+        assert code == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+
+
+def test_basis_below_the_evaluation_floor_at_small_c(tmp_path, capsys):
+    # c = 0.25: the top 36 products need 1D mode 5, beyond long-double evaluation
+    from qpswf import cli
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"T": 0.5, "W": 0.5, "grid_halfwidth": 2, "grid_n": 129}))
+    for command in ("basis", "concentration"):
+        assert cli.main(["--config", str(cfg), "--output", str(tmp_path / command), command]) == 2
+        assert capsys.readouterr().err == (
+            "ERROR 2 config: 1D mode 5 (lambda = 2.265e-17) cannot be evaluated in extended "
+            "precision; reduce the basis count\n")
+    assert not (tmp_path / "basis").exists() and not (tmp_path / "concentration").exists()
 
 
 @pytest.mark.parametrize("command", ["basis", "concentration"])

@@ -10,7 +10,7 @@ import pytest
 
 from qpswf.concentration import (CUT, PSI, ComboSignal, build_boundary_signal,
                                  build_zero_xi_signal)
-from qpswf.errors import LengthMismatch
+from qpswf.errors import BadIndex, BadParameters, LengthMismatch
 from qpswf.extrapolate import (closed_form_band_spectra, closed_form_iterate,
                                make_synthetic_problem)
 from qpswf.grid import GridAxis, Region, region_mask
@@ -169,6 +169,16 @@ def test_coefficients_must_be_a_basis_prefix(basis36):
             closed_form_band_spectra(bad, np.full(bad.shape, 0.5), 3, basis36)
     with pytest.raises(LengthMismatch):
         closed_form_band_spectra([1.0, 2.0], lams[:1], 3, basis36)
+
+
+def test_terms_must_name_basis_elements(basis_small):
+    # -1 would set the last element and "junk" would pass for PSI
+    for terms, error in (([(PSI, -1, 1.0)], BadIndex), ([(PSI, 6, 1.0)], BadIndex),
+                         ([(CUT, 0, 1.0), ("junk", 1, 1.0)], BadParameters)):
+        with pytest.raises(error):
+            ComboSignal.of_terms(basis_small, terms)
+    g = ComboSignal.of_terms(basis_small, [(PSI, 5, 1.0), (CUT, 0, 2.0)])
+    assert g.psi[tuple(basis_small.modes[5])] == 1.0 and g.cut[0, 0] == 2.0
 
 
 def test_element_values_are_the_long_double_outer_product(basis36):

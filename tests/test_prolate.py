@@ -4,9 +4,8 @@ import pytest
 from qpswf import prolate
 from qpswf.errors import (BadIndex, BadParameters, ConvergenceFailure,
                           EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
-from qpswf.grid import Region
-from qpswf.prolate import (build_basis, build_qpswf_basis,
-                           build_sinc_operator, cached_basis_1d,
+from qpswf.grid import GridAxis, Region
+from qpswf.prolate import (build_basis, build_qpswf_basis, build_sinc_operator,
                            eig_prolate_1d, extend_eigenfunction, gram_matrix,
                            lowpass_residual_field, verify_allpass,
                            verify_finite_qft, verify_lowpass)
@@ -18,6 +17,12 @@ from qpswf.signals import element_band_rep
 # cross-checked against node doubling (N = 256 vs 512 agree to ~1e-19)
 LAM_1D = [5.725817806378950e-01, 6.279127414980333e-02, 1.2374793284659950e-03,
           9.2009770495693691e-06, 3.7179285580696550e-08, 9.4914367340372458e-11]
+
+
+@pytest.fixture(scope="module")
+def basis1d():
+    """The T = W = 1 solve with 8 modes at 256 nodes, shared by tests that only read it."""
+    return eig_prolate_1d(1.0, 1.0, 256, 8)
 
 
 def test_operator_structure():
@@ -38,26 +43,23 @@ def test_trace_equals_eigenvalue_sum():
     assert abs(np.trace(a) - lam.sum()) <= 1e-10
 
 
-def test_eigenvalues_frozen_and_monotone():
-    b = cached_basis_1d(1.0, 1.0, 256, 8)
+def test_eigenvalues_frozen_and_monotone(basis1d):
     for k, expect in enumerate(LAM_1D):
-        assert b.eigvals[k] == pytest.approx(expect, rel=1e-9)
-    lam = b.eigvals
+        assert basis1d.eigvals[k] == pytest.approx(expect, rel=1e-9)
+    lam = basis1d.eigvals
     above = lam[lam > 1e-14]
     assert np.all(above > 0) and np.all(above < 1)
     assert np.all(np.diff(above) < 0)
 
 
-def test_eigenvalue_grid_refinement():
-    b1 = cached_basis_1d(1.0, 1.0, 256, 8)
+def test_eigenvalue_grid_refinement(basis1d):
     b2 = eig_prolate_1d(1.0, 1.0, 512, 8)
-    assert np.abs(b1.eigvals - b2.eigvals).max() <= 1e-8
+    assert np.abs(basis1d.eigvals - b2.eigvals).max() <= 1e-8
 
 
-def test_eigenvalue_scale_invariance():
-    b1 = cached_basis_1d(1.0, 1.0, 256, 8)
+def test_eigenvalue_scale_invariance(basis1d):
     b2 = eig_prolate_1d(2.0, 0.5, 256, 8)
-    assert np.abs(b1.eigvals[:6] - b2.eigvals[:6]).max() <= 1e-10
+    assert np.abs(basis1d.eigvals[:6] - b2.eigvals[:6]).max() <= 1e-10
 
 
 def test_jacobi_converges_at_large_concentration():
@@ -141,42 +143,52 @@ def test_tridiagonal_solver_failure_is_convergence_failure(monkeypatch):
         eig_prolate_1d(1.0, 1.0, 64, 4)
 
 
-def test_extension_matches_nodes():
-    b = cached_basis_1d(1.0, 1.0, 256, 8)
+def test_series_that_has_not_decayed_is_convergence_failure(monkeypatch, tmp_path, capsys):
+    # the series length is fixed once; flat coefficients stand in for a too-short series
+    from qpswf import cli
+
+    def flat(c, parity, size, keep):
+        return np.full((size, keep), 1 / np.sqrt(size), dtype=np.longdouble)
+
+    monkeypatch.setattr(prolate, "_parity_eigvecs", flat)
+    with pytest.raises(ConvergenceFailure, match="within 21 terms per parity"):
+        eig_prolate_1d(1.0, 1.0, 64, 8)
+    assert cli.main(["--output", str(tmp_path / "b"), "basis"]) == 3
+    assert capsys.readouterr().err.startswith("ERROR 3 eigensolver: Legendre series of c = 1 ")
+
+
+def test_extension_matches_nodes(basis1d):
     for k in (0, 1, 3):
-        at_nodes = extend_eigenfunction(b, k, b.nodes[::50])
-        assert np.abs(at_nodes - b.eigvecs[k][::50]).max() <= 1e-10
+        at_nodes = extend_eigenfunction(basis1d, k, basis1d.nodes[::50])
+        assert np.abs(at_nodes - basis1d.eigvecs[k][::50]).max() <= 1e-10
 
 
-def test_extension_parity_and_decay():
-    b = cached_basis_1d(1.0, 1.0, 256, 8)
+def test_extension_parity_and_decay(basis1d):
     xs = np.linspace(0.1, 3.5, 40)
     for k in range(4):
-        left = extend_eigenfunction(b, k, -xs)
-        right = extend_eigenfunction(b, k, xs)
+        left = extend_eigenfunction(basis1d, k, -xs)
+        right = extend_eigenfunction(basis1d, k, xs)
         sign = 1.0 if k % 2 == 0 else -1.0
         assert np.abs(left - sign * right).max() <= 1e-8
     # slow sinc-tail decay: |phi_0(4T)| is ~0.16 of phi_0(0) at c = 1
-    v0 = extend_eigenfunction(b, 0, 0.0)
-    v4 = extend_eigenfunction(b, 0, 4.0)
+    v0 = extend_eigenfunction(basis1d, 0, 0.0)
+    v4 = extend_eigenfunction(basis1d, 0, 4.0)
     assert v0 > 0
     assert abs(v4) < 0.2 * v0
 
 
-def test_extension_floor():
-    b = cached_basis_1d(1.0, 1.0, 256, 8)
+def test_extension_floor(basis1d):
     with pytest.raises(EigenvalueTooSmall):
-        extend_eigenfunction(b, 6, 0.5)  # lambda_6 ~ 1.7e-13 < floor
+        extend_eigenfunction(basis1d, 6, 0.5)  # lambda_6 ~ 1.7e-13 < floor
     with pytest.raises(BadIndex):
-        extend_eigenfunction(b, 99, 0.5)
+        extend_eigenfunction(basis1d, 99, 0.5)
 
 
-def test_sign_convention_and_mu_phases():
-    b = cached_basis_1d(1.0, 1.0, 256, 8)
-    assert extend_eigenfunction(b, 0, 0.0) > 0
+def test_sign_convention_and_mu_phases(basis1d):
+    assert extend_eigenfunction(basis1d, 0, 0.0) > 0
     # mu_k carries the phase i^k under this sign convention
     for k in range(5):
-        mu = b.mu[k]
+        mu = basis1d.mu[k]
         phase = 1j ** k
         aligned = (mu / phase).real
         assert aligned > 0
@@ -337,3 +349,25 @@ def test_build_basis_selection_safety(monkeypatch):
     with pytest.raises(EigenvalueTooSmall):
         build_basis(1.0, 1.0, 256, 100)
     assert len(calls) == 1
+
+
+def test_build_basis_grows_the_1d_basis_when_the_selection_is_incomplete(monkeypatch):
+    # c = 7, 169 = 13^2 elements (a config the CLI accepts at quad_n 338): with the
+    # first 15 modes the smallest selected product, 8.786e-15, lies below
+    # lambda_0 lambda_14 = 8.793e-15, so a product with mode 15 could still belong
+    # to the selection; the build re-solves with 19 modes, whose bound clears it
+    solves, solve = [], prolate.eig_prolate_1d
+
+    def counted_solve(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(prolate, "eig_prolate_1d", counted_solve)
+    ax = GridAxis.symmetric(1.0, 3)
+    basis = build_basis(1.0, 7.0, 338, 169, grid=(ax, ax))
+    assert [b.count for b in solves] == [15, 19] and basis.basis1d is solves[1]
+    with pytest.raises(BadParameters, match="too short to order"):
+        build_qpswf_basis(solves[0], 169, grid=(ax, ax))
+    lam = basis.basis1d.eigvals
+    assert basis.eigenvalues()[-1] >= lam[0] * lam[-1]
+    assert len(basis.tables.band) == 15  # modes 15..18 only bound the selection
