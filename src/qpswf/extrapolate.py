@@ -2,22 +2,22 @@
 
 Given a band-limited signal observed only on a square D, the iteration
 replaces the current iterate by the observation on D and band-limits the
-result; the error contracts mode-by-mode with factor (1 - lambda_j) per
-step.  pg_run writes it as one linear recursion on band coefficients: for
-synthetic problems built from the eigenbasis on the band Gauss rule, where
-the closed-form error law can be checked at full precision, and for
-file-based problems on the dual-lattice bins inside the band.  In the
-eigenframe of each axis's Hermitian step matrix the iterate after n steps is
-the Landweber filter G (1 - (1 - lam)^n) / lam, evaluated in closed form.
-The frame keeps only the modes whose eigenvalue eigh resolves from 0 (7 of
-256 on the band Gauss rule at T = W = 1); the truth's content below that cut
-is not iterated but carried as a fixed residual in E_n and sup_e.  A
-synthetic truth is the basis's unit quaternion q times a real field, which
-the run iterates as one component.  Its band-rule frame, the 1D mode
-tables folded into it and its kernels depend only on the basis and are kept
-in the basis's ModeTables memo, so a synthetic run forms no array on the
-grid or on the N x N band rule but its final grid, and its problem samples
-the truth on a grid only when a caller reads it.
+result; the error contracts mode-by-mode with factor (1 - lambda_j) per step.
+pg_run writes it as one linear recursion on band coefficients: for synthetic
+problems built from the eigenbasis on the band Gauss rule, where the
+closed-form error law can be checked at full precision, and for file-based
+problems on the dual-lattice bins inside the band.  In the eigenframe of each
+axis's Hermitian step matrix the iterate after n steps is the Landweber
+filter G (1 - (1 - lam)^n) / lam, evaluated in closed form for a block of
+rows at once.  The frame keeps only the modes whose eigenvalue eigh resolves
+from 0 (7 of 256 on the band Gauss rule at T = W = 1); the truth's content
+below that cut is not iterated but carried as a fixed residual in E_n and
+sup_e.  A synthetic truth is the basis's unit quaternion q times a real
+field, which the run iterates as one component.  Its band-rule frame, the 1D
+mode tables folded into it and its kernels depend only on the basis and are
+kept in the basis's ModeTables memo, so a synthetic run forms no array on the
+grid or on the N x N band rule, and a run's final grid, like its problem's
+truth, is sampled only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ from .signals import ModalField, _analyse, _component_values, _energy, _pair
 
 
 class _Sampled(QSignal):
-    """A synthetic truth's samples on its basis grid, taken on the first read of values.
+    """A grid whose samples are taken on the first read of values.
 
-    source is the truth's ModalField, or for the observation the truth's
-    _Sampled grid, time-limited to D = [-d_half, d_half]^2.  pg_run reads
-    only a synthetic problem's axes, so its grids are sampled only for a
-    caller that reads them.
+    source is a synthetic truth's ModalField; for its observation, the
+    truth's _Sampled grid, time-limited to D = [-d_half, d_half]^2; or for
+    pg_run's final iterate, a function that returns the values.  pg_run
+    reads only a synthetic problem's axes, so no grid is sampled unread.
     """
 
     def __init__(self, ax_x: GridAxis, ax_y: GridAxis, source, d_half: float = None):
@@ -52,9 +52,9 @@ class _Sampled(QSignal):
 
     @cached_property
     def values(self) -> np.ndarray:
-        if self.d_half is None:
-            return self.source.grid_values()
-        return time_limit(self.source, self.d_half).values
+        if self.d_half is not None:
+            return time_limit(self.source, self.d_half).values
+        return self.source() if callable(self.source) else self.source.grid_values()
 
 
 def _finite_positive(x) -> bool:
@@ -285,8 +285,9 @@ def _split_by_frame(synth: ModalField):
 def _landweber(lam):
     """n -> iterate gain (1 - (1 - lam)^n) / lam and update factor (1 - lam)^n, n = inf too.
 
-    Below lam = 1/2 both come from n log1p(-lam), formed once; from 1/2 up
-    1 - lam is exact and the plain power is used (log1p(-1) = -inf).
+    n may be an array that broadcasts against lam.  Below lam = 1/2 both come
+    from n log1p(-lam), formed once; from 1/2 up 1 - lam is exact and the
+    plain power is used (log1p(-1) = -inf).
     """
     small = lam < 0.5
     log_decay = np.log1p(-np.minimum(lam, 0.5))
@@ -295,6 +296,24 @@ def _landweber(lam):
         decay = np.where(small, np.exp(n * log_decay), (1.0 - lam) ** n)
         return np.where(small, -np.expm1(n * log_decay), 1.0 - decay) / lam, decay
     return at
+
+
+def _row_energies(coeffs: np.ndarray) -> np.ndarray:
+    """_energy of each row of a stack of band coefficients."""
+    v = np.ascontiguousarray(coeffs, dtype=complex).reshape(len(coeffs), -1).view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def _sup_norms(err, px, py_real, residual) -> np.ndarray:
+    """max |px err py^T + residual| over the probe points for each row of err (k, C, rx, ry).
+
+    Re(X py^T) = [Re X, Im X] py_real for X = px err and py_real = [Re py, -Im py]^T.
+    """
+    x = px @ err
+    x = np.concatenate([x.real, x.imag], axis=-1)
+    values = (x.reshape(-1, x.shape[-1]) @ py_real).reshape(err.shape[:2] + (len(px), -1))
+    values += residual
+    return np.sqrt(np.einsum("bcij,bcij->bij", values, values).max(axis=(1, 2)))
 
 
 def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
@@ -307,6 +326,9 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     s = Vx^H spec conj(Vy), it is s <- s + Gs - Lam * s elementwise, so row n
     takes s_n = Gs (1 - (1 - Lam)^n) / Lam and the update Gs (1 - Lam)^(n-1)
     in closed form from _landweber, with no rounding carried between steps.
+    Rows are independent and are evaluated in blocks of stacked arrays, as
+    many rows as keep a block's probe values within one component of the
+    final grid; the rows after the first with delta < stop_tol are dropped.
     The frame is folded into the kernels once (analysis V^H F, synthesis
     E V, mode tables band conj(V)).  V is n x r, the r modes _axis_frame
     resolves from 0, so a row works on r x r arrays.  Content below that cut
@@ -329,8 +351,9 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     (81, r) tables.  Those tables and each grid's final kernels depend only
     on the basis, which keeps them (ModeTables.memo).  Others take
     the dual-lattice bins inside the band and the grid nodes, where the
-    recursion is pg_step exactly, and probe the grid nodes.  max_steps must
-    be an int >= 1 and stop_tol a number >= 0, else BadParameters.
+    recursion is pg_step exactly, and probe the grid nodes.  The final grid
+    is sampled when first read.  max_steps must be an int >= 1 and stop_tol
+    a number >= 0, else BadParameters.
     """
     if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral):
         raise BadParameters(f"max_steps must be an int, got {max_steps!r}")
@@ -359,10 +382,6 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         # s - s_n = in-frame error + the fixed part of s outside the frame
         truth, residual, residual_energy = _split_by_frame(synth)
         decay = 1.0 - t.lambda2d
-
-        def modal_spectra(psi):
-            """Eigenframe band coefficients of s for the (m, n) matrix psi."""
-            return (mode_frame.T @ psi @ mode_frame)[None]
     else:
         rules = [_lattice_rule(ax, problem.w_half) for ax in axes]
         analysis, (lam_x, lam_y), frame = zip(*(
@@ -379,32 +398,43 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
 
     half_width = float(np.sqrt(rules[0][1].sum() * rules[1][1].sum()) / 2)
     landweber = _landweber(np.outer(lam_x, lam_y))
-    decay_prev = 1.0  # (1 - Lam)^(n - 1)
+    px, py = probe
+    py_real = np.concatenate([py.real, -py.imag], axis=1).T
+    # a block's probe values hold no more numbers than one component of the final grid
+    block = max(1, len(final[0]) * len(final[1]) // (len(g) * len(px) * len(py)))
     rows = []
-    for n in range(1, max_steps + 1):
-        gain, decay_n = landweber(n)
-        spec = g * gain
+    for start in range(1, max_steps + 1, block):
+        # ns[1:] are the block's rows n, and the decay at ns[:-1] is each update's (1 - Lam)^(n - 1)
+        ns = np.arange(start - 1, min(start + block, max_steps + 1))
+        gain, decay_n = landweber(ns[:, None, None])
+        spec = g * gain[1:, None]
+        update = scale * _row_energies(g * decay_n[:-1, None]) ** 0.5
+        norm = scale * _row_energies(spec) ** 0.5
         # delta is 0 when the update and the iterate both vanish, inf when only the iterate does
-        update, norm = scale * _energy(g * decay_prev) ** 0.5, scale * _energy(spec) ** 0.5
-        decay_prev = decay_n
-        delta = update / norm if norm > 0 else (0.0 if update == 0 else float("inf"))
-        e_n = sup_e = bound = cf_gap = float("nan")
+        delta = np.divide(update, norm, out=np.where(update == 0, 0.0, np.inf), where=norm > 0)
+        stops = np.flatnonzero(delta < stop_tol)
+        k = stops[0] + 1 if len(stops) else len(delta)
+        ns, spec, delta = ns[1:k + 1], spec[:k], delta[:k]
+        e_n = sup_e = bound = cf_gap = np.full(k, np.nan)
         if truth is not None:
             err = truth - spec
-            e_n = scale ** 2 * (_energy(err) + residual_energy)
-            err_probe = _component_values(err, *probe) + residual
-            sup_e = scale * float(np.sqrt(np.einsum("cij,cij->ij", err_probe, err_probe).max()))
-            bound = pointwise_bound(e_n, half_width)
+            e_n = scale ** 2 * (_row_energies(err) + residual_energy)
+            sup_e = scale * _sup_norms(err, px, py_real, residual)
+            bound = [pointwise_bound(e, half_width) for e in e_n]
         if compare_closed_form and synth is not None:
-            cf_gap = scale * _energy(spec - modal_spectra(synth.psi * (1.0 - decay ** n))) ** 0.5
-        rows.append(TraceRow(n=n, e_energy=e_n, sup_e=sup_e, bound=bound,
-                             delta=delta, cf_gap=cf_gap))
-        if delta < stop_tol:
+            # eigenframe band coefficients of the modal closed form, row by row
+            closed = mode_frame.T @ (synth.psi * (1.0 - decay ** ns[:, None, None])) @ mode_frame
+            cf_gap = scale * _row_energies(spec - closed[:, None]) ** 0.5
+        rows += [TraceRow(int(n), *map(float, r))
+                 for n, *r in zip(ns, e_n, sup_e, bound, delta, cf_gap)]
+        if len(stops):
             break
 
-    values = _component_values(spec, *final)
-    if synth is not None:
-        # component-first, so each of q's four products is one contiguous pass
-        values = synth.coeff.as_array()[:, None, None] * values
-    return ExtrapolationTrace(rows=tuple(rows), final=grid.with_values(np.moveaxis(values, 0, -1)),
-                              converged=bool(delta < stop_tol))
+    def sample_final():
+        values = _component_values(spec[-1], *final)
+        if synth is not None:
+            # component-first, so each of q's four products is one contiguous pass
+            values = synth.coeff.as_array()[:, None, None] * values
+        return np.moveaxis(values, 0, -1)
+    return ExtrapolationTrace(rows=tuple(rows), final=_Sampled(*axes, sample_final),
+                              converged=bool(delta[-1] < stop_tol))

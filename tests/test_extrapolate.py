@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import qpswf.extrapolate as extrapolate
 from qpswf.concentration import band_limit, time_limit
 from qpswf.errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
                           WindowTooSmall)
-from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _landweber, _lattice_rule,
-                               _split_by_frame, closed_form_band_spectra, closed_form_iterate,
+from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _band_frame, _frame_kernels,
+                               _landweber, _lattice_rule, _split_by_frame,
+                               closed_form_band_spectra, closed_form_iterate,
                                error_energy, make_synthetic_problem, pg_run, pg_step,
                                pointwise_bound)
 from qpswf.grid import GridAxis, QSignal, energy
@@ -171,6 +173,49 @@ def test_synthetic_problem_samples_its_grids_only_when_read(basis36, monkeypatch
         dataclasses.replace(prob, truth=make_synthetic_problem(basis36, coeffs[:5]).truth)
 
 
+def test_run_samples_its_final_only_when_read(basis36, monkeypatch):
+    # a run keeps its last row's band coefficients, and its final grid is sampled
+    # from them on the first read of values, by the formula of an eager final
+    calls = []
+    component_values = extrapolate._component_values
+
+    def recording(coeffs, ex, ey):
+        calls.append((len(ex), len(ey)))
+        return component_values(coeffs, ex, ey)
+    monkeypatch.setattr(extrapolate, "_component_values", recording)
+    grid = (basis36.ax_x.count, basis36.ax_y.count)
+    prob = make_synthetic_problem(basis36, CounterRng(63).normal(10))
+    trace = pg_run(prob, max_steps=25, stop_tol=0.0, compare_closed_form=True)
+    assert grid not in calls
+    values = trace.final.values
+    assert trace.final.values is values and calls.count(grid) == 1
+
+    to_frame, lam, v = _band_frame(basis36.tables)[:3]
+    spec = (to_frame @ prob.synthetic.psi @ to_frame.T) * _landweber(np.outer(lam, lam))(25)[0]
+    kernels = _frame_kernels([basis36.ax_x.samples(), basis36.ax_y.samples()],
+                             [band_rule(basis36.basis1d)] * 2, [v, v])
+    want = basis36.coeff.as_array()[:, None, None] * component_values(spec[None], *kernels)
+    assert np.array_equal(values, np.moveaxis(want, 0, -1))
+
+
+def test_long_run_holds_less_than_one_final_grid(basis36):
+    # a block's probe values hold no more numbers than one component of the final
+    # grid, and a final that is never read is never sampled, so a long run's peak
+    # allocation stays below the final grid's four components
+    coeffs = CounterRng(57).normal(10)
+    # the basis keeps the band frame and the final kernels from its first run
+    pg_run(make_synthetic_problem(basis36, coeffs), max_steps=2, stop_tol=0.0)
+    prob = make_synthetic_problem(basis36, coeffs)
+    tracemalloc.start()
+    try:
+        trace = pg_run(prob, max_steps=500, stop_tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 500
+    assert peak <= 4 * basis36.ax_x.count * basis36.ax_y.count * 8
+
+
 def test_split_by_frame_matches_the_band_rule_arrays():
     # at T = W = 1.1 the 49-element basis uses the 1D mode 7 (lambda = 3.8e-15),
     # below the frame's cut, so a truth on every element has a part outside the
@@ -286,7 +331,26 @@ def test_pg_run_oracle_agreement(basis36):
     assert all(a > b for a, b in zip(energies, energies[1:]))
 
 
-def _explicit_band_run(problem, basis, coeffs, max_steps, stop_tol):
+# pg_run evaluates its rows in blocks: 10 rows on the 257-point grid of basis36,
+# 1 row on a file-based grid, whose probe points are the grid's nodes.  The runs
+# checked against a reference end on a block's last row (50 steps), inside a block
+# (23 steps), on a block's first row (stopped at step 21), inside a block on a
+# stop (at step 25) and in a first block of one row (1 step)
+FINALS_AT = (1, 21, 23, 25, 50)
+
+
+def _block_edge_runs(ref):
+    """(max_steps, stop_tol, rows) of the runs above, from 50 reference rows (delta third)."""
+    runs = [(50, 0.0, 50), (23, 0.0, 23), (1, 0.0, 1)]
+    for stop in (21, 25):
+        # a stop_tol between the updates of steps stop - 1 and stop stops a run at step stop
+        stop_tol = float(np.sqrt(ref[stop - 2, 2] * ref[stop - 1, 2]))
+        assert np.flatnonzero(ref[:, 2] < stop_tol)[0] == stop - 1
+        runs.append((50, stop_tol, stop))
+    return runs
+
+
+def _explicit_band_run(problem, basis, coeffs, max_steps, finals_at):
     """The band-side iteration written out step by step.
 
     Each step evaluates the iterate's band coefficients (sqrt(w_u w_v) F / 2 pi
@@ -294,7 +358,9 @@ def _explicit_band_run(problem, basis, coeffs, max_steps, stop_tol):
     there (every node lies in D, so the update is g - f at each node) and
     band-limits the result back onto the band nodes (B).  The closed form
     comes from the basis and the truth's coefficients.  Returns the rows
-    (E_n, sup_e, delta, cf_gap) and the final iterate on the problem grid.
+    (E_n, sup_e, delta, cf_gap) of max_steps steps and the iterates after
+    the steps in finals_at on the problem grid, by step.  A run stopped at
+    step n has the first n of these rows.
     """
     synth = problem.synthetic
     b = basis.basis1d
@@ -317,7 +383,9 @@ def _explicit_band_run(problem, basis, coeffs, max_steps, stop_tol):
     g = synth.nodal_values()
     truth = synth.band_rep().spectra
     spec = np.zeros_like(truth)
-    rows = []
+    ax_x, ax_y = problem.observed.ax_x, problem.observed.ax_y
+    to_grid = synthesis(ax_x.samples()), synthesis(ax_y.samples())
+    rows, finals = [], {}
     for n in range(1, max_steps + 1):
         update = g - values(spec, to_nodes, to_nodes)
         corr = np.stack([to_band @ update[..., c] @ to_band.T for c in range(4)])
@@ -327,26 +395,21 @@ def _explicit_band_run(problem, basis, coeffs, max_steps, stop_tol):
         delta = norm(corr) / norm(spec)
         cf = closed_form_band_spectra(coeffs, lams, n, basis)
         rows.append((norm(err) ** 2, sup_e, delta, norm(spec - cf)))
-        if delta < stop_tol:
-            break
-    ax_x, ax_y = problem.observed.ax_x, problem.observed.ax_y
-    return np.array(rows), values(spec, synthesis(ax_x.samples()), synthesis(ax_y.samples()))
+        if n in finals_at:
+            finals[n] = values(spec, *to_grid)
+    return np.array(rows), finals
 
 
 def _check_band_run(basis):
-    """pg_run against _explicit_band_run, run to 50 steps and stopped at step 21."""
+    """pg_run against _explicit_band_run on the block-edge runs of FINALS_AT."""
     coeffs = CounterRng(57).normal(int(np.sum(basis.eigenvalues() >= 1e-12)))
     prob = make_synthetic_problem(basis, coeffs)
     scale = np.sqrt(np.sum(coeffs ** 2))
-    ref, ref_final = _explicit_band_run(prob, basis, coeffs, 50, 0.0)
-    # a stop_tol between the 20th and 21st updates stops both runs at step 21
-    stop_tol = float(np.sqrt(ref[19, 2] * ref[20, 2]))
-    ref_stop, ref_stop_final = _explicit_band_run(prob, basis, coeffs, 50, stop_tol)
-    assert len(ref_stop) == 21
-    for steps, tol, want, want_final in ((50, 0.0, ref, ref_final),
-                                         (50, stop_tol, ref_stop, ref_stop_final)):
+    ref, ref_finals = _explicit_band_run(prob, basis, coeffs, 50, FINALS_AT)
+    for steps, tol, count in _block_edge_runs(ref):
+        want, want_final = ref[:count], ref_finals[count]
         trace = pg_run(prob, max_steps=steps, stop_tol=tol, compare_closed_form=True)
-        assert len(trace.rows) == len(want)
+        assert len(trace.rows) == count
         assert trace.converged == (tol > 0)
         got = np.array([(r.e_energy, r.sup_e, r.delta, r.cf_gap) for r in trace.rows])
         assert np.all(np.abs(got[:, :3] - want[:, :3]) <= 1e-12 * np.abs(want[:, :3]))
@@ -434,23 +497,23 @@ def test_grid_run_with_truth_decays():
     assert all(r.sup_e <= r.bound + 1e-8 for r in trace.rows)
 
 
-def _reference_grid_run(problem, max_steps, stop_tol):
+def _reference_grid_run(problem, max_steps, finals_at):
     """The grid iteration written as pg_step on grid signals, one FFT band-limit per step.
 
-    Returns the rows (E_n, sup_e, delta), the final iterate and whether the
-    run stopped on stop_tol.
+    Returns the rows (E_n, sup_e, delta) of max_steps steps and the iterates
+    after the steps in finals_at, by step.
     """
     f_n = QSignal.zeros(problem.observed.ax_x, problem.observed.ax_y)
-    rows = []
-    for _ in range(max_steps):
+    rows, finals = [], {}
+    for n in range(1, max_steps + 1):
         f_next = pg_step(problem.observed, f_n, problem.d_half, problem.w_half)
         delta = np.sqrt(energy(f_next.with_values(f_next.values - f_n.values))) / f_next.norm()
         err = f_next.with_values(problem.truth.values - f_next.values)
         rows.append((energy(err), qarr_modulus(err.values).max(), delta))
         f_n = f_next
-        if delta < stop_tol:
-            return np.array(rows), f_n.values, True
-    return np.array(rows), f_n.values, False
+        if n in finals_at:
+            finals[n] = f_n.values
+    return np.array(rows), finals
 
 
 @pytest.mark.parametrize("case", ["square", "non_square", "offset", "both_offset",
@@ -475,17 +538,13 @@ def test_grid_run_matches_pg_step(case):
         truth = _grid_truth(59, ax_x, ax_y, w_half=2.0)
     prob = ExtrapolationProblem(observed=time_limit(truth, d_half), d_half=d_half,
                                 w_half=2.0, truth=truth)
-    ref, ref_final, _ = _reference_grid_run(prob, 50, 0.0)
-    # a stop_tol between the 20th and 21st updates stops both runs at step 21
-    stop_tol = float(np.sqrt(ref[19, 2] * ref[20, 2]))
-    ref_stop = _reference_grid_run(prob, 50, stop_tol)
-    assert len(ref_stop[0]) == 21 and ref_stop[2]
+    ref, ref_finals = _reference_grid_run(prob, 50, FINALS_AT)
     scale = np.abs(truth.values).max()
-    for tol, (want, want_final, stopped) in ((0.0, (ref, ref_final, False)),
-                                             (stop_tol, ref_stop)):
-        trace = pg_run(prob, max_steps=50, stop_tol=tol)
-        assert len(trace.rows) == len(want)
-        assert trace.converged == stopped
+    for steps, tol, count in _block_edge_runs(ref):
+        want, want_final = ref[:count], ref_finals[count]
+        trace = pg_run(prob, max_steps=steps, stop_tol=tol)
+        assert len(trace.rows) == count
+        assert trace.converged == (tol > 0)
         got = np.array([(r.e_energy, r.sup_e, r.delta) for r in trace.rows])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         assert np.abs(trace.final.values - want_final).max() <= 1e-13 * scale
