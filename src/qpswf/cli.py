@@ -9,6 +9,7 @@ prints one machine-parsable line `ERROR <code> <check>: <detail>` to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -112,13 +113,22 @@ def _read_json(path: Path, check: str):
         raise CliError(2, check, f"cannot read {path}: {exc}")
 
 
+@contextlib.contextmanager
+def _reading(path: Path, check: str = "qgrid"):
+    """Any failure in the body but a CliError is one ERROR 2 <check> line naming path."""
+    try:
+        yield
+    except CliError:
+        raise
+    except Exception as exc:
+        raise CliError(2, check, f"{path}: {exc}")
+
+
 def _read_qgrid(path: Path, check: str = "qgrid", read=None):
     """read(path), load_qgrid by default; any failure is one ERROR 2 <check> line."""
     from .qgrid_io import load_qgrid
-    try:
+    with _reading(path, check):
         return (read or load_qgrid)(path)
-    except Exception as exc:
-        raise CliError(2, check, f"{path}: {exc}")
 
 
 def _check_config(cfg: dict) -> dict:
@@ -162,13 +172,13 @@ def _config_basis(cfg: dict):
 
 
 def cmd_basis(cfg: dict, out: Path) -> int:
-    from .qgrid_io import save_qgrid
+    from .qgrid_io import write_qgrid
     basis = _config_basis(cfg)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for q, el in enumerate(basis.items):
         fname = f"psi_{q:03d}.qgrid"
-        save_qgrid(out / fname, el.values)
+        write_qgrid(out / fname, basis.ax_x, basis.ax_y, el.blocks())
         entries.append({
             "m": el.m, "n": el.n, "lambda2d": el.lambda2d,
             "mu_x": [el.mu_x.real, el.mu_x.imag],
@@ -203,6 +213,7 @@ def _check_declared(name: str, manifest: dict, entries: list, basis, tol: float)
 def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
     from .grid import Region
     from .prolate import EIG_FLOOR, gram_matrix, verify_allpass, verify_finite_qft, verify_lowpass
+    from .qgrid_io import open_qgrid
 
     manifest = _read_table(_read_json(manifest_path, "manifest"), MANIFEST, "manifest")
     entries = [_read_table(e, MANIFEST_ENTRY, "manifest", "manifest entry")
@@ -212,10 +223,11 @@ def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
         if not path.exists():
             raise CliError(2, "manifest", f"missing element file {path}")
 
-    # rebuild on the grid the elements were written on, not the config's
-    first = _read_qgrid(paths[0])
+    # rebuild on the grid the elements were written on (the first header), not the config's
+    with _reading(paths[0]), open_qgrid(paths[0]) as (ax_x, ax_y, _):
+        pass
     basis = _build_basis("manifest", manifest["T"], manifest["W"], manifest["N"],
-                         len(entries), (first.ax_x, first.ax_y))
+                         len(entries), (ax_x, ax_y))
     _check_declared(manifest_path.name, manifest, entries, basis, tol)
 
     file_dev = 0.0
@@ -223,12 +235,14 @@ def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
     # per element: lowpass, finite QFT, mu-lambda relation and allpass excess
     residuals = [(0.0, 0.0, 0.0, 0.0)]
     for q, (entry, path) in enumerate(zip(entries, paths)):
-        stored = _read_qgrid(path) if q else first
-        if (stored.ax_x, stored.ax_y) != (basis.ax_x, basis.ax_y):
-            raise CliError(2, "manifest", f"{entry['file']}: grid axes differ from those of "
-                           f"{entries[0]['file']}")
         el = basis[q]
-        file_dev = max(file_dev, float(np.abs(stored.values - el.values.values).max()))
+        # each stored row block against the same rows of the rebuilt element
+        with _reading(path), open_qgrid(path) as (ax_x, ax_y, read):
+            if (ax_x, ax_y) != (basis.ax_x, basis.ax_y):
+                raise CliError(2, "manifest", f"{entry['file']}: grid axes differ from those "
+                               f"of {entries[0]['file']}")
+            for want in el.blocks():
+                file_dev = max(file_dev, float(np.abs(read(len(want)) - want).max()))
         if el.lambda2d < EIG_FLOOR:
             skipped += 1
             continue

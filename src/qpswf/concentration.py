@@ -81,7 +81,8 @@ class ComboSignal(ModalField):
     """A ModalField that reports its energy ratios against its own basis."""
 
     def report(self) -> EnergyReport:
-        return _report(self.time_energy(), self.band_rep().total_energy(),
+        """The band energy is sum |s|^2 |coeff|^2 over the band-rule field s (band_field)."""
+        return _report(self.time_energy(), _energy(self.band_field()) * self.coeff.modulus() ** 2,
                        self.total_energy(), float(self.tables.lambda2d[0, 0]))
 
 

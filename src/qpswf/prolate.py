@@ -15,14 +15,18 @@ of the eigenfunctions still carry O(1/X) energy, so literal window
 quadrature cannot certify whole-plane identities.
 
 A 2D basis keeps 1D factor tables (ModeTables) over the modes its elements
-use; element grids are computed from them on access.  The eigen-form checks
-are composed from 1D mode vectors as well: each 2D residual is split into a
-few separable terms a(x) b(y) whose weighted norm is a sum of products of 1D
-Grams, so no check forms a 2D grid.
+use; element grids are computed from them on access.  Every kernel and
+element grid is built and used in blocks of rows (_row_blocks), so memory is
+linear in N and in one grid row block; each entry keeps its own reduction, so
+the blocks change no bit.  The eigen-form checks are composed from 1D mode
+vectors as well: each 2D residual is split into a few separable terms
+a(x) b(y) whose weighted norm is a sum of products of 1D Grams, so no check
+forms a 2D grid.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, field
 
@@ -47,15 +51,28 @@ _EVAL_FLOOR = 1e-15
 # quadrature and kernel in extended precision
 
 
-def _legendre_ld(n: int, x) -> np.ndarray:
-    """P_0..P_n at the points x by the three-term recurrence, shape (n + 1, len(x))."""
+def _row_blocks(rows: int, row_nbytes: int, nbytes: int):
+    """Slices of range(rows), max(1, nbytes // row_nbytes) rows each: callers pass the bytes
+    of the tables they keep, so no block takes more memory than those tables."""
+    step = max(1, nbytes // row_nbytes)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _sinc_rows(x, y, w_half, nbytes: int):
+    """sinc_kernel_ld(x - y) from the points x to the points y, one block of rows at a time."""
+    for rows in _row_blocks(len(x), y.nbytes, nbytes):
+        yield sinc_kernel_ld(x[rows, None] - y, w_half)
+
+
+def _legendre_ld(n: int, x):
+    """P_0..P_n at the points x by the three-term recurrence, one row at a time."""
     x = np.asarray(x, dtype=_LD)
-    p = np.empty((n + 1,) + x.shape, dtype=_LD)
-    p[0] = 1
-    p[1] = x
+    prev, p = np.ones_like(x), x
+    yield prev
+    yield p
     for k in range(2, n + 1):
-        p[k] = ((2 * k - 1) * x * p[k - 1] - (k - 1) * p[k - 2]) / k
-    return p
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+        yield p
 
 
 @functools.lru_cache(maxsize=32)
@@ -65,9 +82,9 @@ def _gauss_unit_ld(n: int):
     Double-precision nodes are polished with Newton steps on P_n evaluated
     by the recurrence in long double.
     """
-    def newton(x):  # P_n(x) and P_n'(x)
-        p = _legendre_ld(n, x)
-        return p[n], n * (x * p[n] - p[n - 1]) / (x * x - 1)
+    def newton(x):  # P_n(x) and P_n'(x), keeping only P_{n-1} and P_n
+        q, p = collections.deque(_legendre_ld(n, x), maxlen=2)
+        return p, n * (x * p - q) / (x * x - 1)
 
     x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
     for _ in range(3):
@@ -100,21 +117,15 @@ def sinc_kernel_ld(d, w_half) -> np.ndarray:
     return out
 
 
-def _operator_ld(t_half: float, w_half: float, n: int):
-    """Gauss nodes/weights on [-T, T] and the kernel on them."""
-    x, w = gauss_rule_ld(n, -t_half, t_half)
-    return x, w, sinc_kernel_ld(x[:, None] - x[None, :], w_half)
-
-
 def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
     """Symmetrized Nystrom matrix of the 1D low-pass kernel (double view)."""
     if not (t_half > 0 and w_half > 0):
         raise BadParameters("T and W must be positive")
     if n < 16:
         raise BadParameters("need at least 16 quadrature nodes")
-    _, w, kern = _operator_ld(t_half, w_half, n)
+    x, w = gauss_rule_ld(n, -t_half, t_half)
     sw = np.sqrt(w)
-    a = sw[:, None] * kern * sw[None, :]
+    a = sw[:, None] * sinc_kernel_ld(x[:, None] - x, w_half) * sw[None, :]
     return ((a + a.T) / 2).astype(np.float64)
 
 
@@ -218,8 +229,9 @@ class ProlateBasis1D:
         """phi_k at arbitrary points via the quadrature extension formula.
 
         k is one mode index, giving shape (len(x),), or an index array,
-        giving one row per mode; every mode shares one kernel.  A mode with
-        lambda_k at or below _EVAL_FLOOR raises EigenvalueTooSmall.
+        giving one row per mode; every mode shares one kernel, built in blocks
+        of points no larger than the result.  A mode with lambda_k at or below
+        _EVAL_FLOOR raises EigenvalueTooSmall.
         """
         for j in np.atleast_1d(k):
             if not self._lam_ld[j] > _EVAL_FLOOR:
@@ -227,8 +239,9 @@ class ProlateBasis1D:
                                          f"is below the evaluation floor {_EVAL_FLOOR:.0e}")
         lam = self._lam_ld[k]
         x = np.atleast_1d(np.asarray(x, dtype=_LD))
-        kern = sinc_kernel_ld(x[:, None] - self._x_ld[None, :], self.w_half)
-        return (kern @ (self._w_ld * self._phi_ld[k]).T / lam).T
+        wphi = (self._w_ld * self._phi_ld[k]).T
+        blocks = _sinc_rows(x, self._x_ld, self.w_half, np.size(lam) * x.nbytes)
+        return np.concatenate([kern @ wphi / lam for kern in blocks]).T
 
 
 def check_phase(n: int, phase, what: str) -> None:
@@ -264,34 +277,38 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     beta = _prolate_series(c, count)
     deg = np.arange(len(beta), dtype=_LD)
     scale = np.sqrt(deg + _LD(0.5))
-    p0 = _legendre_ld(len(beta), np.zeros(1))[:, 0]
+    p0 = np.stack(list(_legendre_ld(len(beta), np.zeros(1))))[:, 0]
     # psi_n(0) + psi_n'(0) with P_k'(0) = k P_{k-1}(0): by parity one term is zero
     at0 = (scale * p0[:-1]) @ beta + (scale[1:] * deg[1:] * p0[:-2]) @ beta[1:]
     beta = beta * np.where(at0 < 0, -1, 1)
-    phi = beta.T @ (scale[:, None] * _legendre_ld(len(beta) - 1, t))
+    phi = beta.T @ (scale[:, None] * np.stack(list(_legendre_ld(len(beta) - 1, t))))
 
-    x, w, kern = _operator_ld(t_half, w_half, n)
+    x, w = gauss_rule_ld(n, -t_half, t_half)
     phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None]   # weighted-orthonormal
     # Rayleigh quotients; numpy sums a contiguous row pairwise, where a matmul's
     # running sums leave ~1e-21 of noise (1e-11 relative at lambda_5, c = 1)
-    lam = np.array([(a * (kern * a).sum(axis=1)).sum() for a in w * phi])
+    a = w * phi
+    ka = np.hstack([[(kern * ak).sum(axis=1) for ak in a]
+                    for kern in _sinc_rows(x, x, w_half, a.nbytes)])
+    lam = (a * ka).sum(axis=1)
     # scale so the [-T, T] energy equals lambda (unit whole-line norm)
     phi = phi * np.sqrt(np.maximum(lam, _LD(0)))[:, None]
 
-    # finite-Fourier multipliers mu_k: integral_T e^{i (W/T) s x} phi(s) ds = mu phi(x)
+    # K phi_k and the finite-Fourier images integral_T e^{i (W/T) s x} phi_k(s) ds = mu_k phi_k(x)
+    wphi = w * phi
+    kphi = np.hstack([wphi @ kern.T for kern in _sinc_rows(x, x, w_half, a.nbytes)])
     cr = _LD(w_half) / _LD(t_half)
-    ker = np.exp(1j * (cr * x[:, None] * x[None, :]).astype(np.clongdouble))
+    integral = np.hstack([wphi @ np.exp(1j * (cr * x[rows, None] * x).astype(np.clongdouble)).T
+                          for rows in _row_blocks(n, x.nbytes, a.nbytes)])
+    live = lam > 0   # phi_k = 0 where lambda_k <= 0
     mu_ld = np.zeros(count, dtype=np.clongdouble)
-    integral = np.zeros((count, n), dtype=np.clongdouble)
-    for k in np.flatnonzero(lam > 0):   # phi_k = 0 where lambda_k <= 0
-        integral[k] = ker @ (w * phi[k])
-        mu_ld[k] = (w * phi[k] * integral[k]).sum() / (w * phi[k] * phi[k]).sum()
+    mu_ld[live] = (wphi * integral).sum(axis=1)[live] / (wphi * phi).sum(axis=1)[live]
     return ProlateBasis1D(
         t_half=float(t_half), w_half=float(w_half), c=float(t_half * w_half),
         nodes=x.astype(np.float64), weights=w.astype(np.float64),
         eigvals=lam.astype(np.float64), eigvecs=phi.astype(np.float64),
         mu=mu_ld.astype(complex), _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam,
-        _mu_ld=mu_ld, _kphi_ld=(w * phi) @ kern.T, _fphi_ld=integral)
+        _mu_ld=mu_ld, _kphi_ld=kphi, _fphi_ld=integral)
 
 
 def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
@@ -393,12 +410,18 @@ class Qpswf2D:
     def above_floor(self) -> bool:
         return self.lambda2d >= EIG_FLOOR
 
+    def blocks(self):
+        """The element on the basis grid, x-row blocks no larger than its two mode tables."""
+        t = self.tables
+        ex, ey, q = t.ext_x[self.m], t.ext_y[self.n], self.coeff.as_array()
+        for rows in _row_blocks(len(ex), len(ey) * q.nbytes, t.ext_x.nbytes + t.ext_y.nbytes):
+            yield (ex[rows, None] * ey[None, :]).astype(np.float64)[..., None] * q
+
     @property
     def values(self) -> QSignal:
-        """The element on the basis grid, computed on access in long double."""
+        """The element on the basis grid: its row blocks joined."""
         t = self.tables
-        outer = (t.ext_x[self.m][:, None] * t.ext_y[self.n][None, :]).astype(np.float64)
-        return QSignal(t.ax_x, t.ax_y, outer[..., None] * self.coeff.as_array()[None, None, :])
+        return QSignal(t.ax_x, t.ax_y, np.concatenate(list(self.blocks())))
 
 
 @dataclass(frozen=True)
@@ -637,10 +660,13 @@ def _window_images(tables: ModeTables, h: float):
         ax = GridAxis.symmetric(h, count)
         wt = ax.trapezoid_weights().astype(_LD)
         phi = b.extend_ld(np.arange(m), ax.samples())
-        # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step
+        # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step,
+        # gathered one block of m rows at a time
         lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - count, count), b.w_half)
         idx = np.arange(count)
-        k = (wt * phi) @ lags[idx[:, None] - idx[None, :] + count - 1].T
+        wphi = wt * phi
+        k = np.hstack([wphi @ lags[idx[rows, None] - idx + count - 1].T
+                       for rows in _row_blocks(count, wt.nbytes, phi.nbytes)])
         return wt, phi, k
     return tables.memo(("window", h), build)
 

@@ -4,10 +4,13 @@ Layout (little-endian): magic "QGRD", u32 version = 1, u32 nx, u32 ny,
 f64 x0, dx, y0, dy, then nx*ny*4 f64 samples, row-major with the x index
 outermost, component order (w, i, j, k).  A spectrum is one such file
 holding the combined F(f), with the axes interpreted as (u, v).
+Samples are written (write_qgrid) and read (open_qgrid) in blocks of
+x-rows; save_qgrid and load_qgrid are the one-block case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from pathlib import Path
@@ -23,16 +26,23 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIII4d")  # magic, version, nx, ny, x0, dx, y0, dy
 
 
-def save_qgrid(path, f: QSignal) -> None:
-    header = _HEADER.pack(MAGIC, VERSION, f.ax_x.count, f.ax_y.count,
-                          f.ax_x.start, f.ax_x.step, f.ax_y.start, f.ax_y.step)
-    payload = np.ascontiguousarray(f.values, dtype="<f8")
+def write_qgrid(path, ax_x: GridAxis, ax_y: GridAxis, blocks) -> None:
+    """Write a QGRID file from its axes and its samples as (rows, ny, 4) blocks, in order."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(memoryview(payload).cast("B"))
+        fh.write(_HEADER.pack(MAGIC, VERSION, ax_x.count, ax_y.count,
+                              ax_x.start, ax_x.step, ax_y.start, ax_y.step))
+        for block in blocks:
+            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B"))
 
 
-def load_qgrid(path) -> QSignal:
+def save_qgrid(path, f: QSignal) -> None:
+    write_qgrid(path, f.ax_x, f.ax_y, [f.values])
+
+
+@contextlib.contextmanager
+def open_qgrid(path):
+    """(ax_x, ax_y, read) of a QGRID file whose header, size and axes pass their checks;
+    read(rows) returns its next rows x-rows, shape (rows, ny, 4), checked finite."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -52,13 +62,22 @@ def load_qgrid(path) -> QSignal:
         for name, ax in (("x", ax_x), ("y", ax_y)):
             if not np.all(np.diff(ax.samples()) > 0):
                 raise QgridFormatError(f"{path}: {name} axis nodes are not distinct in double")
-        values = np.empty((nx, ny, 4), dtype="<f8")
-        if fh.readinto(memoryview(values).cast("B")) != values.nbytes:
-            raise QgridFormatError(f"{path}: truncated samples")
-    values = values.astype(np.float64, copy=False)  # a copy only on big-endian hosts
-    if not np.isfinite(values).all():
-        raise QgridFormatError(f"{path}: non-finite samples (NaN or Inf)")
-    return QSignal(ax_x, ax_y, values)
+
+        def read(rows: int) -> np.ndarray:
+            block = np.empty((rows, ny, 4), dtype="<f8")
+            if fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                raise QgridFormatError(f"{path}: truncated samples")
+            block = block.astype(np.float64, copy=False)  # a copy only on big-endian hosts
+            if not np.isfinite(block).all():
+                raise QgridFormatError(f"{path}: non-finite samples (NaN or Inf)")
+            return block
+
+        yield ax_x, ax_y, read
+
+
+def load_qgrid(path) -> QSignal:
+    with open_qgrid(path) as (ax_x, ax_y, read):
+        return QSignal(ax_x, ax_y, read(ax_x.count))
 
 
 def save_csv(path, f: QSignal) -> None:

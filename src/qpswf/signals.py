@@ -146,10 +146,16 @@ class ModalField:
             a[int(kind == CUT), q] += r
         return cls.of(basis, *a)
 
-    def band_rep(self) -> BandRep:
+    def band_field(self) -> np.ndarray:
+        """The real field's band coefficients s on the band rule: the field's are coeff * s."""
         t = self.tables
-        s = t.band.T @ self.psi @ t.band + t.cut.T @ self.cut @ t.cut
-        return BandRep(t.basis1d, self.coeff.as_array()[:, None, None] * s)
+        s = t.band.T @ self.psi @ t.band
+        s += t.cut.T @ self.cut @ t.cut
+        return s
+
+    def band_rep(self) -> BandRep:
+        return BandRep(self.tables.basis1d,
+                       self.coeff.as_array()[:, None, None] * self.band_field())
 
     def nodal_values(self) -> np.ndarray:
         """Quaternion values on the time Gauss grid (where cuts equal psi), shape (N, N, 4)."""

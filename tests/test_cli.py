@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -286,6 +287,28 @@ def test_verify_checks_every_declared_value(basis_dir, tmp_path, capsys, tamper,
     err = capsys.readouterr().err
     assert err.startswith(start) and len(err.splitlines()) == 1, err
     assert not (tmp_path / "v" / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("q", [0, 5], ids=["first", "last"])
+@pytest.mark.parametrize("damage, detail", [
+    (lambda raw: raw[:-8] + struct.pack("<d", float("nan")), "non-finite samples (NaN or Inf)"),
+    (lambda raw: raw[:-8], "size {size} != expected {expected}")],
+    ids=["nan_in_last_row_block", "truncated"])
+def test_verify_damaged_element_file(basis_dir, tmp_path, capsys, q, damage, detail):
+    # the NaN is the last sample, so only the last row block read meets it
+    from qpswf import cli
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        (tmp_path / entry["file"]).write_bytes((basis_dir / entry["file"]).read_bytes())
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    path = tmp_path / manifest["entries"][q]["file"]
+    expected = path.stat().st_size
+    path.write_bytes(damage(path.read_bytes()))
+    assert cli.main(["--output", str(tmp_path / "v"), "verify",
+                     "--manifest", str(tmp_path / "manifest.json")]) == 2
+    detail = detail.format(size=path.stat().st_size, expected=expected)
+    assert capsys.readouterr().err == f"ERROR 2 qgrid: {path}: {path}: {detail}\n"
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_missing_file(basis_dir, tmp_path):

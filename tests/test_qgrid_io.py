@@ -9,8 +9,8 @@ import pytest
 from qpswf.errors import QgridFormatError
 from qpswf.grid import GridAxis, QSignal
 from qpswf.qft import dual_frequency_axes, forward_qft
-from qpswf.qgrid_io import (load_qgrid, load_spectrum, save_csv, save_qgrid,
-                            save_spectrum)
+from qpswf.qgrid_io import (load_qgrid, load_spectrum, open_qgrid, save_csv, save_qgrid,
+                            save_spectrum, write_qgrid)
 from qpswf.rng import CounterRng
 
 
@@ -27,6 +27,37 @@ def test_roundtrip_bit_exact(tmp_path):
     g = load_qgrid(path)
     assert np.array_equal(g.values, f.values)
     assert g.ax_x == f.ax_x and g.ax_y == f.ax_y
+
+
+def test_blocks_write_and_read_the_one_block_bytes(tmp_path):
+    # uneven blocks of x-rows, one of them a non-contiguous view, give the bytes of one block
+    f = _signal()
+    save_qgrid(tmp_path / "one.qgrid", f)
+    cuts = [0, 5, 6, 20, 33]
+    blocks = [f.values[a:b] for a, b in zip(cuts, cuts[1:])]
+    blocks[1] = np.asfortranarray(blocks[1])
+    write_qgrid(tmp_path / "blocks.qgrid", f.ax_x, f.ax_y, blocks)
+    assert (tmp_path / "blocks.qgrid").read_bytes() == (tmp_path / "one.qgrid").read_bytes()
+    g = load_qgrid(tmp_path / "blocks.qgrid")
+    assert np.array_equal(g.values, f.values) and (g.ax_x, g.ax_y) == (f.ax_x, f.ax_y)
+    with open_qgrid(tmp_path / "blocks.qgrid") as (ax_x, ax_y, read):
+        assert (ax_x, ax_y) == (f.ax_x, f.ax_y)
+        for a, b in zip(cuts, cuts[1:]):
+            assert np.array_equal(read(b - a), f.values[a:b])
+        with pytest.raises(QgridFormatError, match="truncated samples"):
+            read(1)
+
+
+def test_non_finite_sample_found_in_its_own_block(tmp_path):
+    # the blocks before the one holding the NaN read as they are
+    vals = _signal().values.copy()
+    vals[-1, -1, -1] = np.nan
+    path = tmp_path / "f.qgrid"
+    save_qgrid(path, _signal().with_values(vals))
+    with open_qgrid(path) as (_, _, read):
+        assert np.array_equal(read(32), vals[:32])
+        with pytest.raises(QgridFormatError, match="non-finite"):
+            read(1)
 
 
 def test_format_errors(tmp_path):
