@@ -6,6 +6,7 @@ eigenbasis, time/band energy-concentration extremals, and bandlimited
 extrapolation of quaternion-valued signals.
 """
 
+import importlib as _importlib
 import os as _os
 
 
@@ -18,42 +19,34 @@ def _setup_threads():
 
 _setup_threads()  # must run before numpy is first imported
 
-from .concentration import (ComboSignal, EnergyReport, band_limit,
-                            boundary_eta, build_boundary_signal,
-                            build_eta_one_signal, build_zero_xi_signal,
-                            energy_ratios, energy_ratios_band,
-                            least_angle_check, sweep_admissible_region,
-                            time_limit)
-from .extrapolate import (ExtrapolationProblem, ExtrapolationTrace,
-                          closed_form_iterate, error_energy,
-                          make_synthetic_problem, pg_run, pg_step,
-                          pointwise_bound)
-from .grid import (GridAxis, QSignal, Region, angle, energy, inner_product,
-                   scalar_inner_product)
-from .prolate import (BasisSet2D, ProlateBasis1D, Qpswf2D,
-                      build_qpswf_basis, build_basis, build_sinc_operator,
-                      eig_prolate_1d, extend_eigenfunction, gram_matrix,
-                      verify_allpass, verify_finite_qft, verify_lowpass)
-from .qft import (SpectrumQ, dual_frequency_axes, forward_qft, inverse_qft,
-                  modulate, parseval_check, q_modulus_field,
-                  sinc_bandlimit_kernel)
-from .quaternion import Quaternion, q_conj, q_modulus, q_mul
+# the exported names by module; each module is imported when one of its names is first read
+_EXPORTS = {
+    "concentration": ("ComboSignal", "EnergyReport", "band_limit", "boundary_eta",
+                      "build_boundary_signal", "build_eta_one_signal", "build_zero_xi_signal",
+                      "energy_ratios", "energy_ratios_band", "least_angle_check",
+                      "sweep_admissible_region", "time_limit"),
+    "extrapolate": ("ExtrapolationProblem", "ExtrapolationTrace", "closed_form_iterate",
+                    "error_energy", "make_synthetic_problem", "pg_run", "pg_step",
+                    "pointwise_bound"),
+    "grid": ("GridAxis", "QSignal", "Region", "angle", "energy", "inner_product",
+             "scalar_inner_product"),
+    "prolate": ("BasisSet2D", "ProlateBasis1D", "Qpswf2D", "build_qpswf_basis", "build_basis",
+                "build_sinc_operator", "eig_prolate_1d", "extend_eigenfunction", "gram_matrix",
+                "verify_allpass", "verify_finite_qft", "verify_lowpass"),
+    "qft": ("SpectrumQ", "dual_frequency_axes", "forward_qft", "inverse_qft", "modulate",
+            "parseval_check", "q_modulus_field", "sinc_bandlimit_kernel"),
+    "quaternion": ("Quaternion", "q_conj", "q_modulus", "q_mul"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
-__all__ = [
-    "BasisSet2D", "ComboSignal", "EnergyReport", "ExtrapolationProblem",
-    "ExtrapolationTrace", "GridAxis", "ProlateBasis1D", "QSignal", "Qpswf2D",
-    "Quaternion", "Region", "SpectrumQ", "angle",
-    "band_limit", "boundary_eta", "build_basis", "build_boundary_signal",
-    "build_eta_one_signal", "build_qpswf_basis", "build_sinc_operator",
-    "build_zero_xi_signal", "closed_form_iterate", "dual_frequency_axes",
-    "eig_prolate_1d", "energy", "energy_ratios", "energy_ratios_band",
-    "error_energy", "extend_eigenfunction", "forward_qft", "gram_matrix",
-    "inner_product", "inverse_qft", "least_angle_check",
-    "make_synthetic_problem", "modulate", "parseval_check", "pg_run",
-    "pg_step", "pointwise_bound", "q_conj", "q_modulus", "q_mul",
-    "q_modulus_field", "scalar_inner_product", "sinc_bandlimit_kernel",
-    "sweep_admissible_region", "time_limit", "verify_allpass",
-    "verify_finite_qft", "verify_lowpass",
-]
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"

@@ -358,8 +358,8 @@ def cmd_extrapolate(out: Path, problem_path: Path, observation_path: Path) -> in
 
 
 def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
-    from .qft import _SYM_TOL, dual_frequency_axis, forward_qft, inverse_qft
-    from .qgrid_io import load_qgrid, load_spectrum, save_qgrid, save_spectrum
+    from .qft import _SYM_TOL, _two_sided, dual_frequency_axis
+    from .qgrid_io import open_qgrid, write_qgrid
 
     def dual_axes(*axes):
         # the opposite direction maps each dual back to its own dual, which must be the axis
@@ -370,21 +370,18 @@ def cmd_qft(out: Path, direction: str, input_path: Path) -> int:
                                  " about 0 with an odd count; the opposite direction changes it")
         return duals
 
-    def forward(path):
-        sig = load_qgrid(path)
-        return forward_qft(sig, *dual_axes(sig.ax_x, sig.ax_y))
-
-    def inverse(path):
-        spec = load_spectrum(path)
-        return inverse_qft(spec, *dual_axes(spec.ax_u, spec.ax_v))
+    def transform(path):
+        # the whole input is read and transformed here; its output rows are combined as
+        # they are written
+        with open_qgrid(path) as (ax_x, ax_y, read):
+            axes = dual_axes(ax_x, ax_y)
+            return axes, _two_sided(read, ax_x, ax_y, *axes, -1 if direction == "forward" else 1)
 
     # only reading and transforming count as a bad input; a failed write is ERROR 2 output
-    result = _read_qgrid(input_path, read=forward if direction == "forward" else inverse)
+    axes, blocks = _read_qgrid(input_path, read=transform)
     out.mkdir(parents=True, exist_ok=True)
-    if direction == "forward":
-        written = save_spectrum(out / "spectrum.qgrid", result)
-    else:
-        save_qgrid(written := out / "signal.qgrid", result)
+    written = out / ("spectrum.qgrid" if direction == "forward" else "signal.qgrid")
+    write_qgrid(written, *axes, blocks)
     print(f"wrote {written}")
     return 0
 

@@ -23,6 +23,13 @@ _NODE_TOL = 1e-9
 _ZERO_FLOOR = 1e-150
 
 
+def _row_blocks(rows: int, row_nbytes: int, nbytes: int):
+    """Slices of range(rows), max(1, nbytes // row_nbytes) rows each: callers pass the bytes
+    of the tables they keep, so no block takes more memory than those tables."""
+    step = max(1, nbytes // row_nbytes)
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
+
+
 @dataclass(frozen=True, slots=True)
 class GridAxis:
     """Uniform sampling axis: samples are start + n*step, n in [0, count)."""

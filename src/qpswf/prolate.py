@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (BadIndex, BadParameters, ConvergenceFailure,
                      EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
-from .grid import GridAxis, QSignal, Region
+from .grid import GridAxis, QSignal, Region, _row_blocks
 from .quaternion import Quaternion, q_mul
 
 _LD = np.longdouble
@@ -49,13 +49,6 @@ _EVAL_FLOOR = 1e-15
 
 # ---------------------------------------------------------------------------
 # quadrature and kernel in extended precision
-
-
-def _row_blocks(rows: int, row_nbytes: int, nbytes: int):
-    """Slices of range(rows), max(1, nbytes // row_nbytes) rows each: callers pass the bytes
-    of the tables they keep, so no block takes more memory than those tables."""
-    step = max(1, nbytes // row_nbytes)
-    return (slice(i, i + step) for i in range(0, rows, step))
 
 
 def _sinc_rows(x, y, w_half, nbytes: int):

@@ -13,13 +13,13 @@ inside the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameters, NonUniformGrid, WindowTooSmall, ZeroSignal
-from .grid import GridAxis, QSignal, Region, energy
-from .prolate import sinc_kernel_ld
+from .grid import GridAxis, QSignal, Region, _row_blocks, energy
 from .quaternion import qarr, qarr_modulus_sq, qarr_mul
 
 _SYM_TOL = 1e-9
@@ -121,34 +121,23 @@ def _fold(z: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
     return z[lead + (slice(0, n),)]
 
 
-def _lattice_dft(z: np.ndarray, src: GridAxis, dst: GridAxis, signs, axis: int) -> list:
-    """sum_a w_a z_a e^{s i s_a t_b} along axis, one array for each sign s in signs.
+def _lattice(src: GridAxis, dst: GridAxis, s: int):
+    """(n, pre, bins, post): sum_a w_a z_a e^{s i s_a t_b} is post_b times bin bins_b of the
+    n-point FFT of w pre z folded mod n.
 
-    With ds dt L = 2*pi and t0 = k0 dt + r (k0 an integer),
-    s_a t_b = s0 t_b + a ds r + 2*pi a (k0 + b) / L: the a-phase goes on the
-    weighted samples, which fold mod L in place (the half-weight ends of a
-    dual axis share a bin), the FFT bin -s (k0 + b) mod L supplies
-    2*pi a (k0 + b) / L, and the s0 t_b phase goes on the gathered bins.
-    When dst starts on its step lattice (r = 0, as every symmetric odd axis
-    does) the folded samples do not depend on s, so one FFT serves both signs.
+    With ds dt n = 2*pi and t0 = k0 dt + r (k0 an integer),
+    s_a t_b = s0 t_b + a ds r + 2*pi a (k0 + b) / n: the a-phase pre goes on the
+    samples, which fold mod n (the half-weight ends of a dual axis share a
+    bin), the FFT bin -s (k0 + b) mod n supplies 2*pi a (k0 + b) / n, and the
+    s0 t_b phase post goes on the gathered bins.  pre is None when dst starts
+    on its step lattice (r = 0, as every symmetric odd axis does).
     """
     n = _lattice_length(src, dst)
     k0 = round(dst.start / dst.step)
     r = dst.start - k0 * dst.step
-    along = (-1,) + (1,) * (z.ndim - 1 - axis % z.ndim)  # a 1D factor broadcast along axis
-    w, a, b = src.trapezoid_weights(), np.arange(src.count), k0 + np.arange(dst.count)
-    sums = []
-    for s in signs:
-        if r or not sums:
-            pre = w * np.exp(s * 1j * src.step * r * a)
-            bins = _fold(z * pre.reshape(along), n, axis)
-            if not r:
-                del z  # no other sign reads z: free it before the FFT if the caller let go
-            bins = np.fft.fft(bins, axis=axis)
-        out = np.take(bins, -s * b % n, axis=axis)
-        out *= np.exp(s * 1j * src.start * dst.samples()).reshape(along)
-        sums.append(out)
-    return sums
+    pre = np.exp(s * 1j * src.step * r * np.arange(src.count)) if r else None
+    bins = -s * (k0 + np.arange(dst.count)) % n
+    return n, pre, bins, np.exp(s * 1j * src.start * dst.samples())
 
 
 def _band_bins(ax: GridAxis, ax_f: GridAxis, w_half: float) -> np.ndarray:
@@ -159,49 +148,104 @@ def _band_bins(ax: GridAxis, ax_f: GridAxis, w_half: float) -> np.ndarray:
     return np.roll(bins, -(ax_f.count // 2))
 
 
-def _combine(shape, half, sign: int) -> np.ndarray:
-    """X + Y j = (A cos - s B sin) + (s A sin + B cos) j over 2pi, as a (..., 4) array.
+def _blocks(n: int):
+    """Slices of range(n) of isqrt(n) rows each, the four-step FFT's balanced split: a block's
+    temporaries are about 1/sqrt(n) of the bins the transform keeps."""
+    return _row_blocks(n, 1, math.isqrt(n))
 
-    half(0) and half(1) give the e^{+ivy} (p) and e^{-ivy} (m) sums of A and
-    of B, with cos = (p + m) / 2, sin = (p - m) / 2i.  Each pair is added to
-    the complex (X, Y) view of the output and released before the next is
-    made; p is overwritten.
+
+def _combine(out: np.ndarray, u: np.ndarray, v: np.ndarray, sign: int) -> np.ndarray:
+    """out = X + Y j with X = u + v and Y = -s i (u - v); u is overwritten.
+
+    With p and m the e^{+ivy} and e^{-ivy} sums of A and of B, u = pA + s i pB
+    and v = mA - s i mB give X = (pA + mA) + s i (pB - mB) and
+    Y = (pB + mB) - s i (pA - mA): with cos = (p + m) / 2 and sin = (p - m) / 2i,
+    twice (A cos - s B sin) + (s A sin + B cos) j.
     """
-    out = np.zeros(tuple(shape) + (4,))
-    out_c = out.view(np.complex128)
-    for h in (0, 1):
-        p, m = half(h)
-        out_c[..., h] += p
-        out_c[..., h] += m
-        p -= m
-        p *= (2 * h - 1) * sign * 1j
-        out_c[..., 1 - h] += p
-        del p, m
-    out /= 4 * np.pi
+    x, y = np.moveaxis(out.view(np.complex128), -1, 0)
+    np.add(u, v, out=x)
+    u -= v
+    np.multiply(u, -sign * 1j, out=y)
     return out
 
 
-def _two_sided(values, src_x: GridAxis, src_y: GridAxis, dst_x: GridAxis, dst_y: GridAxis,
-               sign: int) -> np.ndarray:
+def _two_sided(read, src_x: GridAxis, src_y: GridAxis, dst_x: GridAxis, dst_y: GridAxis,
+               sign: int, out: np.ndarray = None):
     """(1/2pi) sum w_x w_y e^{s i x u} q(x, y) e^{s j y v} over the src grid, on the dst grid.
 
-    q = A + B j with A = q0 + i q1, B = q2 + i q3, read as the complex view of
-    the samples: e^{s i x u} commutes with A and B (one complex x-pass each),
-    and e^{s j v y} = cos + s j sin needs the e^{+ivy} and e^{-ivy} y-sums.
+    q = A + B j with A = q0 + i q1, B = q2 + i q3: e^{s i x u} commutes with A
+    and B, and e^{s j v y} = cos + s j sin needs the e^{+ivy} sums of
+    A + s i B and the e^{-ivy} sums of A - s i B (u and v of _combine).  The
+    source comes through read(rows), open_qgrid's reader, a block of x-rows at
+    a time.  The y-pass FFTs each block's two sums and keeps their bins, already
+    gathered into the output columns and phased: two complex arrays the size of
+    the samples, and all that is kept.  The x-pass then runs along their axis 0
+    in place; this is Bailey's four-step FFT on each sum.  Returns an iterator
+    of the output's x-row blocks, each gathered, phased and combined as it is
+    drawn (into out's rows when out is given); the whole source has been read
+    and transformed before it returns.
     """
-    q = np.ascontiguousarray(values, dtype=np.float64).view(np.complex128)
+    n_x, pre_x, bins_x, post_x = _lattice(src_x, dst_x, sign)
+    ys = [_lattice(src_y, dst_y, s) for s in (1, -1)]
+    nx, m = src_x.count, src_y.count
+    kept = [np.empty((max(nx, n_x), dst_y.count), complex) for _ in ys]
+    for rows in _blocks(nx):
+        q = np.ascontiguousarray(read(rows.stop - rows.start), dtype=np.float64)
+        for (n, pre, bins, post), s, keep in zip(ys, (sign, -sign), kept):
+            # A + s i B = (q0 - s q3) + i (q1 + s q2), the trapezoid weights over the
+            # steps put on the end columns only
+            add, sub = (np.add, np.subtract) if s > 0 else (np.subtract, np.add)
+            z = np.empty((len(q), m), complex)
+            sub(q[..., 0], q[..., 3], out=z.real)
+            add(q[..., 1], q[..., 2], out=z.imag)
+            if pre is not None:
+                z *= pre
+            z[:, 0] *= 0.5
+            z[:, m - 1] *= 0.5
+            z = _fold(z, n, 1)
+            np.fft.fft(z, axis=1, out=z)
+            np.take(z, bins, axis=1, out=keep[rows], mode="wrap")
+            keep[rows] *= post
+    for z in kept:
+        z[nx:] = 0
+        if pre_x is not None:
+            z[:nx] *= pre_x[:, None]
+        z[0] *= 0.5
+        z[nx - 1] *= 0.5
+        z = _fold(z, n_x, 0)
+        np.fft.fft(z, axis=0, out=z)
+    post_x = (post_x * (src_x.step * src_y.step / (4 * np.pi)))[:, None]
 
-    def half(h):
-        # the x-pass result is passed on, not kept, so the y-pass can release it
-        return _lattice_dft(_lattice_dft(q[..., h], src_x, dst_x, (sign,), 0)[0],
-                            src_y, dst_y, (1, -1), 1)
+    def blocks():
+        for rows in _blocks(dst_x.count):
+            u, v = (np.take(z, bins_x[rows], axis=0) for z in kept)
+            u *= post_x[rows]
+            v *= post_x[rows]
+            block = np.empty((len(u), dst_y.count, 4)) if out is None else out[rows]
+            yield _combine(block, u, v, sign)
 
-    return _combine((dst_x.count, dst_y.count), half, sign)
+    return blocks()
+
+
+def _in_memory(values: np.ndarray, src_x: GridAxis, src_y: GridAxis, dst_x: GridAxis,
+               dst_y: GridAxis, sign: int) -> np.ndarray:
+    """_two_sided of an array in memory: its rows read as views, its output one array."""
+    out = np.empty((dst_x.count, dst_y.count, 4))
+    start = 0
+
+    def read(rows):
+        nonlocal start
+        start += rows
+        return values[start - rows:start]
+
+    for _ in _two_sided(read, src_x, src_y, dst_x, dst_y, sign, out):
+        pass
+    return out
 
 
 def forward_qft(f: QSignal, ax_u: GridAxis, ax_v: GridAxis) -> SpectrumQ:
     """Two-sided QFT with kernel e^{-iux} (left), e^{-jvy} (right), factor 1/2pi."""
-    return SpectrumQ(ax_u, ax_v, _two_sided(f.values, f.ax_x, f.ax_y, ax_u, ax_v, -1))
+    return SpectrumQ(ax_u, ax_v, _in_memory(f.values, f.ax_x, f.ax_y, ax_u, ax_v, -1))
 
 
 def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
@@ -216,17 +260,15 @@ def spectrum_from_complex_components(ax_u: GridAxis, ax_v: GridAxis,
     """
     _check_symmetric(ax_v, "frequency v")
     g = np.asarray(g, dtype=complex)
-
-    def half(h):
-        m = g[2 * h] + 1j * g[2 * h + 1]
-        return m[:, ::-1].copy(), m
-
-    return SpectrumQ(ax_u, ax_v, _combine(g.shape[1:], half, -1))
+    a, b = g[0] + 1j * g[1], 1j * (g[2] + 1j * g[3])
+    out = _combine(np.empty(g.shape[1:] + (4,)), (a - b)[:, ::-1], a + b, -1)
+    out /= 4 * np.pi
+    return SpectrumQ(ax_u, ax_v, out)
 
 
 def inverse_qft(spec: SpectrumQ, ax_x: GridAxis, ax_y: GridAxis) -> QSignal:
     """Inverse two-sided QFT: kernel e^{+iux} (left), e^{+jvy} (right), factor 1/2pi."""
-    return QSignal(ax_x, ax_y, _two_sided(spec.combined, spec.ax_u, spec.ax_v, ax_x, ax_y, +1))
+    return QSignal(ax_x, ax_y, _in_memory(spec.combined, spec.ax_u, spec.ax_v, ax_x, ax_y, +1))
 
 
 def q_modulus_field(spec: SpectrumQ) -> np.ndarray:
@@ -274,6 +316,7 @@ def modulate(f: QSignal, r: float) -> QSignal:
 def sinc_bandlimit_kernel(dx, dy, w_half: float):
     """Separable low-pass kernel sin(W dx)/(pi dx) * sin(W dy)/(pi dy), the product of
     two prolate.sinc_kernel_ld factors rounded once to double."""
+    from .prolate import sinc_kernel_ld
     if not w_half > 0:
         raise BadParameters("band half-width must be > 0")
     return (sinc_kernel_ld(dx, w_half) * sinc_kernel_ld(dy, w_half)).astype(np.float64)

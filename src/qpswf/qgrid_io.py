@@ -5,7 +5,8 @@ f64 x0, dx, y0, dy, then nx*ny*4 f64 samples, row-major with the x index
 outermost, component order (w, i, j, k).  A spectrum is one such file
 holding the combined F(f), with the axes interpreted as (u, v).
 Samples are written (write_qgrid) and read (open_qgrid) in blocks of
-x-rows; save_qgrid and load_qgrid are the one-block case.
+x-rows; save_qgrid and load_qgrid, and save_spectrum and load_spectrum, are
+the one-block case.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ import contextlib
 import os
 import struct
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import QgridFormatError
 from .grid import GridAxis, QSignal
-from .qft import SpectrumQ
+
+if TYPE_CHECKING:
+    from .qft import SpectrumQ
 
 MAGIC = b"QGRD"
 VERSION = 1
@@ -27,12 +31,31 @@ _HEADER = struct.Struct("<4sIII4d")  # magic, version, nx, ny, x0, dx, y0, dy
 
 
 def write_qgrid(path, ax_x: GridAxis, ax_y: GridAxis, blocks) -> None:
-    """Write a QGRID file from its axes and its samples as (rows, ny, 4) blocks, in order."""
+    """Write a QGRID file from its axes and its samples as (rows, ny, 4) blocks, in order.
+
+    A block of another shape, or blocks whose rows do not add up to nx, raise
+    QgridFormatError before that block is written; on any failure while the
+    samples are written the partial file is removed.
+    """
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, ax_x.count, ax_y.count,
-                              ax_x.start, ax_x.step, ax_y.start, ax_y.step))
-        for block in blocks:
-            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")).cast("B"))
+        try:
+            fh.write(_HEADER.pack(MAGIC, VERSION, ax_x.count, ax_y.count,
+                                  ax_x.start, ax_x.step, ax_y.start, ax_y.step))
+            rows = 0
+            for block in blocks:
+                block = np.ascontiguousarray(block, dtype="<f8")
+                if block.shape[1:] != (ax_y.count, 4) or rows + len(block) > ax_x.count:
+                    raise QgridFormatError(f"{path}: a block of shape {block.shape} after "
+                                           f"{rows} rows does not fit {ax_x.count} rows of "
+                                           f"shape ({ax_y.count}, 4)")
+                fh.write(memoryview(block).cast("B"))
+                rows += len(block)
+            if rows != ax_x.count:
+                raise QgridFormatError(f"{path}: blocks hold {rows} rows, not {ax_x.count}")
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def save_qgrid(path, f: QSignal) -> None:
@@ -93,12 +116,13 @@ def save_csv(path, f: QSignal) -> None:
 
 
 def save_spectrum(path, spec: SpectrumQ) -> Path:
-    """Write the combined spectrum F(f); returns its path."""
-    save_qgrid(path, QSignal(spec.ax_u, spec.ax_v, spec.combined))
+    """Write the combined spectrum F(f) on its (u, v) axes; returns its path."""
+    write_qgrid(path, spec.ax_u, spec.ax_v, [spec.combined])
     return Path(path)
 
 
 def load_spectrum(path) -> SpectrumQ:
     """Read the combined spectrum F(f); SpectrumQ.component derives each F(f_c)."""
-    combined = load_qgrid(path)
-    return SpectrumQ(combined.ax_x, combined.ax_y, combined.values)
+    from .qft import SpectrumQ
+    with open_qgrid(path) as (ax_u, ax_v, read):
+        return SpectrumQ(ax_u, ax_v, read(ax_u.count))

@@ -704,6 +704,28 @@ def test_qft_forward_rejects_non_finite_payload(tmp_path):
     assert not list((tmp_path / "q").glob("spectrum*"))
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_qft_bad_input_found_before_the_output_is_made(tmp_path, direction):
+    # 129^2 is read in 12 row blocks: a NaN in the last of them (forward) and a
+    # payload cut short mid-way (inverse) each end in one ERROR 2 qgrid line, and
+    # no output is made, as the whole input is read before the output is opened
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax = GridAxis.symmetric(4.0, 129)
+    vals = np.ones((129, 129, 4))
+    vals[-1, 7, 2] = np.nan if direction == "forward" else 1.0
+    path = tmp_path / "in.qgrid"
+    save_qgrid(path, QSignal(ax, ax, vals))
+    if direction == "inverse":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "q"))
+    r = run_cli("--config", str(cfg), "qft", direction, "--input", str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 qgrid:")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "q").exists()
+
+
 def test_qpswf_threads_caps_blas():
     import ctypes
     import glob

@@ -48,6 +48,18 @@ def test_blocks_write_and_read_the_one_block_bytes(tmp_path):
             read(1)
 
 
+@pytest.mark.parametrize("shapes", [[(3, 5, 4), (1, 7, 4)], [(5, 5, 3)],
+                                    [(3, 5, 4), (1, 5, 4)], [(3, 5, 4), (3, 5, 4)]],
+                         ids=["row_length", "components", "too_few_rows", "too_many_rows"])
+def test_blocks_not_matching_the_header_rejected(tmp_path, shapes):
+    # each would make a file that every reader rejects; the partial file is removed
+    ax = GridAxis.symmetric(2.0, 5)
+    path = tmp_path / "f.qgrid"
+    with pytest.raises(QgridFormatError, match="rows"):
+        write_qgrid(path, ax, ax, [np.zeros(shape) for shape in shapes])
+    assert not path.exists()
+
+
 def test_non_finite_sample_found_in_its_own_block(tmp_path):
     # the blocks before the one holding the NaN read as they are
     vals = _signal().values.copy()
