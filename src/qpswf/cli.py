@@ -78,7 +78,7 @@ MANIFEST = {
 }
 MANIFEST_ENTRY = {
     "file": (str, REQUIRED, None),
-    "lambda2d": (float, REQUIRED, None),
+    "lambda2d": (float, REQUIRED, _POSITIVE),
     "m": (int, None, _at_least(0)),
     "n": (int, None, _at_least(0)),
     "mu_x": (list, None, _COMPLEX),

@@ -4,8 +4,8 @@ The 1D eigenfunctions on [-T, T] with band half-width W are prolate
 spheroidal functions of bandwidth c = T W, summed at Gauss-Legendre nodes
 from their Legendre series: the eigenvectors of one tridiagonal matrix per
 parity, solved in double and refined once in 80-bit extended precision.
-Their eigenvalues are Rayleigh quotients against the Nystrom kernel, which
-the solve itself never uses.
+Their finite-Fourier multipliers and eigenvalues follow from the same
+series in closed form; only the checks form Nystrom kernels (_node_images).
 
 2D eigenfunctions are tensor products phi_m(x) phi_n(y) times a fixed unit
 quaternion amplitude, with eigenvalue lambda_m * lambda_n.  Global (whole-
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +189,8 @@ class ProlateBasis1D:
 
     eigvecs[k] holds phi_k at the Gauss nodes, normalized to unit norm on
     the whole line; equivalently the weighted norm on [-T, T] is
-    sqrt(eigvals[k]).  mu[k] is the finite-Fourier multiplier of phi_k.
-    The long-double images of phi_k under the kernel (K phi_k) and under the
-    finite Fourier transform (I_k ~ mu_k phi_k) at the nodes feed the checks.
+    sqrt(eigvals[k]).  mu[k] is the finite-Fourier multiplier of phi_k and
+    eigvals[k] = (W / T) |mu[k]|^2 / 2 pi, both from the Legendre series.
     """
 
     t_half: float
@@ -198,7 +198,7 @@ class ProlateBasis1D:
     c: float                    # concentration scale T*W
     nodes: np.ndarray           # (N,) float64 view
     weights: np.ndarray         # (N,) float64 view
-    eigvals: np.ndarray         # (count,) float64, descending above ~1e-19 (rounding below)
+    eigvals: np.ndarray         # (count,) float64, >= 0, non-increasing
     eigvecs: np.ndarray         # (count, N) float64, phi_k at the nodes
     mu: np.ndarray              # (count,) complex128
     _x_ld: np.ndarray = field(repr=False, default=None)
@@ -206,17 +206,10 @@ class ProlateBasis1D:
     _phi_ld: np.ndarray = field(repr=False, default=None)   # (count, N)
     _lam_ld: np.ndarray = field(repr=False, default=None)   # (count,)
     _mu_ld: np.ndarray = field(repr=False, default=None)    # (count,) clongdouble
-    _kphi_ld: np.ndarray = field(repr=False, default=None)  # (count, N) K phi_k
-    _fphi_ld: np.ndarray = field(repr=False, default=None)  # (count, N) clongdouble I_k
 
     @property
     def count(self) -> int:
         return len(self.eigvals)
-
-    @property
-    def c_ratio(self) -> float:
-        """Kernel frequency scale W/T appearing in the finite-Fourier form."""
-        return self.w_half / self.t_half
 
     def extend_ld(self, k, x) -> np.ndarray:
         """phi_k at arbitrary points via the quadrature extension formula.
@@ -250,18 +243,19 @@ def check_phase(n: int, phase, what: str) -> None:
 def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateBasis1D:
     """The top-count eigenpairs of the concentration operator at the n Gauss nodes.
 
-    phi_k is summed from the Legendre series of the prolate function of
-    bandwidth c = T W at t = x / T; lambda_k is its Rayleigh quotient against
-    the Nystrom kernel on the same nodes.  An n too small for c (the rule
-    misses the integral of e^{2ict}) is rejected.  Signs follow the
-    convention phi_k(0) > 0 for even k and phi_k'(0) > 0 for odd k.
+    phi_k is summed from the Legendre series of the prolate function psi_k of
+    bandwidth c = T W at t = x / T.  Integrating psi_k and i c t psi_k over
+    [-1, 1] gives mu psi_k(0) = sqrt(2) beta_0k and mu psi_k'(0) = i c
+    sqrt(2/3) beta_1k, so mu_k = T mu and lambda_k = (c / 2 pi) |mu|^2 hold to
+    relative precision however small (Xiao, Rokhlin & Yarvin 2001).  An n too
+    small for c (the rule misses the integral of e^{2ict}) is rejected; signs
+    follow phi_k(0) > 0 for even k and phi_k'(0) > 0 for odd k.
     """
-    if count > n:
-        raise BadParameters("count cannot exceed the number of nodes")
-    if not (t_half > 0 and w_half > 0):
-        raise BadParameters("T and W must be positive")
-    if n < 16:
-        raise BadParameters("need at least 16 quadrature nodes")
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (n, count)) \
+            or not 1 <= count <= n or n < 16:
+        raise BadParameters(f"need integers n >= 16 and 1 <= count <= n, got {n!r} and {count!r}")
+    if not (0 < t_half < np.inf and 0 < w_half < np.inf):
+        raise BadParameters("T and W must be positive and finite")
     t = _gauss_unit_ld(n)[0]
     c = _LD(t_half) * _LD(w_half)
     # 2c is the largest phase the kernel and the band-side step integrate
@@ -273,35 +267,21 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     p0 = np.stack(list(_legendre_ld(len(beta), np.zeros(1))))[:, 0]
     # psi_n(0) + psi_n'(0) with P_k'(0) = k P_{k-1}(0): by parity one term is zero
     at0 = (scale * p0[:-1]) @ beta + (scale[1:] * deg[1:] * p0[:-2]) @ beta[1:]
+    mu1 = np.where(np.arange(count) % 2, 1j * c * np.sqrt(_LD(2) / 3) * beta[1],
+                   np.sqrt(_LD(2)) * beta[0]) / at0
+    lam = c / (2 * _LD(np.pi)) * (mu1 * mu1.conj()).real
+    mu = _LD(t_half) * mu1
     beta = beta * np.where(at0 < 0, -1, 1)
-    phi = beta.T @ (scale[:, None] * np.stack(list(_legendre_ld(len(beta) - 1, t))))
+    phi = sum(b[:, None] * p for b, p in zip(scale[:, None] * beta, _legendre_ld(len(beta) - 1, t)))
 
     x, w = gauss_rule_ld(n, -t_half, t_half)
-    phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None]   # weighted-orthonormal
-    # Rayleigh quotients; numpy sums a contiguous row pairwise, where a matmul's
-    # running sums leave ~1e-21 of noise (1e-11 relative at lambda_5, c = 1)
-    a = w * phi
-    ka = np.hstack([[(kern * ak).sum(axis=1) for ak in a]
-                    for kern in _sinc_rows(x, x, w_half, a.nbytes)])
-    lam = (a * ka).sum(axis=1)
-    # scale so the [-T, T] energy equals lambda (unit whole-line norm)
-    phi = phi * np.sqrt(np.maximum(lam, _LD(0)))[:, None]
-
-    # K phi_k and the finite-Fourier images integral_T e^{i (W/T) s x} phi_k(s) ds = mu_k phi_k(x)
-    wphi = w * phi
-    kphi = np.hstack([wphi @ kern.T for kern in _sinc_rows(x, x, w_half, a.nbytes)])
-    cr = _LD(w_half) / _LD(t_half)
-    integral = np.hstack([wphi @ np.exp(1j * (cr * x[rows, None] * x).astype(np.clongdouble)).T
-                          for rows in _row_blocks(n, x.nbytes, a.nbytes)])
-    live = lam > 0   # phi_k = 0 where lambda_k <= 0
-    mu_ld = np.zeros(count, dtype=np.clongdouble)
-    mu_ld[live] = (wphi * integral).sum(axis=1)[live] / (wphi * phi).sum(axis=1)[live]
+    # scaled so the [-T, T] energy equals lambda (unit whole-line norm)
+    phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None] * np.sqrt(lam)[:, None]
     return ProlateBasis1D(
         t_half=float(t_half), w_half=float(w_half), c=float(t_half * w_half),
         nodes=x.astype(np.float64), weights=w.astype(np.float64),
         eigvals=lam.astype(np.float64), eigvecs=phi.astype(np.float64),
-        mu=mu_ld.astype(complex), _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam,
-        _mu_ld=mu_ld, _kphi_ld=kphi, _fphi_ld=integral)
+        mu=mu.astype(complex), _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam, _mu_ld=mu)
 
 
 def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
@@ -324,7 +304,7 @@ DEFAULT_COEFF = Quaternion(0.5, 0.5, 0.5, 0.5)
 
 def band_rule(basis1d: ProlateBasis1D):
     """Gauss rule on [-W, W] mapped from the time-side nodes (u = (W/T) s)."""
-    cr = basis1d.c_ratio
+    cr = basis1d.w_half / basis1d.t_half
     return cr * basis1d.nodes, cr * basis1d.weights
 
 
@@ -341,11 +321,12 @@ class ModeTables:
     Every 2D quantity of a basis element or combination is a product of
     two rows (signals.ModalField does the contractions).  The top products
     always use a prefix of the modes, all above the evaluation floor.
-    _memo is the one per-basis memo (see memo), keyed per purpose:
-    ("window", h), the all-pass window images of every mode for window
-    half-width h (_window_images); "band_frame", extrapolate's band-rule
-    eigenframe with the mode tables and the probe kernels folded into it;
-    ("final", ax_x, ax_y), its final-grid kernels on those axes.
+    _memo is the one per-basis memo (see memo), keyed per purpose: "nodes",
+    the kernel and finite-Fourier images of every mode at the nodes
+    (_node_images); ("window", h), the all-pass window images of every mode
+    for window half-width h (_window_images); "band_frame", extrapolate's
+    band-rule eigenframe with the mode tables and the probe kernels folded
+    into it; ("final", ax_x, ax_y), its final-grid kernels on those axes.
     """
 
     basis1d: ProlateBasis1D
@@ -375,8 +356,8 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
     sw = np.sqrt(band_rule(b)[1] / (2 * np.pi))
     # F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c): reversed nodes are -s
     band = (b.mu[:m] / b.eigvals[:m])[:, None] * b.eigvecs[:m, ::-1] * sw
-    # the cut's transform at u = (W/T) x is the conjugate finite-Fourier image I_k(x)
-    cut = (np.conj(b._fphi_ld[:m]) * sw).astype(complex)
+    # the cut's transform at u = (W/T) x is the conjugate of I_k(x) = mu_k phi_k(x)
+    cut = (np.conj(b._mu_ld[:m, None]) * b._phi_ld[:m] * sw).astype(complex)
     gram_t = (b._phi_ld[:m] * b._w_ld[None, :]) @ b._phi_ld[:m].T
     lam = b._lam_ld[:m]
     # the band rule is exact for band-limited functions, so it gives the whole-line
@@ -548,6 +529,21 @@ def _require_above_floor(psi: Qpswf2D) -> None:
             f"lambda = {psi.lambda2d:.3e} below the floor {EIG_FLOOR:.0e}")
 
 
+def _node_images(tables: ModeTables):
+    """K phi_k and the finite-Fourier images I_k at the Gauss nodes, every mode, as
+    long-double Nystrom sums with kernels in row blocks; the solve forms neither.
+    Computed once per basis: each element's check takes its two rows."""
+    def build():
+        b, m = tables.basis1d, len(tables.band)
+        x, wphi = b._x_ld, b._w_ld * b._phi_ld[:m]
+        kphi = np.hstack([wphi @ kern.T for kern in _sinc_rows(x, x, b.w_half, wphi.nbytes)])
+        cr = _LD(b.w_half) / _LD(b.t_half)
+        fphi = np.hstack([wphi @ np.exp(1j * (cr * x[rows, None] * x).astype(np.clongdouble)).T
+                          for rows in _row_blocks(len(x), x.nbytes, wphi.nbytes)])
+        return kphi, fphi
+    return tables.memo("nodes", build)
+
+
 def verify_lowpass(psi: Qpswf2D, lam_override: float = None) -> float:
     """Relative residual of the low-pass eigen-identity for a basis element.
 
@@ -561,7 +557,7 @@ def verify_lowpass(psi: Qpswf2D, lam_override: float = None) -> float:
     """
     _require_above_floor(psi)
     b, m, n = psi.basis1d, psi.m, psi.n
-    phi, kphi, lam = b._phi_ld, b._kphi_ld, b._lam_ld
+    phi, kphi, lam = b._phi_ld, _node_images(psi.tables)[0], b._lam_ld
     r_m, r_n = kphi[[m, n]] - lam[[m, n], None] * phi[[m, n]]
     big_l = lam[m] * lam[n] if lam_override is None else _LD(lam_override)
     num = _separable_norm([1, lam[m], lam[m] * lam[n] - big_l], [r_m, phi[m], phi[m]],
@@ -606,13 +602,15 @@ def verify_finite_qft(psi: Qpswf2D) -> FiniteQftCheck:
         S(a, b) = Re a Re b q + Im a Re b iq + Re a Im b qj + Im a Im b iqj.
     With e_k = I_k - mu_k phi_k the residual splits without cancellation,
         S(I_m, I_n) - S(mu_m phi_m, mu_n phi_n) = S(e_m, I_n) + S(mu_m phi_m, e_n).
-    The eigenvalue relation checked is
+    mu_k = <I_k, phi_k> / <phi_k, phi_k> is fitted from the image, and the
+    relation checked against the solver's eigenvalues is
     lambda_m lambda_n = (W/T)^2 |mu_x mu_y|^2 / (2 pi)^2.
     """
     _require_above_floor(psi)
     b, m, n = psi.basis1d, psi.m, psi.n
-    mu_x, mu_y = b._mu_ld[m], b._mu_ld[n]
-    i_m, i_n = b._fphi_ld[m], b._fphi_ld[n]
+    wphi, fphi = b._w_ld * b._phi_ld, _node_images(psi.tables)[1]
+    i_m, i_n = fphi[m], fphi[n]
+    mu_x, mu_y = ((wphi[k] * fphi[k]).sum() / (wphi[k] * b._phi_ld[k]).sum() for k in (m, n))
     fit_m, fit_n = mu_x * b._phi_ld[m], mu_y * b._phi_ld[n]
     q, i, j = psi.coeff, Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0)
     consts = [c.as_array() for c in (q, q_mul(i, q), q_mul(q, j), q_mul(i, q_mul(q, j)))]

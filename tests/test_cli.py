@@ -188,6 +188,21 @@ def test_verify_manifest_wrong_types(basis_dir, tmp_path, key, value):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("value", [0.0, -0.3])
+def test_verify_manifest_nonpositive_eigenvalue(basis_dir, tmp_path, value):
+    # basis writes no lambda2d <= 0, and none can be the eigenvalue of an element
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    manifest["entries"][0]["lambda2d"] = value
+    bad = basis_dir / f"manifest_lambda2d_{value}.json"
+    bad.write_text(json.dumps(manifest))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 manifest: lambda2d must be > 0")
+    assert len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("key, value", [("N", 8), ("W", 100.0)])
 def test_verify_manifest_value_the_solver_rejects(basis_dir, tmp_path, key, value):
     # 8 nodes are too few for any rule, 128 too few for c = 100; the manifest is at fault

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,9 @@ def test_jacobi_converges_at_large_concentration():
     assert np.all(np.diff(lam) <= 0)
     # the same leading eigenvalues as a solve with a larger refinement block
     assert np.abs(lam - eig_prolate_1d(8.0, 8.0, 256, 45).eigvals[:30]).max() <= 1e-15
-    r = b._kphi_ld - b._lam_ld[:, None] * b._phi_ld
+    ax = GridAxis.symmetric(1.0, 3)
+    kphi = prolate._node_images(prolate._mode_tables(b, 30, ax, ax))[0]
+    r = kphi - b._lam_ld[:, None] * b._phi_ld
     rel = np.sqrt((b._w_ld * r * r).sum(axis=1) / (b._w_ld * b._phi_ld ** 2).sum(axis=1))
     assert float(rel.max()) <= 1e-15
 
@@ -110,21 +114,44 @@ def _oracle_eigenvalues(c, count, size=30):
     return lam
 
 
-@pytest.mark.parametrize("c, count", [(1.0, 8), (4.0, 14)])
+@pytest.mark.parametrize("c, count", [(0.25, 12), (1.0, 16), (4.0, 24)])
 def test_eigenvalues_match_high_precision_oracle(c, count):
+    # lambda from the series is relatively accurate however small it is
     mp = pytest.importorskip("mpmath")
     ref = _oracle_eigenvalues(c, count)
+    assert ref[-1] < 1e-35
     lam = eig_prolate_1d(c, 1.0, 256, count)._lam_ld
     for k in range(count):
-        if ref[k] > 5e-11:
+        if ref[k] > 1e-35:
             hi = float(lam[k])
             got = mp.mpf(hi) + mp.mpf(float(lam[k] - np.longdouble(hi)))
-            assert abs(got / ref[k] - 1) <= 1e-11, (k, float(ref[k]))
+            assert abs(got / ref[k] - 1) <= 1e-13, (k, float(ref[k]))
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_every_eigenvalue_is_nonnegative_and_non_increasing(c):
+    lam = eig_prolate_1d(c, 1.0, 256, 256).eigvals
+    assert np.all(lam >= 0)
+    assert np.all(np.diff(lam)[lam[1:] > 1e-60] <= 0)
+
+
+def test_solve_forms_no_kernel(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the solve formed a sinc kernel")
+    monkeypatch.setattr(prolate, "sinc_kernel_ld", fail)
+    assert eig_prolate_1d(1.0, 1.0, 256, 8).count == 8
 
 
 def test_count_validation():
     with pytest.raises(BadParameters):
         eig_prolate_1d(1.0, 1.0, 32, 40)
+
+
+@pytest.mark.parametrize("t_half, n, count", [(1.0, 64, 0), (1.0, 64, -3), (1.0, 64, 4.5),
+                                              (1.0, 64.0, 4), (np.inf, 64, 4)])
+def test_inputs_the_solve_cannot_handle_are_bad_parameters(t_half, n, count):
+    with pytest.raises(BadParameters):
+        eig_prolate_1d(t_half, 1.0, n, count)
 
 
 def test_quadrature_too_small_for_c():
@@ -286,6 +313,18 @@ def test_finite_qft_residuals(basis36):
     assert chk10.residual <= 1e-6
     assert abs(chk10.mu_x.real) < 1e-12 * abs(chk10.mu_x)
     assert chk10.mu_x.imag > 0
+
+
+def test_checks_do_not_restate_the_solve(basis36):
+    # a solve whose lambda is off by 1e-8 relative, with mu off consistently with
+    # it, shows in both checks that compare with it
+    b = basis36.basis1d
+    lam, mu = b._lam_ld * (1 + np.longdouble(1e-8)), b._mu_ld * np.sqrt(1 + np.longdouble(1e-8))
+    off = build_qpswf_basis(dataclasses.replace(b, _lam_ld=lam, eigvals=lam.astype(float),
+                                                _mu_ld=mu, mu=mu.astype(complex)), 4)
+    for el in off.items:
+        assert 0.5e-8 <= verify_lowpass(el) <= 4e-8
+        assert 0.5e-8 <= verify_finite_qft(el).relation_residual <= 4e-8
 
 
 def test_allpass_residual_tail_certified(basis36):
