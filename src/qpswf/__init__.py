@@ -31,10 +31,10 @@ _EXPORTS = {
     "grid": ("GridAxis", "QSignal", "Region", "angle", "energy", "inner_product",
              "scalar_inner_product"),
     "prolate": ("BasisSet2D", "ProlateBasis1D", "Qpswf2D", "build_qpswf_basis", "build_basis",
-                "build_sinc_operator", "eig_prolate_1d", "extend_eigenfunction", "gram_matrix",
-                "verify_allpass", "verify_finite_qft", "verify_lowpass"),
+                "eig_prolate_1d", "extend_eigenfunction", "gram_matrix", "verify_allpass",
+                "verify_finite_qft", "verify_lowpass"),
     "qft": ("SpectrumQ", "dual_frequency_axes", "forward_qft", "inverse_qft", "modulate",
-            "parseval_check", "q_modulus_field", "sinc_bandlimit_kernel"),
+            "parseval_check", "q_modulus_field"),
     "quaternion": ("Quaternion", "q_conj", "q_modulus", "q_mul"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -197,11 +197,13 @@ def cmd_basis(cfg: dict, out: Path) -> int:
 
 
 def _check_declared(name: str, manifest: dict, entries: list, basis, tol: float) -> None:
-    """ERROR 4 manifest_consistency unless each c, m, n, mu_x and mu_y the manifest
-    declares is that of the rebuilt basis: c to 1e-12 and mu to tol, relative."""
+    """ERROR 4 manifest_consistency unless each c, m, n, lambda2d, mu_x and mu_y the
+    manifest declares is that of the rebuilt basis: c to 1e-12 and lambda2d and mu to
+    tol, relative."""
     declared = [(name, "c", manifest["c"], manifest["T"] * manifest["W"], 1e-12)]
     for e, el in zip(entries, basis.items):
-        declared += [(e["file"], "m", e["m"], el.m, 0), (e["file"], "n", e["n"], el.n, 0)]
+        declared += [(e["file"], "m", e["m"], el.m, 0), (e["file"], "n", e["n"], el.n, 0),
+                     (e["file"], "lambda2d", e["lambda2d"], el.lambda2d, tol)]
         declared += [(e["file"], key, e[key] and complex(*e[key]), want, tol)
                      for key, want in (("mu_x", el.mu_x), ("mu_y", el.mu_y))]
     for file, key, got, want, rel in declared:
@@ -246,7 +248,7 @@ def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
         if el.lambda2d < EIG_FLOOR:
             skipped += 1
             continue
-        lowpass = verify_lowpass(el, lam_override=entry["lambda2d"])
+        lowpass = verify_lowpass(el)
         chk = verify_finite_qft(el)
         ap = verify_allpass(el, window_halfwidth=4 * basis.t_half)
         residuals.append((lowpass, chk.residual, chk.relation_residual,

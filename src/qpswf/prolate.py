@@ -5,7 +5,9 @@ spheroidal functions of bandwidth c = T W, summed at Gauss-Legendre nodes
 from their Legendre series: the eigenvectors of one tridiagonal matrix per
 parity, solved in double and refined once in 80-bit extended precision.
 Their finite-Fourier multipliers and eigenvalues follow from the same
-series in closed form; only the checks form Nystrom kernels (_node_images).
+series in closed form, so the solve forms no kernel.  The sinc kernel
+(sinc_kernel_ld) is formed only in row blocks: by the Nystrom extension of
+the grid tables (extend_ld) and by the checks (_node_images, _window_images).
 
 2D eigenfunctions are tensor products phi_m(x) phi_n(y) times a fixed unit
 quaternion amplitude, with eigenvalue lambda_m * lambda_n.  Global (whole-
@@ -39,6 +41,7 @@ from .grid import GridAxis, QSignal, Region, _row_blocks
 from .quaternion import Quaternion, q_mul
 
 _LD = np.longdouble
+_PI = 4 * np.arctan(_LD(1))  # pi in long double; _LD(np.pi) is the double pi
 
 # public floor: operations that divide by an eigenvalue reject smaller ones
 EIG_FLOOR = 1e-12
@@ -105,22 +108,10 @@ def sinc_kernel_ld(d, w_half) -> np.ndarray:
     wh = _LD(w_half)
     out = np.empty_like(d)
     small = np.abs(d) < _LD(1e-8)
-    out[small] = wh / _LD(np.pi)
+    out[small] = wh / _PI
     ds = d[~small]
-    out[~small] = np.sin(wh * ds) / (_LD(np.pi) * ds)
+    out[~small] = np.sin(wh * ds) / (_PI * ds)
     return out
-
-
-def build_sinc_operator(t_half: float, w_half: float, n: int) -> np.ndarray:
-    """Symmetrized Nystrom matrix of the 1D low-pass kernel (double view)."""
-    if not (t_half > 0 and w_half > 0):
-        raise BadParameters("T and W must be positive")
-    if n < 16:
-        raise BadParameters("need at least 16 quadrature nodes")
-    x, w = gauss_rule_ld(n, -t_half, t_half)
-    sw = np.sqrt(w)
-    a = sw[:, None] * sinc_kernel_ld(x[:, None] - x, w_half) * sw[None, :]
-    return ((a + a.T) / 2).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +260,7 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     at0 = (scale * p0[:-1]) @ beta + (scale[1:] * deg[1:] * p0[:-2]) @ beta[1:]
     mu1 = np.where(np.arange(count) % 2, 1j * c * np.sqrt(_LD(2) / 3) * beta[1],
                    np.sqrt(_LD(2)) * beta[0]) / at0
-    lam = c / (2 * _LD(np.pi)) * (mu1 * mu1.conj()).real
+    lam = c / (2 * _PI) * (mu1 * mu1.conj()).real
     mu = _LD(t_half) * mu1
     beta = beta * np.where(at0 < 0, -1, 1)
     phi = sum(b[:, None] * p for b, p in zip(scale[:, None] * beta, _legendre_ld(len(beta) - 1, t)))
@@ -285,9 +276,10 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
 
 
 def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
-    """Evaluate phi_k anywhere on the line by the quadrature extension."""
-    if not 0 <= k < basis.count:
-        raise BadIndex(f"mode {k} not in basis of {basis.count}")
+    """Evaluate phi_k anywhere on the line by the quadrature extension; k is an int."""
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool)
+            and 0 <= k < basis.count):
+        raise BadIndex(f"mode {k!r} not in basis of {basis.count}")
     if basis.eigvals[k] < EIG_FLOOR:
         raise EigenvalueTooSmall(
             f"lambda_{k} = {basis.eigvals[k]:.3e} below the floor {EIG_FLOOR:.0e}")
@@ -544,44 +536,22 @@ def _node_images(tables: ModeTables):
     return tables.memo("nodes", build)
 
 
-def verify_lowpass(psi: Qpswf2D, lam_override: float = None) -> float:
+def verify_lowpass(psi: Qpswf2D) -> float:
     """Relative residual of the low-pass eigen-identity for a basis element.
 
-    Computes || L psi - K psi || / || L psi || with the kernel integral over
-    [-T, T]^2 evaluated by the basis quadrature.  With r_k = K phi_k -
-    lambda_k phi_k the difference splits into small separable terms,
-        K phi_m (x) K phi_n - L phi_m (x) phi_n = r_m (x) K phi_n
-            + lambda_m phi_m (x) r_n + (lambda_m lambda_n - L) phi_m (x) phi_n,
-    so no two large norms cancel.  L is lambda_m lambda_n unless lam_override
-    substitutes an externally declared eigenvalue (used to audit manifests).
+    Computes || L psi - K psi || / || L psi || with L = lambda_m lambda_n and
+    the kernel integral over [-T, T]^2 evaluated by the basis quadrature.
+    With r_k = K phi_k - lambda_k phi_k the difference splits into small
+    separable terms,
+        K phi_m (x) K phi_n - L phi_m (x) phi_n = r_m (x) K phi_n + lambda_m phi_m (x) r_n,
+    so no two large norms cancel.
     """
     _require_above_floor(psi)
     b, m, n = psi.basis1d, psi.m, psi.n
     phi, kphi, lam = b._phi_ld, _node_images(psi.tables)[0], b._lam_ld
     r_m, r_n = kphi[[m, n]] - lam[[m, n], None] * phi[[m, n]]
-    big_l = lam[m] * lam[n] if lam_override is None else _LD(lam_override)
-    num = _separable_norm([1, lam[m], lam[m] * lam[n] - big_l], [r_m, phi[m], phi[m]],
-                          [kphi[n], r_n, phi[n]], b._w_ld)
-    return float(num / _separable_norm([big_l], [phi[m]], [phi[n]], b._w_ld))
-
-
-def lowpass_residual_field(field: np.ndarray, basis1d: ProlateBasis1D) -> float:
-    """Low-pass residual of an arbitrary quaternion field on the Gauss grid.
-
-    field has shape (N, N, 4).  The comparison eigenvalue is the Rayleigh
-    quotient, which minimizes the residual; generic fields still score O(1).
-    """
-    x, w = basis1d._x_ld, basis1d._w_ld
-    kern = sinc_kernel_ld(x[:, None] - x[None, :], basis1d.w_half)
-    f = np.asarray(field, dtype=_LD)
-    kw = kern * w[None, :]
-    kf = np.einsum("ptc,qt->pqc", np.einsum("ps,stc->ptc", kw, f), kw)
-    w2 = w[:, None] * w[None, :]
-    lam = float(np.einsum("pq,pqc,pqc->", w2, kf, f) / np.einsum("pq,pqc,pqc->", w2, f, f))
-    diff = kf - lam * f
-    num = np.sqrt(np.einsum("pq,pqc,pqc->", w2, diff, diff))
-    den = np.sqrt(np.einsum("pq,pqc,pqc->", w2, lam * f, lam * f))
-    return float(num / den)
+    num = _separable_norm([1, lam[m]], [r_m, phi[m]], [kphi[n], r_n], b._w_ld)
+    return float(num / _separable_norm([lam[m] * lam[n]], [phi[m]], [phi[n]], b._w_ld))
 
 
 @dataclass(frozen=True)
@@ -624,7 +594,7 @@ def verify_finite_qft(psi: Qpswf2D) -> FiniteQftCheck:
 
     lam_prod = b._lam_ld[m] * b._lam_ld[n]
     cr = _LD(b.w_half) / _LD(b.t_half)
-    pred = (cr ** 2) * (abs(mu_x) ** 2) * (abs(mu_y) ** 2) / (2 * _LD(np.pi)) ** 2
+    pred = (cr ** 2) * (abs(mu_x) ** 2) * (abs(mu_y) ** 2) / (2 * _PI) ** 2
     relation = float(abs(pred - lam_prod) / lam_prod)
     return FiniteQftCheck(residual=resid, mu_x=complex(mu_x), mu_y=complex(mu_y),
                           relation_residual=relation)

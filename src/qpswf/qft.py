@@ -313,15 +313,6 @@ def modulate(f: QSignal, r: float) -> QSignal:
     return f.with_values(qarr_mul(qarr(np.cos(rx), np.sin(rx)), f.values))
 
 
-def sinc_bandlimit_kernel(dx, dy, w_half: float):
-    """Separable low-pass kernel sin(W dx)/(pi dx) * sin(W dy)/(pi dy), the product of
-    two prolate.sinc_kernel_ld factors rounded once to double."""
-    from .prolate import sinc_kernel_ld
-    if not w_half > 0:
-        raise BadParameters("band half-width must be > 0")
-    return (sinc_kernel_ld(dx, w_half) * sinc_kernel_ld(dy, w_half)).astype(np.float64)
-
-
 def mask_spectrum(spec: SpectrumQ, w_half: float) -> SpectrumQ:
     """Zero the spectrum outside the closed band square."""
     if w_half > min(spec.ax_u.stop, spec.ax_v.stop) * (1 + _SYM_TOL):

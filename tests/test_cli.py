@@ -268,15 +268,28 @@ def test_verify_basis_whose_window_needs_more_samples(tmp_path):
     assert max(report["checks"].values()) <= 1e-6
 
 
-def test_verify_corrupted_eigenvalue(basis_dir, tmp_path):
-    manifest = json.loads((basis_dir / "manifest.json").read_text())
-    manifest["entries"][0]["lambda2d"] *= 1.2
-    bad = basis_dir / "manifest_corrupt.json"
+@pytest.fixture(scope="module")
+def basis36_dir(tmp_path_factory):
+    """A 36-element basis on 65^2: its last 10 elements lie below the eigenvalue floor."""
+    tmp = tmp_path_factory.mktemp("cli_basis36")
+    cfg = _write_cfg(tmp, grid_n=65, basis_count=36, output_dir=str(tmp / "out"))
+    r = run_cli("--config", str(cfg), "basis")
+    assert r.returncode == 0, r.stderr
+    return tmp / "out"
+
+
+@pytest.mark.parametrize("q", [0, 35], ids=["first", "last"])
+def test_verify_corrupted_eigenvalue(basis36_dir, tmp_path, q):
+    # every declared lambda2d is audited, above the floor or not
+    manifest = json.loads((basis36_dir / "manifest.json").read_text())
+    manifest["entries"][q]["lambda2d"] = 0.5
+    bad = basis36_dir / f"manifest_corrupt_{q}.json"
     bad.write_text(json.dumps(manifest))
-    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
+    cfg = _write_cfg(tmp_path, grid_n=65, basis_count=36, output_dir=str(tmp_path / "v"))
     r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
-    assert r.returncode == 4
-    assert r.stderr.startswith("ERROR 4 verify_lowpass:")
+    assert r.returncode == 4, r.stderr
+    assert r.stderr.startswith(f"ERROR 4 manifest_consistency: psi_{q:03d}.qgrid: lambda2d = 0.5")
+    assert len(r.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("tamper, code, start", [

@@ -7,10 +7,9 @@ from qpswf import prolate
 from qpswf.errors import (BadIndex, BadParameters, ConvergenceFailure,
                           EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
 from qpswf.grid import GridAxis, Region
-from qpswf.prolate import (build_basis, build_qpswf_basis, build_sinc_operator,
-                           eig_prolate_1d, extend_eigenfunction, gram_matrix,
-                           lowpass_residual_field, verify_allpass,
-                           verify_finite_qft, verify_lowpass)
+from qpswf.prolate import (build_basis, build_qpswf_basis, eig_prolate_1d,
+                           extend_eigenfunction, gram_matrix, sinc_kernel_ld,
+                           verify_allpass, verify_finite_qft, verify_lowpass)
 from qpswf.quaternion import Quaternion
 from qpswf.rng import CounterRng
 from qpswf.signals import element_band_rep
@@ -25,24 +24,6 @@ LAM_1D = [5.725817806378950e-01, 6.279127414980333e-02, 1.2374793284659950e-03,
 def basis1d():
     """The T = W = 1 solve with 8 modes at 256 nodes, shared by tests that only read it."""
     return eig_prolate_1d(1.0, 1.0, 256, 8)
-
-
-def test_operator_structure():
-    n = 64
-    a = build_sinc_operator(1.0, 1.0, n)
-    assert np.array_equal(a, a.T)
-    x, w = np.polynomial.legendre.leggauss(n)
-    assert np.allclose(np.diag(a), w * 1.0 / np.pi, rtol=1e-13)
-    with pytest.raises(BadParameters):
-        build_sinc_operator(1.0, 1.0, 8)
-    with pytest.raises(BadParameters):
-        build_sinc_operator(-1.0, 1.0, 64)
-
-
-def test_trace_equals_eigenvalue_sum():
-    a = build_sinc_operator(1.0, 1.0, 128)
-    lam = np.linalg.eigvalsh(a)
-    assert abs(np.trace(a) - lam.sum()) <= 1e-10
 
 
 def test_eigenvalues_frozen_and_monotone(basis1d):
@@ -79,6 +60,16 @@ def test_jacobi_converges_at_large_concentration():
     r = kphi - b._lam_ld[:, None] * b._phi_ld
     rel = np.sqrt((b._w_ld * r * r).sum(axis=1) / (b._w_ld * b._phi_ld ** 2).sum(axis=1))
     assert float(rel.max()) <= 1e-15
+
+
+# long-double results are compared with 60-digit oracles to this relative bound
+LD_TOL = 10 * float(np.finfo(np.longdouble).eps)
+
+
+def _as_mpf(mp, value):
+    """A long double as an mpmath number, exactly: its double part plus the remainder."""
+    hi = float(value)
+    return mp.mpf(hi) + mp.mpf(float(value - np.longdouble(hi)))
 
 
 def _oracle_eigenvalues(c, count, size=30):
@@ -123,9 +114,18 @@ def test_eigenvalues_match_high_precision_oracle(c, count):
     lam = eig_prolate_1d(c, 1.0, 256, count)._lam_ld
     for k in range(count):
         if ref[k] > 1e-35:
-            hi = float(lam[k])
-            got = mp.mpf(hi) + mp.mpf(float(lam[k] - np.longdouble(hi)))
-            assert abs(got / ref[k] - 1) <= 1e-13, (k, float(ref[k]))
+            assert abs(_as_mpf(mp, lam[k]) / ref[k] - 1) <= 1e-13, (k, float(ref[k]))
+    # lambda_0 to long-double rounding: the formula's pi is the long-double pi
+    assert abs(_as_mpf(mp, lam[0]) / ref[0] - 1) <= LD_TOL
+
+
+@pytest.mark.parametrize("w_half", [1.0, 1.3, 20.0])
+def test_sinc_kernel_limit_is_long_double(w_half):
+    # the d = 0 limit W / pi, to long-double rounding
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 60
+    got = _as_mpf(mp, sinc_kernel_ld(0.0, w_half)[()])
+    assert abs(got / (mp.mpf(w_half) / mp.pi) - 1) <= LD_TOL
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
@@ -211,6 +211,12 @@ def test_extension_floor(basis1d):
         extend_eigenfunction(basis1d, 99, 0.5)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True], ids=["fraction", "float", "bool"])
+def test_extension_rejects_a_mode_that_is_not_an_int(basis1d, k):
+    with pytest.raises(BadIndex):
+        extend_eigenfunction(basis1d, k, 0.5)
+
+
 def test_sign_convention_and_mu_phases(basis1d):
     assert extend_eigenfunction(basis1d, 0, 0.0) > 0
     # mu_k carries the phase i^k under this sign convention
@@ -274,13 +280,6 @@ def test_lowpass_residuals(basis36):
     assert below, "expected some below-floor elements at c = 1"
     with pytest.raises(EigenvalueTooSmall):
         verify_lowpass(below[0])
-
-
-def test_lowpass_random_field_is_not_eigen(basis36):
-    rng = CounterRng(31)
-    n = len(basis36.basis1d.nodes)
-    field = rng.normal_field((n, n, 4))
-    assert lowpass_residual_field(field, basis36.basis1d) > 0.1
 
 
 def test_reflections_remain_eigenfunctions(basis36):

@@ -8,7 +8,7 @@ from qpswf.errors import NonUniformGrid, WindowTooSmall, ZeroSignal
 from qpswf.grid import GridAxis, QSignal, energy
 from qpswf.qft import (_two_sided, dual_frequency_axes, dual_frequency_axis, forward_qft,
                        inverse_qft, mask_spectrum, modulate, parseval_check,
-                       q_modulus_field, sinc_bandlimit_kernel, spectral_energy,
+                       q_modulus_field, spectral_energy,
                        spectrum_from_complex_components)
 from qpswf.qgrid_io import open_qgrid, save_qgrid, save_spectrum, write_qgrid
 from qpswf.quaternion import qarr_modulus_sq, qarr_mul
@@ -154,31 +154,6 @@ def test_modulation_shift_identity():
     lhs = spec_mod.combined[k:, :, :]
     rhs = forward_qft(f, ax_u, ax_v).combined[:-k, :, :]
     assert np.abs(lhs - rhs).max() <= 1e-6 * np.abs(rhs).max()
-
-
-def test_sinc_kernel_values():
-    w = 1.3
-    assert sinc_bandlimit_kernel(0.0, 0.0, w) == pytest.approx((w / np.pi) ** 2)
-    assert sinc_bandlimit_kernel(np.pi / w, 0.37, w) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_sinc_kernel_quadrature_oracle():
-    # direct 2D quadrature of (1/4pi^2) int_W e^{iu dx} e^{jv dy} du dv
-    w_half = 1.0
-    nodes, wts = np.polynomial.legendre.leggauss(64)
-    u = w_half * nodes
-    wu = w_half * wts
-    for dx, dy in ((0.0, 0.0), (0.3, -0.8), (1.7, 2.9), (np.pi, 0.1)):
-        cu, su = np.cos(u * dx), np.sin(u * dx)
-        cv, sv = np.cos(u * dy), np.sin(u * dy)
-        # e^{iu dx} e^{jv dy} = (cu + i su)(cv + j sv); scalar part = cu*cv
-        scalar = np.einsum("a,b,a,b->", wu, wu, cu, cv) / (4 * np.pi ** 2)
-        icomp = np.einsum("a,b,a,b->", wu, wu, su, cv) / (4 * np.pi ** 2)
-        jcomp = np.einsum("a,b,a,b->", wu, wu, cu, sv) / (4 * np.pi ** 2)
-        kcomp = np.einsum("a,b,a,b->", wu, wu, su, sv) / (4 * np.pi ** 2)
-        expect = sinc_bandlimit_kernel(dx, dy, w_half)
-        assert scalar == pytest.approx(expect, abs=1e-10)
-        assert abs(icomp) < 1e-10 and abs(jcomp) < 1e-10 and abs(kcomp) < 1e-10
 
 
 def test_element_spectrum_band_support(basis36):
