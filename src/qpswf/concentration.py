@@ -81,9 +81,11 @@ class ComboSignal(ModalField):
     """A ModalField that reports its energy ratios against its own basis."""
 
     def report(self) -> EnergyReport:
-        """The band energy is sum |s|^2 |coeff|^2 over the band-rule field s (band_field)."""
-        return _report(self.time_energy(), _energy(self.band_field()) * self.coeff.modulus() ** 2,
-                       self.total_energy(), float(self.tables.lambda2d[0, 0]))
+        """The band energy is sum |s|^2 |coeff|^2 over the row blocks of the band-rule
+        field s (band_blocks)."""
+        e_band = sum(_energy(s) for s in self.band_blocks()) * self.coeff.modulus() ** 2
+        return _report(self.time_energy(), e_band, self.total_energy(),
+                       float(self.tables.lambda2d[0, 0]))
 
 
 def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:

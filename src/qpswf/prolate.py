@@ -8,6 +8,9 @@ Their finite-Fourier multipliers and eigenvalues follow from the same
 series in closed form, so the solve forms no kernel.  The sinc kernel
 (sinc_kernel_ld) is formed only in row blocks: by the Nystrom extension of
 the grid tables (extend_ld) and by the checks (_node_images, _window_images).
+The Gauss nodes are exactly antisymmetric, so phi_k has exact parity
+(-1)^k at them, and so have its extension and its finite-Fourier image:
+those are summed at the distinct values of |x| only (_by_parity).
 
 2D eigenfunctions are tensor products phi_m(x) phi_n(y) times a fixed unit
 quaternion amplitude, with eigenvalue lambda_m * lambda_n.  Global (whole-
@@ -50,6 +53,9 @@ EIG_FLOOR = 1e-12
 # usable information even in 80-bit arithmetic
 _EVAL_FLOOR = 1e-15
 
+# Newton steps a Gauss rule may take: from Tricomi's nodes 256 and 2048 nodes take 3
+_NEWTON_STEPS = 10
+
 
 # ---------------------------------------------------------------------------
 # quadrature and kernel in extended precision
@@ -59,6 +65,14 @@ def _sinc_rows(x, y, w_half, nbytes: int):
     """sinc_kernel_ld(x - y) from the points x to the points y, one block of rows at a time."""
     for rows in _row_blocks(len(x), y.nbytes, nbytes):
         yield sinc_kernel_ld(x[rows, None] - y, w_half)
+
+
+def _by_parity(k, x, at_abs) -> np.ndarray:
+    """Rows k of a table of parity (-1)^k at the points x: at_abs(a), its rows at the
+    distinct values a of |x| in ascending order, times sign(x)^k.  phi_k, K phi_k and
+    I_k on exactly antisymmetric nodes are such tables, so this is exact for them."""
+    a, at = np.unique(np.abs(x), return_inverse=True)
+    return at_abs(a)[..., at] * np.where(np.asarray(k)[..., None] % 2, np.sign(x), 1)
 
 
 def _legendre_ld(n: int, x):
@@ -76,19 +90,37 @@ def _legendre_ld(n: int, x):
 def _gauss_unit_ld(n: int):
     """Gauss-Legendre nodes/weights on [-1, 1] in long double.
 
-    Double-precision nodes are polished with Newton steps on P_n evaluated
-    by the recurrence in long double.
+    Newton's method on P_n, evaluated by the recurrence in long double, runs
+    on the nonpositive half from Tricomi's asymptotic nodes
+    -(1 - (n - 1)/(8 n^3)) cos(pi (4k - 1)/(4n + 2)), k = 1..ceil(n/2),
+    until a step moves no node by more than sqrt(eps)/n: Newton's error
+    constant |x|/(1 - x^2) is below n^2/5 at every node, so the node after
+    that step is within the rounding.  A rule that has not converged after
+    _NEWTON_STEPS steps raises ConvergenceFailure.  The half is then
+    mirrored, so the nodes are exactly antisymmetric (node 0 is exact for odd
+    n) and the weights exactly symmetric.
     """
     def newton(x):  # P_n(x) and P_n'(x), keeping only P_{n-1} and P_n
         q, p = collections.deque(_legendre_ld(n, x), maxlen=2)
         return p, n * (x * p - q) / (x * x - 1)
 
-    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
-    for _ in range(3):
+    k = np.arange(1, (n + 1) // 2 + 1, dtype=_LD)
+    x = -(1 - _LD(n - 1) / (8 * _LD(n) ** 3)) * np.cos(_PI * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0  # P_n(0) = 0 exactly for odd n, so Newton keeps it
+    tol = np.sqrt(np.finfo(_LD).eps) / n
+    for _ in range(_NEWTON_STEPS):
         p, dp = newton(x)
-        x = x - p / dp
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= tol:
+            break
+    else:
+        raise ConvergenceFailure(f"Newton's method for the {n}-node Gauss rule did not "
+                                 f"converge in {_NEWTON_STEPS} steps")
     dp = newton(x)[1]
     w = 2 / ((1 - x * x) * dp * dp)
+    x, w = np.concatenate([x, -x[:n // 2][::-1]]), np.concatenate([w, w[:n // 2][::-1]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -103,14 +135,15 @@ def gauss_rule_ld(n: int, a, b):
 
 
 def sinc_kernel_ld(d, w_half) -> np.ndarray:
-    """sin(W d)/(pi d) with the W/pi limit at d = 0, in long double."""
+    """sin(W d)/(pi d) in long double; where |W d| < 1e-8 its series (W/pi)(1 - (W d)^2/6),
+    whose next term is below the long-double eps there."""
     d = np.asarray(d, dtype=_LD)
-    wh = _LD(w_half)
+    wd = _LD(w_half) * d
     out = np.empty_like(d)
-    small = np.abs(d) < _LD(1e-8)
-    out[small] = wh / _PI
-    ds = d[~small]
-    out[~small] = np.sin(wh * ds) / (_PI * ds)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.sin(wd), _PI * d, out=out)
+    small = np.abs(wd) < _LD(1e-8)
+    out[small] = _LD(w_half) / _PI * (1 - wd[small] ** 2 / 6)
     return out
 
 
@@ -206,19 +239,22 @@ class ProlateBasis1D:
         """phi_k at arbitrary points via the quadrature extension formula.
 
         k is one mode index, giving shape (len(x),), or an index array,
-        giving one row per mode; every mode shares one kernel, built in blocks
-        of points no larger than the result.  A mode with lambda_k at or below
-        _EVAL_FLOOR raises EigenvalueTooSmall.
+        giving one row per mode; every mode shares one kernel, taken at the
+        distinct values of |x| in blocks of points no larger than the result,
+        and the signs follow the parity (_by_parity).  A mode with lambda_k at
+        or below _EVAL_FLOOR raises EigenvalueTooSmall.
         """
         for j in np.atleast_1d(k):
             if not self._lam_ld[j] > _EVAL_FLOOR:
                 raise EigenvalueTooSmall(f"lambda_{j} = {float(self._lam_ld[j]):.3e} "
                                          f"is below the evaluation floor {_EVAL_FLOOR:.0e}")
         lam = self._lam_ld[k]
-        x = np.atleast_1d(np.asarray(x, dtype=_LD))
         wphi = (self._w_ld * self._phi_ld[k]).T
-        blocks = _sinc_rows(x, self._x_ld, self.w_half, np.size(lam) * x.nbytes)
-        return np.concatenate([kern @ wphi / lam for kern in blocks]).T
+
+        def at_abs(a):
+            blocks = _sinc_rows(a, self._x_ld, self.w_half, np.size(lam) * a.nbytes)
+            return np.concatenate([kern @ wphi / lam for kern in blocks]).T
+        return _by_parity(k, np.atleast_1d(np.asarray(x, dtype=_LD)), at_abs)
 
 
 def check_phase(n: int, phase, what: str) -> None:
@@ -313,7 +349,8 @@ class ModeTables:
     Every 2D quantity of a basis element or combination is a product of
     two rows (signals.ModalField does the contractions).  The top products
     always use a prefix of the modes, all above the evaluation floor.
-    _memo is the one per-basis memo (see memo), keyed per purpose: "nodes",
+    _memo is the one per-basis memo (see memo), keyed per purpose: ("ext",
+    ax), the grid table of every mode on the axis ax (ext_x, ext_y); "nodes",
     the kernel and finite-Fourier images of every mode at the nodes
     (_node_images); ("window", h), the all-pass window images of every mode
     for window half-width h (_window_images); "band_frame", extrapolate's
@@ -324,8 +361,6 @@ class ModeTables:
     basis1d: ProlateBasis1D
     ax_x: GridAxis
     ax_y: GridAxis
-    ext_x: np.ndarray           # (M, Nx) long double, phi_k on the x grid
-    ext_y: np.ndarray           # (M, Ny) long double, phi_k on the y grid
     band: np.ndarray            # (M, N) complex, sqrt(w_u / 2 pi) F(phi_k)(u) on the band rule
     cut: np.ndarray             # (M, N) complex, the same for phi_k restricted to [-T, T]
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
@@ -339,11 +374,23 @@ class ModeTables:
             self._memo[key] = build()
         return self._memo[key]
 
+    def _ext(self, ax: GridAxis) -> np.ndarray:
+        """phi_k of every mode at the samples of ax, by extend_ld on the first read."""
+        return self.memo(("ext", ax), lambda: self.basis1d.extend_ld(np.arange(len(self.band)),
+                                                                     ax.samples()))
+
+    @property
+    def ext_x(self) -> np.ndarray:
+        """(M, Nx) long double, phi_k on the x grid."""
+        return self._ext(self.ax_x)
+
+    @property
+    def ext_y(self) -> np.ndarray:
+        """(M, Ny) long double, phi_k on the y grid."""
+        return self._ext(self.ax_y)
+
 
 def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> ModeTables:
-    modes = np.arange(m)
-    ext_x = b.extend_ld(modes, ax_x.samples())
-    ext_y = ext_x if ax_y == ax_x else b.extend_ld(modes, ax_y.samples())
     # per-axis factor of the band coefficients a = sqrt(w_u w_v) F / 2 pi
     sw = np.sqrt(band_rule(b)[1] / (2 * np.pi))
     # F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c): reversed nodes are -s
@@ -354,8 +401,8 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
     lam = b._lam_ld[:m]
     # the band rule is exact for band-limited functions, so it gives the whole-line
     # Gram; its imaginary part is rounding
-    return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, ext_x=ext_x, ext_y=ext_y,
-                      band=band, cut=cut, gram_t=gram_t, gram_r=(band @ band.conj().T).real,
+    return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, band=band, cut=cut, gram_t=gram_t,
+                      gram_r=(band @ band.conj().T).real,
                       lambda2d=(lam[:, None] * lam[None, :]).astype(np.float64))
 
 
@@ -377,11 +424,16 @@ class Qpswf2D:
         return self.lambda2d >= EIG_FLOOR
 
     def blocks(self):
-        """The element on the basis grid, x-row blocks no larger than its two mode tables."""
+        """The element on the basis grid, x-row blocks no larger than its two mode tables;
+        each quaternion component is one strided product."""
         t = self.tables
         ex, ey, q = t.ext_x[self.m], t.ext_y[self.n], self.coeff.as_array()
         for rows in _row_blocks(len(ex), len(ey) * q.nbytes, t.ext_x.nbytes + t.ext_y.nbytes):
-            yield (ex[rows, None] * ey[None, :]).astype(np.float64)[..., None] * q
+            grid = (ex[rows, None] * ey[None, :]).astype(np.float64)
+            block = np.empty(grid.shape + q.shape)
+            for c in range(len(q)):
+                np.multiply(grid, q[c], out=block[..., c])
+            yield block
 
     @property
     def values(self) -> QSignal:
@@ -524,15 +576,21 @@ def _require_above_floor(psi: Qpswf2D) -> None:
 def _node_images(tables: ModeTables):
     """K phi_k and the finite-Fourier images I_k at the Gauss nodes, every mode, as
     long-double Nystrom sums with kernels in row blocks; the solve forms neither.
+    I_k has the parity of phi_k, so its sums run at the nonnegative nodes
+    (_by_parity).  K phi_k is summed at every node: near the evaluation floor
+    its residual K phi_k - lambda_k phi_k is summation noise, which a mirrored
+    half would change (by 1e-3 of the residual for lambda_5 at c = 1).
     Computed once per basis: each element's check takes its two rows."""
     def build():
         b, m = tables.basis1d, len(tables.band)
         x, wphi = b._x_ld, b._w_ld * b._phi_ld[:m]
         kphi = np.hstack([wphi @ kern.T for kern in _sinc_rows(x, x, b.w_half, wphi.nbytes)])
         cr = _LD(b.w_half) / _LD(b.t_half)
-        fphi = np.hstack([wphi @ np.exp(1j * (cr * x[rows, None] * x).astype(np.clongdouble)).T
-                          for rows in _row_blocks(len(x), x.nbytes, wphi.nbytes)])
-        return kphi, fphi
+
+        def fphi(a):
+            return np.hstack([wphi @ np.exp(1j * (cr * a[rows, None] * x).astype(np.clongdouble)).T
+                              for rows in _row_blocks(len(a), x.nbytes, wphi.nbytes)])
+        return kphi, _by_parity(np.arange(m), x, fphi)
     return tables.memo("nodes", build)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex, BadParameters, LengthMismatch
-from .grid import GridAxis, QSignal, _axis_region_mask
+from .grid import GridAxis, QSignal, _axis_region_mask, _row_blocks
 from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_kernel,
                       band_rule)
 from .quaternion import Quaternion, qarr_right_mul
@@ -146,12 +146,18 @@ class ModalField:
             a[int(kind == CUT), q] += r
         return cls.of(basis, *a)
 
+    def band_blocks(self):
+        """Row blocks of band_field, each no larger than the band and cut tables."""
+        t = self.tables
+        n = t.band.shape[1]
+        for rows in _row_blocks(n, n * t.band.itemsize, t.band.nbytes + t.cut.nbytes):
+            s = t.band[:, rows].T @ self.psi @ t.band
+            s += t.cut[:, rows].T @ self.cut @ t.cut
+            yield s
+
     def band_field(self) -> np.ndarray:
         """The real field's band coefficients s on the band rule: the field's are coeff * s."""
-        t = self.tables
-        s = t.band.T @ self.psi @ t.band
-        s += t.cut.T @ self.cut @ t.cut
-        return s
+        return np.concatenate(list(self.band_blocks()))
 
     def band_rep(self) -> BandRep:
         return BandRep(self.tables.basis1d,

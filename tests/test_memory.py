@@ -10,7 +10,8 @@ import pytest
 from qpswf import cli
 from qpswf.concentration import build_boundary_signal
 from qpswf.grid import GridAxis
-from qpswf.prolate import _gauss_unit_ld, build_basis, build_qpswf_basis, eig_prolate_1d
+from qpswf.prolate import (ProlateBasis1D, _gauss_unit_ld, build_basis, build_qpswf_basis,
+                           eig_prolate_1d)
 
 _LD_BYTES = np.dtype(np.longdouble).itemsize
 _MB = 2 ** 20
@@ -33,11 +34,10 @@ def solve_512():
 
 
 def test_gauss_rule_polish_keeps_two_legendre_rows():
-    # the Newton polish adds a few length-n vectors to what leggauss itself allocates,
-    # not the (n + 1) x n table of P_0..P_n
+    # Newton's method keeps a few vectors of half the nodes (5.4 n long doubles
+    # measured), not the (n + 1) x n table of P_0..P_n nor an n x n eigenproblem
     n = 512
-    own = _peak(np.polynomial.legendre.leggauss, n)
-    assert _peak(_gauss_unit_ld.__wrapped__, n) <= own + 16 * n * _LD_BYTES
+    assert _peak(_gauss_unit_ld.__wrapped__, n) <= 16 * n * _LD_BYTES
 
 
 def test_solve_peaks_below_one_kernel(solve_512):
@@ -48,20 +48,34 @@ def test_solve_peaks_below_one_kernel(solve_512):
 
 
 def test_tables_on_a_large_grid_peak_below_2_mb(solve_512):
-    # the 1025 x 512 extension kernel is built in blocks no larger than the mode tables
+    # the 513 x 512 extension kernel at |x| is built in blocks no larger than the mode
+    # tables, on the first read of a grid table: building the basis forms none
     ax = GridAxis.symmetric(8.0, 1025)
-    assert _peak(build_qpswf_basis, solve_512, 4, grid=(ax, ax)) <= 2 * _MB
+    tables = build_qpswf_basis(solve_512, 4, grid=(ax, ax)).tables
+    assert not tables._memo
+    assert _peak(lambda: tables.ext_x) <= 2 * _MB
 
 
 def test_combo_report_forms_no_four_component_copy():
-    # the band energy is sum |s|^2 |q|^2 over one N x N band field, with no (4, N, N) copy
+    # the band energy is sum |s|^2 |q|^2 over row blocks of the N x N band field, with
+    # no (4, N, N) copy and no whole field
     n = 512
     ax = GridAxis.symmetric(8.0, 1025)
     basis = build_basis(2.0, 2.0, n, 4, grid=(ax, ax))
     s0 = np.sqrt(basis.lambda0)
     sig = build_boundary_signal(float(s0 + 0.5 * (1.0 - s0)), basis)
     sig.report()
-    assert _peak(sig.report) <= 2.5 * n * n * np.dtype(complex).itemsize
+    assert _peak(sig.report) <= n * n / 4 * np.dtype(complex).itemsize
+
+
+def test_concentration_forms_no_grid_table(monkeypatch, tmp_path):
+    # the sweep's reports read the band and Gram tables only
+    def fail(*args):
+        raise AssertionError("concentration formed a grid table")
+    monkeypatch.setattr(ProlateBasis1D, "extend_ld", fail)
+    cfg = cli._read_table({}, cli.CONFIG, "config")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_concentration(cfg, tmp_path / "c") == 0
 
 
 def test_basis_and_verify_peak_below_a_quarter_element_grid(tmp_path):

@@ -128,6 +128,39 @@ def test_sinc_kernel_limit_is_long_double(w_half):
     assert abs(got / (mp.mpf(w_half) / mp.pi) - 1) <= LD_TOL
 
 
+@pytest.mark.parametrize("w_half", [1.0, 20.0, 200.0])
+@pytest.mark.parametrize("wd", [0.99e-8, 1.01e-8], ids=["series", "sine"])
+def test_sinc_kernel_beside_the_series_switch_is_long_double(w_half, wd):
+    # the series branch switches on |W d| < 1e-8, just inside and just outside of which
+    # both branches keep long-double accuracy whatever W is
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    d = np.longdouble(wd) / np.longdouble(w_half)
+    exact = mp.sin(w_half * _as_mpf(mp, d)) / (mp.pi * _as_mpf(mp, d))
+    assert abs(_as_mpf(mp, sinc_kernel_ld(d, w_half)[()]) / exact - 1) <= 1e-18
+
+
+GAUSS_NS = list(range(1, 41)) + [64, 255, 256, 257, 512, 2048]
+
+
+@pytest.mark.parametrize("n", GAUSS_NS)
+def test_gauss_rule_is_mirrored_and_matches_leggauss(n):
+    x, w = prolate._gauss_unit_ld(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # numpy's nodes carry an absolute error of about eps/4 (a few ulps of the
+    # nodes nearest 0), so the comparison is in ulps of 1, the scale of [-1, 1]
+    ref = np.polynomial.legendre.leggauss(n)[0]
+    assert np.abs(x - ref).max() <= 2 * np.finfo(np.float64).eps
+    assert abs(w.sum() - 2) <= 8 * np.finfo(np.longdouble).eps
+
+
+def test_gauss_rule_that_does_not_converge_is_convergence_failure(monkeypatch):
+    # one Newton step from Tricomi's nodes is not enough at any n
+    monkeypatch.setattr(prolate, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceFailure, match="64-node Gauss rule"):
+        prolate._gauss_unit_ld.__wrapped__(64)
+
+
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_every_eigenvalue_is_nonnegative_and_non_increasing(c):
     lam = eig_prolate_1d(c, 1.0, 256, 256).eigvals
@@ -196,12 +229,37 @@ def test_extension_parity_and_decay(basis1d):
         left = extend_eigenfunction(basis1d, k, -xs)
         right = extend_eigenfunction(basis1d, k, xs)
         sign = 1.0 if k % 2 == 0 else -1.0
-        assert np.abs(left - sign * right).max() <= 1e-8
+        assert np.array_equal(left, sign * right)
     # slow sinc-tail decay: |phi_0(4T)| is ~0.16 of phi_0(0) at c = 1
     v0 = extend_eigenfunction(basis1d, 0, 0.0)
     v4 = extend_eigenfunction(basis1d, 0, 4.0)
     assert v0 > 0
     assert abs(v4) < 0.2 * v0
+
+
+def test_parity_tables_match_full_nystrom_sums(basis1d):
+    # extend_ld and the I_k of _node_images sum at the distinct |x| and sign by parity
+    # (K phi_k at the nodes is a full sum); a full sum at every point differs from that
+    # only in its order.  The difference is the sum's rounding, which extend_ld's
+    # division amplifies by 1/lambda_k: at c = 1 it is <= 9.4e-16 of max|phi_k| for
+    # lambda >= 9.2e-6, 1.8e-13 at lambda = 3.7e-8 and 4.6e-11 at lambda = 9.5e-11
+    b, ld = basis1d, np.longdouble
+    x = GridAxis.symmetric(4.0, 257).samples().astype(ld)
+    kern = sinc_kernel_ld(x[:, None] - b._x_ld, b.w_half)
+    node_kern = sinc_kernel_ld(b._x_ld[:, None] - b._x_ld, b.w_half)
+    cr = ld(b.w_half) / ld(b.t_half)
+    four = np.exp(1j * (cr * b._x_ld[:, None] * b._x_ld).astype(np.clongdouble))
+    ax = GridAxis.symmetric(1.0, 3)
+    kphi, fphi = prolate._node_images(prolate._mode_tables(b, b.count, ax, ax))
+    eps = float(np.finfo(ld).eps)
+    for k in range(b.count):
+        wphi, scale, lam = b._w_ld * b._phi_ld[k], np.abs(b._phi_ld[k]).max(), b._lam_ld[k]
+        assert np.abs(kphi[k] - node_kern @ wphi).max() <= 1e-15 * scale
+        assert np.abs(fphi[k] - four @ wphi).max() <= 1e-15 * scale
+        if lam > prolate._EVAL_FLOOR:
+            gap = np.abs(b.extend_ld(k, x) - kern @ wphi / lam).max()
+            assert gap * lam <= 8 * eps * scale, k
+            assert lam < 1e-5 or gap <= 1e-15 * scale, k
 
 
 def test_extension_floor(basis1d):
