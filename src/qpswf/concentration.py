@@ -91,12 +91,13 @@ class ComboSignal(ModalField):
 def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:
     """Energy ratio report for a grid signal against the basis's (T, W).
 
-    The time ratio uses the region-restricted trapezoid rule and the band
-    ratio integrates the Q-modulus density over the band with the basis's
-    band Gauss rule; total energy is the grid energy, which is accurate when
-    the signal has negligible mass at the grid edge.  lambda_0 is the
-    basis's leading 2D eigenvalue.  Extremal constructions report through
-    ComboSignal.report instead.
+    The time ratio uses the region-restricted trapezoid rule, so +-T must be
+    grid nodes (RegionOutOfGrid otherwise), and the band ratio integrates the
+    Q-modulus density over the band with the basis's band Gauss rule; total
+    energy is the grid energy, which is accurate when the signal has
+    negligible mass at the grid edge.  lambda_0 is the basis's leading 2D
+    eigenvalue.  Extremal constructions report through ComboSignal.report
+    instead.
     """
     e_total = energy(f, Region.full())
     e_time = energy(f, Region.square(basis.t_half))

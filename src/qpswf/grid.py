@@ -1,10 +1,11 @@
 """Sampled quaternion fields on uniform 2D grids, quadrature, and inner products.
 
 Grid-level integrals use the product trapezoid rule.  A centered square
-region integrates with the rule restricted to the region: nodes strictly
-inside carry full weight, nodes on the region boundary carry half weight
-per axis.  The region mask used by masking operators is the closed square,
-which keeps masking idempotent and energy additivity exact on the grid.
+region integrates with the rule restricted to the region, whose edges must
+be nodes: nodes strictly inside carry full weight, nodes on the region
+boundary carry half weight per axis.  The region mask used by masking
+operators is the closed square, which keeps masking idempotent and energy
+additivity exact on the grid.
 """
 
 from __future__ import annotations
@@ -93,11 +94,14 @@ def _axis_region_mask(ax: GridAxis, h: float) -> np.ndarray:
 
 
 def _axis_region_weights(ax: GridAxis, h: float) -> np.ndarray:
-    """Trapezoid weights of [-h, h] restricted to the axis nodes."""
-    inside = _axis_region_mask(ax, h)
+    """Trapezoid weights of [-h, h] on the axis nodes; RegionOutOfGrid unless -h and h are
+    each a node, since an edge between nodes has no trapezoid rule on the axis."""
+    inside, x, tol = _axis_region_mask(ax, h), ax.samples(), _NODE_TOL * ax.step
+    if not max(np.abs(x - edge).min() for edge in (-h, h)) <= tol:
+        raise RegionOutOfGrid(f"region edges -{h} and {h} are not both nodes of the axis "
+                              f"[{x[0]}, {x[-1]}] of step {ax.step}")
     w = np.where(inside, ax.step, 0.0)
-    on_edge = inside & (np.abs(np.abs(ax.samples()) - h) <= _NODE_TOL * ax.step)
-    w[on_edge] = ax.step / 2
+    w[inside & (np.abs(np.abs(x) - h) <= tol)] = ax.step / 2
     return w
 
 

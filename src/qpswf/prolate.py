@@ -5,9 +5,10 @@ spheroidal functions of bandwidth c = T W, summed at Gauss-Legendre nodes
 from their Legendre series: the eigenvectors of one tridiagonal matrix per
 parity, solved in double and refined once in 80-bit extended precision.
 Their finite-Fourier multipliers and eigenvalues follow from the same
-series in closed form, so the solve forms no kernel.  The sinc kernel
-(sinc_kernel_ld) is formed only in row blocks: by the Nystrom extension of
-the grid tables (extend_ld) and by the checks (_node_images, _window_images).
+series in closed form, so the solve forms no kernel.  Every kernel sum
+against phi_k, the Nystrom extension (extend_ld) and the checks' images
+(_node_images, _window_images), is one _kernel_sums: its kernel is formed
+in row blocks bounded by the table the sum reads.
 The Gauss nodes are exactly antisymmetric, so phi_k has exact parity
 (-1)^k at them, and so have its extension and its finite-Fourier image:
 those are summed at the distinct values of |x| only (_by_parity).
@@ -61,10 +62,13 @@ _NEWTON_STEPS = 10
 # quadrature and kernel in extended precision
 
 
-def _sinc_rows(x, y, w_half, nbytes: int):
-    """sinc_kernel_ld(x - y) from the points x to the points y, one block of rows at a time."""
-    for rows in _row_blocks(len(x), y.nbytes, nbytes):
-        yield sinc_kernel_ld(x[rows, None] - y, w_half)
+def _kernel_sums(kernel, x, s, wf) -> np.ndarray:
+    """sum_j kernel(x_i, s_j) wf[..., j], shape wf.shape[:-1] + (len(x),).  The kernel is
+    formed as kernel(x[rows, None], s), one block of rows with no more entries than wf at a
+    time; every entry keeps its own reduction, so the blocks change no bit."""
+    return np.concatenate([wf @ kernel(x[rows, None], s).T
+                           for rows in _row_blocks(len(x), len(s) * wf.itemsize, wf.nbytes)],
+                          axis=-1)
 
 
 def _by_parity(k, x, at_abs) -> np.ndarray:
@@ -124,14 +128,6 @@ def _gauss_unit_ld(n: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def gauss_rule_ld(n: int, a, b):
-    """Gauss-Legendre rule on [a, b] in long double."""
-    x, w = _gauss_unit_ld(n)
-    half = (_LD(b) - _LD(a)) / 2
-    mid = (_LD(b) + _LD(a)) / 2
-    return mid + half * x, half * w
 
 
 def sinc_kernel_ld(d, w_half) -> np.ndarray:
@@ -239,22 +235,19 @@ class ProlateBasis1D:
         """phi_k at arbitrary points via the quadrature extension formula.
 
         k is one mode index, giving shape (len(x),), or an index array,
-        giving one row per mode; every mode shares one kernel, taken at the
-        distinct values of |x| in blocks of points no larger than the result,
-        and the signs follow the parity (_by_parity).  A mode with lambda_k at
-        or below _EVAL_FLOOR raises EigenvalueTooSmall.
+        giving one row per mode; every mode shares one sinc kernel, taken at
+        the distinct values of |x| in blocks no larger than the nodal table
+        the sum reads (_kernel_sums), and the signs follow the parity
+        (_by_parity).  A mode with lambda_k at or below _EVAL_FLOOR raises
+        EigenvalueTooSmall.
         """
         for j in np.atleast_1d(k):
             if not self._lam_ld[j] > _EVAL_FLOOR:
                 raise EigenvalueTooSmall(f"lambda_{j} = {float(self._lam_ld[j]):.3e} "
                                          f"is below the evaluation floor {_EVAL_FLOOR:.0e}")
-        lam = self._lam_ld[k]
-        wphi = (self._w_ld * self._phi_ld[k]).T
-
-        def at_abs(a):
-            blocks = _sinc_rows(a, self._x_ld, self.w_half, np.size(lam) * a.nbytes)
-            return np.concatenate([kern @ wphi / lam for kern in blocks]).T
-        return _by_parity(k, np.atleast_1d(np.asarray(x, dtype=_LD)), at_abs)
+        lam, wphi = np.asarray(self._lam_ld[k])[..., None], self._w_ld * self._phi_ld[k]
+        return _by_parity(k, np.atleast_1d(np.asarray(x, dtype=_LD)), lambda a: _kernel_sums(
+            lambda p, q: sinc_kernel_ld(p - q, self.w_half), a, self._x_ld, wphi) / lam)
 
 
 def check_phase(n: int, phase, what: str) -> None:
@@ -283,7 +276,7 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
         raise BadParameters(f"need integers n >= 16 and 1 <= count <= n, got {n!r} and {count!r}")
     if not (0 < t_half < np.inf and 0 < w_half < np.inf):
         raise BadParameters("T and W must be positive and finite")
-    t = _gauss_unit_ld(n)[0]
+    t, w = _gauss_unit_ld(n)
     c = _LD(t_half) * _LD(w_half)
     # 2c is the largest phase the kernel and the band-side step integrate
     check_phase(n, 2 * c, f"c = T W = {float(c):.6g}")
@@ -301,7 +294,7 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     beta = beta * np.where(at0 < 0, -1, 1)
     phi = sum(b[:, None] * p for b, p in zip(scale[:, None] * beta, _legendre_ld(len(beta) - 1, t)))
 
-    x, w = gauss_rule_ld(n, -t_half, t_half)
+    x, w = _LD(t_half) * t, _LD(t_half) * w
     # scaled so the [-T, T] energy equals lambda (unit whole-line norm)
     phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None] * np.sqrt(lam)[:, None]
     return ProlateBasis1D(
@@ -575,7 +568,7 @@ def _require_above_floor(psi: Qpswf2D) -> None:
 
 def _node_images(tables: ModeTables):
     """K phi_k and the finite-Fourier images I_k at the Gauss nodes, every mode, as
-    long-double Nystrom sums with kernels in row blocks; the solve forms neither.
+    long-double Nystrom sums (_kernel_sums); the solve forms neither.
     I_k has the parity of phi_k, so its sums run at the nonnegative nodes
     (_by_parity).  K phi_k is summed at every node: near the evaluation floor
     its residual K phi_k - lambda_k phi_k is summation noise, which a mirrored
@@ -584,13 +577,11 @@ def _node_images(tables: ModeTables):
     def build():
         b, m = tables.basis1d, len(tables.band)
         x, wphi = b._x_ld, b._w_ld * b._phi_ld[:m]
-        kphi = np.hstack([wphi @ kern.T for kern in _sinc_rows(x, x, b.w_half, wphi.nbytes)])
         cr = _LD(b.w_half) / _LD(b.t_half)
-
-        def fphi(a):
-            return np.hstack([wphi @ np.exp(1j * (cr * a[rows, None] * x).astype(np.clongdouble)).T
-                              for rows in _row_blocks(len(a), x.nbytes, wphi.nbytes)])
-        return kphi, _by_parity(np.arange(m), x, fphi)
+        kphi = _kernel_sums(lambda p, q: sinc_kernel_ld(p - q, b.w_half), x, x, wphi)
+        fphi = _by_parity(np.arange(m), x, lambda a: _kernel_sums(
+            lambda p, q: np.exp(1j * (cr * p * q).astype(np.clongdouble)), a, x, wphi))
+        return kphi, fphi
     return tables.memo("nodes", build)
 
 
@@ -670,30 +661,29 @@ def _window_images(tables: ModeTables, h: float):
 
     The window takes the smallest odd sample count, and at least 257, whose
     step keeps W step <= 0.9 pi: the sampled kernel aliases once W step
-    exceeds pi.  Computed once per basis and window half-width: each
-    element's check takes its two rows.
+    exceeds pi.  phi_k there is the grid table of that axis (ModeTables._ext).
+    Computed once per basis and window half-width: each element's check
+    takes its two rows.
     """
     def build():
-        b, m = tables.basis1d, len(tables.band)
+        b = tables.basis1d
         count = max(257, 1 + 2 * int(np.ceil(h * b.w_half / (0.9 * np.pi))))
         ax = GridAxis.symmetric(h, count)
         wt = ax.trapezoid_weights().astype(_LD)
-        phi = b.extend_ld(np.arange(m), ax.samples())
-        # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step,
-        # gathered one block of m rows at a time
+        phi = tables._ext(ax)
+        # the uniform window's self-kernel is Toeplitz in the lag (p - q) * step:
+        # its entries are looked up by sample index
         lags = sinc_kernel_ld(_LD(ax.step) * np.arange(1 - count, count), b.w_half)
         idx = np.arange(count)
-        wphi = wt * phi
-        k = np.hstack([wphi @ lags[idx[rows, None] - idx + count - 1].T
-                       for rows in _row_blocks(count, wt.nbytes, phi.nbytes)])
+        k = _kernel_sums(lambda p, q: lags[p - q + count - 1], idx, idx, wt * phi)
         return wt, phi, k
     return tables.memo(("window", h), build)
 
 
-def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck:
-    """Residual of the whole-plane reproducing identity on a finite window.
+def verify_allpass(psi: Qpswf2D, window_halfwidth: float) -> AllpassCheck:
+    """Residual of the whole-plane reproducing identity on the window [-H, H]^2, H >= 2T.
 
-    The line integral is truncated to [-H, H]^2, so the residual carries the
+    The line integral is truncated to the window, so the residual carries the
     energy of the discarded tails; tail_bound certifies that contribution
     from the unit-norm promise (tail energy = 1 - window energy).  Residuals
     shrink monotonically as the window grows.  With k = K_win phi on the
@@ -701,11 +691,9 @@ def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck
     + k_m (x) (phi_n - k_n).
     """
     _require_above_floor(psi)
-    b = psi.basis1d
-    h = 3.0 * b.t_half if window_halfwidth is None else window_halfwidth
-    if h < 2.0 * b.t_half:
+    if window_halfwidth < 2.0 * psi.basis1d.t_half:
         raise BadParameters("window half-width must be at least 2T")
-    wt, phi, k = _window_images(psi.tables, h)
+    wt, phi, k = _window_images(psi.tables, window_halfwidth)
     phi, k = phi[[psi.m, psi.n]], k[[psi.m, psi.n]]
     d = phi - k
     ex, ey = (wt * phi * phi).sum(axis=1)
@@ -713,7 +701,7 @@ def verify_allpass(psi: Qpswf2D, window_halfwidth: float = None) -> AllpassCheck
                   / np.sqrt(ex * ey))
     tail_energy = max(0.0, 1.0 - float(ex) * float(ey))
     return AllpassCheck(residual=resid, tail_bound=float(np.sqrt(tail_energy)),
-                        window_halfwidth=h)
+                        window_halfwidth=window_halfwidth)
 
 
 # ---------------------------------------------------------------------------

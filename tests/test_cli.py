@@ -409,6 +409,20 @@ def test_concentration_input_narrower_than_time_square(tmp_path):
     assert r.stderr.startswith("ERROR 2 input:") and len(r.stderr.splitlines()) == 1
 
 
+def test_concentration_input_whose_time_square_edges_are_not_nodes(tmp_path):
+    # +-T = +-1 falls between the nodes of a 31^2 grid on [-4, 4]: no trapezoid rule there
+    from qpswf.grid import GridAxis, QSignal
+    from qpswf.qgrid_io import save_qgrid
+    ax = GridAxis.symmetric(4.0, 31)
+    x = ax.samples()
+    g = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 2)
+    save_qgrid(tmp_path / "g31.qgrid", QSignal.from_components(ax, ax, g))
+    cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "c"))
+    r = run_cli("--config", str(cfg), "concentration", "--input", str(tmp_path / "g31.qgrid"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("ERROR 2 input:") and len(r.stderr.splitlines()) == 1
+
+
 def test_input_that_overflows_double_precision(tmp_path):
     # a step of 2e158 is a valid QGRID header, but the band energy overflows
     from qpswf.grid import GridAxis, QSignal

@@ -156,3 +156,32 @@ def test_region_quadrature_halves_boundary():
     ones = QSignal.from_components(AX, AX, 1.0)
     # [-1,1]^2 has area 4
     assert energy(ones, Region.square(1.0)) == pytest.approx(4.0, rel=1e-12)
+
+
+def _gaussian(count):
+    ax = GridAxis.symmetric(4.0, count)
+    x = ax.samples()
+    return QSignal.from_components(ax, ax, np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 2))
+
+
+@pytest.mark.parametrize("count", [31, 1027])
+def test_region_edge_between_nodes_rejected(count):
+    # on [-4, 4] with 31 or 1027 nodes, +-1 falls between nodes: a full step of weight on
+    # the nodes inside is first-order wrong (xi^2 reads 0.66548 on 31^2 and 0.71151 on
+    # 1027^2; the true value is 0.710145)
+    f = _gaussian(count)
+    with pytest.raises(RegionOutOfGrid):
+        energy(f, Region.square(1.0))
+    with pytest.raises(RegionOutOfGrid):
+        inner_product(f, f, Region.square(1.0))
+
+
+def test_region_edge_on_nodes_is_the_trapezoid_rule():
+    # with 33 nodes +-1 are nodes: half weight there, a full step inside
+    f = _gaussian(33)
+    x, step = f.ax_x.samples(), f.ax_x.step
+    w = np.where(np.abs(x) < 1 - step / 2, step, 0.0) + np.where(np.abs(np.abs(x) - 1) < step / 2,
+                                                                  step / 2, 0.0)
+    want = float(np.einsum("ij,ij->", np.outer(w, w), (f.values ** 2).sum(axis=-1)))
+    assert energy(f, Region.square(1.0)) == pytest.approx(want, rel=1e-15)
+    assert energy(f, Region.square(1.0)) / energy(f) == pytest.approx(0.70286056, rel=1e-8)

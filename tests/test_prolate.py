@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
-from qpswf import prolate
+from qpswf import cli, prolate
 from qpswf.errors import (BadIndex, BadParameters, ConvergenceFailure,
                           EigenvalueTooSmall, NonUnitCoefficient, RegionOutOfGrid)
 from qpswf.grid import GridAxis, Region
@@ -391,6 +393,64 @@ def test_allpass_residual_tail_certified(basis36):
     # residual shrinks monotonically as the window grows
     r = [verify_allpass(psi0, window_halfwidth=h).residual for h in (2.0, 4.0, 6.0)]
     assert r[0] > r[1] > r[2]
+
+
+def _toeplitz_window(tables, h):
+    """The all-pass window images as one whole gather of the sinc at the lags (p - q) step,
+    with phi_k on the window from its own extension."""
+    b, ld = tables.basis1d, np.longdouble
+    count = max(257, 1 + 2 * int(np.ceil(h * b.w_half / (0.9 * np.pi))))
+    ax = GridAxis.symmetric(h, count)
+    wt = ax.trapezoid_weights().astype(ld)
+    phi = b.extend_ld(np.arange(len(tables.band)), ax.samples())
+    lags = sinc_kernel_ld(ld(ax.step) * np.arange(1 - count, count), b.w_half)
+    idx = np.arange(count)
+    return wt, phi, (wt * phi) @ lags[idx[:, None] - idx + count - 1].T
+
+
+@pytest.mark.parametrize("t, w, halfwidth, grid_n, count", [(1, 1, 4.0, 257, 36),
+                                                            (10, 20, 10.0, 129, 4)],
+                         ids=["default", "c200"])
+def test_window_images_are_the_toeplitz_gather(t, w, halfwidth, grid_n, count):
+    # the window's kernel sums read the Toeplitz lags by sample index, and phi_k on the
+    # window is the grid table of its axis: at c = 200 the window has 567 samples
+    ax = GridAxis.symmetric(halfwidth, grid_n)
+    tables = build_basis(t, w, 256, count, grid=(ax, ax)).tables
+    h = 4.0 * t
+    for got, want in zip(prolate._window_images(tables, h), _toeplitz_window(tables, h)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_kernel_sums_do_not_depend_on_the_blocks(basis1d, monkeypatch):
+    # grid tables, node images and window images, from one-row blocks and from one block
+    m = int((basis1d._lam_ld > prolate._EVAL_FLOOR).sum())
+    ax = GridAxis.symmetric(4.0, 129)
+
+    def images(blocks):
+        monkeypatch.setattr(prolate, "_row_blocks", blocks)
+        tables = prolate._mode_tables(basis1d, m, ax, ax)
+        return [tables.ext_x, *prolate._node_images(tables),
+                *prolate._window_images(tables, 4.0)]
+    rows = images(lambda n, *_: (slice(i, i + 1) for i in range(n)))
+    whole = images(lambda n, *_: iter([slice(0, n)]))
+    assert all(np.array_equal(a, b) for a, b in zip(rows, whole))
+
+
+def test_verify_extends_each_mode_once(tmp_path, monkeypatch):
+    # at the default config the all-pass window is the element grid's axis, so verify
+    # reads the grid table the element files were compared with
+    calls = []
+    extend = prolate.ProlateBasis1D.extend_ld
+
+    def counted(self, k, x):
+        calls.append(len(x))
+        return extend(self, k, x)
+    cfg = cli._read_table({}, cli.CONFIG, "config")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_basis(cfg, tmp_path / "b") == 0
+        monkeypatch.setattr(prolate.ProlateBasis1D, "extend_ld", counted)
+        assert cli.cmd_verify(cfg["tol"], tmp_path / "v", tmp_path / "b" / "manifest.json") == 0
+    assert calls == [257]
 
 
 def test_gram_time_square(basis36):
