@@ -45,9 +45,10 @@ def _at_least(lo):
     return (lambda v: v >= lo), f">= {lo}"
 
 
-# a complex number as JSON writes it, [real, imaginary]; type() leaves out bools
-_COMPLEX = (lambda v: len(v) == 2 and all(type(x) in (int, float) and math.isfinite(x) for x in v),
-            "two finite numbers")
+def _finite_numbers(count: int, word: str):
+    # a range: count numbers as a JSON list; type() leaves out bools
+    return (lambda v: len(v) == count and all(type(x) in (int, float) and math.isfinite(x)
+                                               for x in v)), f"{word} finite numbers"
 
 
 # each input's keys: (type, default or REQUIRED, range or None); unknown keys are rejected
@@ -74,15 +75,18 @@ MANIFEST = {
     "W": (float, REQUIRED, _POSITIVE),
     "c": (float, None, None),
     "N": (int, REQUIRED, _at_least(16)),
+    # the grid of the mode table, typed and ranged as in the config
+    **{key: (CONFIG[key][0], REQUIRED, CONFIG[key][2]) for key in ("grid_halfwidth", "grid_n")},
+    "coeff": (list, REQUIRED, _finite_numbers(4, "four")),  # (w, i, j, k)
+    "modes": (str, REQUIRED, None),
     "entries": (list, REQUIRED, (len, "non-empty")),
 }
 MANIFEST_ENTRY = {
-    "file": (str, REQUIRED, None),
     "lambda2d": (float, REQUIRED, _POSITIVE),
     "m": (int, None, _at_least(0)),
     "n": (int, None, _at_least(0)),
-    "mu_x": (list, None, _COMPLEX),
-    "mu_y": (list, None, _COMPLEX),
+    "mu_x": (list, None, _finite_numbers(2, "two")),  # [real, imaginary]
+    "mu_y": (list, None, _finite_numbers(2, "two")),
 }
 
 
@@ -172,21 +176,21 @@ def _config_basis(cfg: dict):
 
 
 def cmd_basis(cfg: dict, out: Path) -> int:
-    from .qgrid_io import write_qgrid
     basis = _config_basis(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for q, el in enumerate(basis.items):
-        fname = f"psi_{q:03d}.qgrid"
-        write_qgrid(out / fname, basis.ax_x, basis.ax_y, el.blocks())
-        entries.append({
-            "m": el.m, "n": el.n, "lambda2d": el.lambda2d,
-            "mu_x": [el.mu_x.real, el.mu_x.imag],
-            "mu_y": [el.mu_y.real, el.mu_y.imag],
-            "file": fname,
-        })
-    manifest = {"T": cfg["T"], "W": cfg["W"], "c": cfg["T"] * cfg["W"],
-                "N": cfg["quad_n"], "entries": entries}
+    # the long-double mode table as the exact pair hi + lo of doubles; a zero lo takes
+    # hi's sign, so hi + lo keeps the -0.0 of an odd mode at x = 0
+    ext = basis.tables.ext_x
+    hi = ext.astype(np.float64)
+    lo = (ext - hi).astype(np.float64)
+    np.save(out / "modes.npy", np.stack([hi, np.where(lo == 0, np.copysign(0.0, hi), lo)]))
+    entries = [{"m": el.m, "n": el.n, "lambda2d": el.lambda2d,
+                "mu_x": [el.mu_x.real, el.mu_x.imag], "mu_y": [el.mu_y.real, el.mu_y.imag]}
+               for el in basis.items]
+    manifest = {"T": cfg["T"], "W": cfg["W"], "c": cfg["T"] * cfg["W"], "N": cfg["quad_n"],
+                "grid_halfwidth": cfg["grid_halfwidth"], "grid_n": cfg["grid_n"],
+                "coeff": basis.coeff.as_array().tolist(), "modes": "modes.npy",
+                "entries": entries}
     _write_json(out / "manifest.json", manifest)
     with open(out / "eigenvalues.csv", "w") as fh:
         fh.write("q,m,n,lambda2d\n")
@@ -197,54 +201,47 @@ def cmd_basis(cfg: dict, out: Path) -> int:
 
 
 def _check_declared(name: str, manifest: dict, entries: list, basis, tol: float) -> None:
-    """ERROR 4 manifest_consistency unless each c, m, n, lambda2d, mu_x and mu_y the
-    manifest declares is that of the rebuilt basis: c to 1e-12 and lambda2d and mu to
-    tol, relative."""
-    declared = [(name, "c", manifest["c"], manifest["T"] * manifest["W"], 1e-12)]
-    for e, el in zip(entries, basis.items):
-        declared += [(e["file"], "m", e["m"], el.m, 0), (e["file"], "n", e["n"], el.n, 0),
-                     (e["file"], "lambda2d", e["lambda2d"], el.lambda2d, tol)]
-        declared += [(e["file"], key, e[key] and complex(*e[key]), want, tol)
+    """ERROR 4 manifest_consistency unless each c, coeff, m, n, lambda2d, mu_x and mu_y the
+    manifest declares is that of the rebuilt basis: c and coeff to 1e-12 and lambda2d and
+    mu to tol, relative."""
+    from .quaternion import Quaternion
+    declared = [(name, "c", manifest["c"], manifest["T"] * manifest["W"], 1e-12),
+                (name, "coeff", Quaternion(*manifest["coeff"]), basis.coeff, 1e-12)]
+    for q, (e, el) in enumerate(zip(entries, basis.items)):
+        where = f"entry {q}"
+        declared += [(where, "m", e["m"], el.m, 0), (where, "n", e["n"], el.n, 0),
+                     (where, "lambda2d", e["lambda2d"], el.lambda2d, tol)]
+        declared += [(where, key, e[key] and complex(*e[key]), want, tol)
                      for key, want in (("mu_x", el.mu_x), ("mu_y", el.mu_y))]
-    for file, key, got, want, rel in declared:
+    for where, key, got, want, rel in declared:
         if got is not None and not abs(got - want) <= rel * abs(want):
             raise CliError(4, "manifest_consistency",
-                           f"{file}: {key} = {got!r} but the rebuilt basis has {want!r}")
+                           f"{where}: {key} = {got!r} but the rebuilt basis has {want!r}")
 
 
 def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
-    from .grid import Region
+    from .grid import GridAxis, Region
     from .prolate import EIG_FLOOR, gram_matrix, verify_allpass, verify_finite_qft, verify_lowpass
-    from .qgrid_io import open_qgrid
 
     manifest = _read_table(_read_json(manifest_path, "manifest"), MANIFEST, "manifest")
     entries = [_read_table(e, MANIFEST_ENTRY, "manifest", "manifest entry")
                for e in manifest["entries"]]
-    paths = [manifest_path.parent / e["file"] for e in entries]
-    for path in paths:
-        if not path.exists():
-            raise CliError(2, "manifest", f"missing element file {path}")
-
-    # rebuild on the grid the elements were written on (the first header), not the config's
-    with _reading(paths[0]), open_qgrid(paths[0]) as (ax_x, ax_y, _):
-        pass
+    # rebuild on the grid the manifest declares, not the config's
+    ax = GridAxis.symmetric(manifest["grid_halfwidth"], manifest["grid_n"])
     basis = _build_basis("manifest", manifest["T"], manifest["W"], manifest["N"],
-                         len(entries), (ax_x, ax_y))
+                         len(entries), (ax, ax))
+    path = manifest_path.parent / manifest["modes"]
+    shape = (2, len(basis.tables.band), ax.count)
+    with _reading(path, "manifest"), open(path, "rb") as fh:
+        table = np.load(fh, allow_pickle=False)
+        if not (table.dtype == np.float64 and table.shape == shape and np.isfinite(table).all()):
+            raise CliError(2, "manifest", f"{path}: not a finite float64 array of shape {shape}")
     _check_declared(manifest_path.name, manifest, entries, basis, tol)
 
-    file_dev = 0.0
     skipped = 0
     # per element: lowpass, finite QFT, mu-lambda relation and allpass excess
     residuals = [(0.0, 0.0, 0.0, 0.0)]
-    for q, (entry, path) in enumerate(zip(entries, paths)):
-        el = basis[q]
-        # each stored row block against the same rows of the rebuilt element
-        with _reading(path), open_qgrid(path) as (ax_x, ax_y, read):
-            if (ax_x, ax_y) != (basis.ax_x, basis.ax_y):
-                raise CliError(2, "manifest", f"{entry['file']}: grid axes differ from those "
-                               f"of {entries[0]['file']}")
-            for want in el.blocks():
-                file_dev = max(file_dev, float(np.abs(read(len(want)) - want).max()))
+    for el in basis.items:
         if el.lambda2d < EIG_FLOOR:
             skipped += 1
             continue
@@ -263,7 +260,9 @@ def cmd_verify(tol: float, out: Path, manifest_path: Path) -> int:
 
     lowpass, fqft, relation, allpass_excess = (max(r) for r in zip(*residuals))
     checks = {
-        "file_consistency": file_dev,
+        # the stored table hi + lo against the rebuilt long-double table
+        "file_consistency": float(np.abs(table[0].astype(np.longdouble) + table[1]
+                                         - basis.tables.ext_x).max()),
         "verify_lowpass": lowpass,
         "verify_finite_qft": fqft,
         "mu_lambda_relation": relation,
@@ -435,7 +434,7 @@ def main(argv=None) -> int:
             return cmd_qft(out, args.direction, args.input)
     except CliError as exc:
         code, check, detail = exc.code, exc.check, exc.detail
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # numpy's and Python's float overflow
         code, check, detail = 2, "range", f"{exc}: an input is too large for double precision"
     except MemoryError as exc:
         reason = str(exc) or type(exc).__name__

@@ -21,10 +21,11 @@ of the eigenfunctions still carry O(1/X) energy, so literal window
 quadrature cannot certify whole-plane identities.
 
 A 2D basis keeps 1D factor tables (ModeTables) over the modes its elements
-use; element grids are computed from them on access.  Every kernel and
-element grid is built and used in blocks of rows (_row_blocks), so memory is
-linear in N and in one grid row block; each entry keeps its own reduction, so
-the blocks change no bit.  The eigen-form checks are composed from 1D mode
+use, and those tables are the whole basis: an element grid is formed from two
+grid-table rows only when Qpswf2D.values is read, and the command line stores
+the grid table alone.  Every kernel is built in blocks of rows (_row_blocks),
+so memory is linear in N; each entry keeps its own reduction, so the blocks
+change no bit.  The eigen-form checks are composed from 1D mode
 vectors as well: each 2D residual is split into a few separable terms
 a(x) b(y) whose weighted norm is a sum of products of 1D Grams, so no check
 forms a 2D grid.
@@ -401,7 +402,7 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
 
 @dataclass(frozen=True)
 class Qpswf2D:
-    """Tensor-product quaternion eigenfunction coeff * phi_m(x) phi_n(y)."""
+    """Tensor-product quaternion eigenfunction coeff * phi_m(x) phi_n(y), held as two table rows."""
 
     m: int
     n: int
@@ -416,23 +417,13 @@ class Qpswf2D:
     def above_floor(self) -> bool:
         return self.lambda2d >= EIG_FLOOR
 
-    def blocks(self):
-        """The element on the basis grid, x-row blocks no larger than its two mode tables;
-        each quaternion component is one strided product."""
-        t = self.tables
-        ex, ey, q = t.ext_x[self.m], t.ext_y[self.n], self.coeff.as_array()
-        for rows in _row_blocks(len(ex), len(ey) * q.nbytes, t.ext_x.nbytes + t.ext_y.nbytes):
-            grid = (ex[rows, None] * ey[None, :]).astype(np.float64)
-            block = np.empty(grid.shape + q.shape)
-            for c in range(len(q)):
-                np.multiply(grid, q[c], out=block[..., c])
-            yield block
-
     @property
     def values(self) -> QSignal:
-        """The element on the basis grid: its row blocks joined."""
+        """The element on the basis grid: the outer product of its two long-double mode
+        rows, rounded once to double, times coeff."""
         t = self.tables
-        return QSignal(t.ax_x, t.ax_y, np.concatenate(list(self.blocks())))
+        grid = (t.ext_x[self.m][:, None] * t.ext_y[self.n][None, :]).astype(np.float64)
+        return QSignal(t.ax_x, t.ax_y, grid[..., None] * self.coeff.as_array())
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ class Quaternion:
     def modulus(self) -> float:
         return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
 
+    __abs__ = modulus
+
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=float)
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import struct
 import subprocess
@@ -36,9 +38,13 @@ def basis_dir(tmp_path_factory):
 def test_basis_outputs(basis_dir):
     manifest = json.loads((basis_dir / "manifest.json").read_text())
     assert manifest["T"] == 1.0 and manifest["N"] == 128
+    assert (manifest["grid_halfwidth"], manifest["grid_n"]) == (4.0, 129)
+    assert manifest["coeff"] == [0.5, 0.5, 0.5, 0.5]
     assert len(manifest["entries"]) == 6
-    for e in manifest["entries"]:
-        assert (basis_dir / e["file"]).exists()
+    assert all("file" not in e for e in manifest["entries"])
+    # one table: hi and lo rows of the 3 modes the 6 elements use, on the 129-point grid
+    table = np.load(basis_dir / manifest["modes"])
+    assert table.dtype == np.float64 and table.shape == (2, 3, 129)
     rows = (basis_dir / "eigenvalues.csv").read_text().splitlines()
     assert rows[0] == "q,m,n,lambda2d"
     lams = [float(r.split(",")[3]) for r in rows[1:]]
@@ -49,7 +55,9 @@ def test_basis_determinism(basis_dir, tmp_path):
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "out2"))
     r = run_cli("--config", str(cfg), "basis")
     assert r.returncode == 0
-    for name in ("manifest.json", "eigenvalues.csv", "psi_000.qgrid"):
+    assert sorted(p.name for p in (tmp_path / "out2").iterdir()) == [
+        "eigenvalues.csv", "manifest.json", "modes.npy"]
+    for name in ("manifest.json", "eigenvalues.csv", "modes.npy"):
         h1 = hashlib.sha256((basis_dir / name).read_bytes()).hexdigest()
         h2 = hashlib.sha256((tmp_path / "out2" / name).read_bytes()).hexdigest()
         assert h1 == h2
@@ -62,7 +70,7 @@ def test_single_element_basis(tmp_path):
     assert r.returncode == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert len(manifest["entries"]) == 1
-    assert (tmp_path / "out" / "psi_000.qgrid").exists()
+    assert np.load(tmp_path / "out" / "modes.npy").shape == (2, 1, 129)
 
 
 def test_even_grid_rejected(tmp_path):
@@ -170,9 +178,10 @@ def test_config_wrong_types_rejected(tmp_path, raw):
 
 @pytest.mark.parametrize("key, value", [
     ("T", "1.0"), ("T", float("nan")), ("W", True), ("W", -1.0), ("N", 128.5), ("N", True),
-    ("lambda2d", "0.9"), ("file", 3)])
+    ("lambda2d", "0.9"), ("file", 3), ("modes", 3), ("grid_n", 128), ("grid_halfwidth", 0)])
 def test_verify_manifest_wrong_types(basis_dir, tmp_path, key, value):
-    # T and W are finite positive numbers, N an int, entry files strings; no bools
+    # T and W are finite positive numbers, N an int, the table's name a string, its grid
+    # a config grid; no bools.  An entry has no file key: one is unknown
     manifest = json.loads((basis_dir / "manifest.json").read_text())
     if key in ("lambda2d", "file"):
         manifest["entries"][1][key] = value
@@ -219,7 +228,7 @@ def test_verify_manifest_value_the_solver_rejects(basis_dir, tmp_path, key, valu
 
 
 def test_verify_uses_the_element_grid(basis_dir, tmp_path):
-    # the basis was written on a 129-point grid; the default config has 257
+    # the manifest declares the 129-point grid of the table; the default config has 257
     r = run_cli("--output", str(tmp_path / "v"), "verify",
                 "--manifest", str(basis_dir / "manifest.json"))
     assert r.returncode == 0, r.stderr
@@ -229,19 +238,17 @@ def test_verify_uses_the_element_grid(basis_dir, tmp_path):
 
 
 def test_verify_element_on_another_grid(basis_dir, tmp_path):
-    from qpswf.grid import GridAxis, QSignal
-    from qpswf.qgrid_io import save_qgrid
-    ax = GridAxis.symmetric(4.0, 65)
-    save_qgrid(basis_dir / "other_grid.qgrid", QSignal.zeros(ax, ax))
+    # a table of the 3 modes on 65 samples, where the manifest declares 129
+    np.save(basis_dir / "other_grid.npy", np.zeros((2, 3, 65)))
     manifest = json.loads((basis_dir / "manifest.json").read_text())
-    manifest["entries"][1]["file"] = "other_grid.qgrid"
+    manifest["modes"] = "other_grid.npy"
     bad = basis_dir / "manifest_other_grid.json"
     bad.write_text(json.dumps(manifest))
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
     r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("ERROR 2 manifest:")
-    assert "other_grid.qgrid" in r.stderr
+    assert "other_grid.npy" in r.stderr
     assert len(r.stderr.splitlines()) == 1
 
 
@@ -288,66 +295,124 @@ def test_verify_corrupted_eigenvalue(basis36_dir, tmp_path, q):
     cfg = _write_cfg(tmp_path, grid_n=65, basis_count=36, output_dir=str(tmp_path / "v"))
     r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
     assert r.returncode == 4, r.stderr
-    assert r.stderr.startswith(f"ERROR 4 manifest_consistency: psi_{q:03d}.qgrid: lambda2d = 0.5")
+    assert r.stderr.startswith(f"ERROR 4 manifest_consistency: entry {q}: lambda2d = 0.5")
     assert len(r.stderr.splitlines()) == 1
+
+
+def _verify_copy(basis_dir, tmp_path, capsys, manifest=None, modes=None):
+    """Exit code and stderr of verify, in process, on a copy of basis_dir whose manifest
+    object or table bytes are replaced."""
+    from qpswf import cli
+    manifest = manifest or json.loads((basis_dir / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "modes.npy").write_bytes(modes or (basis_dir / "modes.npy").read_bytes())
+    code = cli.main(["--output", str(tmp_path / "v"), "verify",
+                     "--manifest", str(tmp_path / "manifest.json")])
+    return code, capsys.readouterr().err
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("tamper, code, start", [
     (lambda m: m.update(c=123.0), 4, "ERROR 4 manifest_consistency: manifest.json: c"),
     (lambda m: m["entries"][0].update(mu_x=[9.0, 9.0]), 4,
-     "ERROR 4 manifest_consistency: psi_000.qgrid: mu_x"),
-    (lambda m: m["entries"][1].update(m=5, n=5), 4,
-     "ERROR 4 manifest_consistency: psi_001.qgrid: m"),
+     "ERROR 4 manifest_consistency: entry 0: mu_x"),
+    (lambda m: m["entries"][1].update(m=5, n=5), 4, "ERROR 4 manifest_consistency: entry 1: m"),
     (lambda m: m["entries"][2].update(mu_y=[1.0]), 2, "ERROR 2 manifest: mu_y"),
-    (lambda m: m["entries"][2].update(mu_y=[1.0, float("nan")]), 2, "ERROR 2 manifest: mu_y")],
-    ids=["c", "mu_x", "m_n", "mu_short", "mu_nan"])
+    (lambda m: m["entries"][2].update(mu_y=[1.0, float("nan")]), 2, "ERROR 2 manifest: mu_y"),
+    (lambda m: m.update(coeff=[1, 0, 0, 0]), 4,
+     "ERROR 4 manifest_consistency: manifest.json: coeff"),
+    (lambda m: m.update(coeff=[0.5, 0.5, 0.5]), 2, "ERROR 2 manifest: coeff")],
+    ids=["c", "mu_x", "m_n", "mu_short", "mu_nan", "coeff", "coeff_short"])
 def test_verify_checks_every_declared_value(basis_dir, tmp_path, capsys, tamper, code, start):
-    # c, m, n, mu_x and mu_y are compared with the rebuilt basis when present
-    from qpswf import cli
+    # c, coeff, m, n, mu_x and mu_y are compared with the rebuilt basis when present
     manifest = json.loads((basis_dir / "manifest.json").read_text())
     tamper(manifest)
-    bad = tmp_path / "manifest.json"
-    bad.write_text(json.dumps(manifest))
-    for entry in manifest["entries"]:
-        (tmp_path / entry["file"]).write_bytes((basis_dir / entry["file"]).read_bytes())
-    assert cli.main(["--config", str(_write_cfg(tmp_path, output_dir=str(tmp_path / "v"))),
-                     "verify", "--manifest", str(bad)]) == code
-    err = capsys.readouterr().err
+    got, err = _verify_copy(basis_dir, tmp_path, capsys, manifest=manifest)
+    assert got == code
     assert err.startswith(start) and len(err.splitlines()) == 1, err
     assert not (tmp_path / "v" / "verify_report.json").exists()
 
 
-@pytest.mark.parametrize("q", [0, 5], ids=["first", "last"])
-@pytest.mark.parametrize("damage, detail", [
-    (lambda raw: raw[:-8] + struct.pack("<d", float("nan")), "non-finite samples (NaN or Inf)"),
-    (lambda raw: raw[:-8], "size {size} != expected {expected}")],
-    ids=["nan_in_last_row_block", "truncated"])
-def test_verify_damaged_element_file(basis_dir, tmp_path, capsys, q, damage, detail):
-    # the NaN is the last sample, so only the last row block read meets it
-    from qpswf import cli
-    manifest = json.loads((basis_dir / "manifest.json").read_text())
-    for entry in manifest["entries"]:
-        (tmp_path / entry["file"]).write_bytes((basis_dir / entry["file"]).read_bytes())
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    path = tmp_path / manifest["entries"][q]["file"]
-    expected = path.stat().st_size
-    path.write_bytes(damage(path.read_bytes()))
-    assert cli.main(["--output", str(tmp_path / "v"), "verify",
-                     "--manifest", str(tmp_path / "manifest.json")]) == 2
-    detail = detail.format(size=path.stat().st_size, expected=expected)
-    assert capsys.readouterr().err == f"ERROR 2 qgrid: {path}: {path}: {detail}\n"
+@pytest.mark.parametrize("q", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("damage", [
+    lambda raw, at: raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8:],
+    lambda raw, at: raw[:at]], ids=["nan_in_last_row_block", "truncated"])
+def test_verify_damaged_element_file(basis_dir, tmp_path, capsys, q, damage):
+    # a NaN in the first or last table entry, or the table cut short before it, is one
+    # ERROR 2 manifest line naming the table, and nothing is written
+    raw = (basis_dir / "modes.npy").read_bytes()
+    entries = 2 * 3 * 129
+    code, err = _verify_copy(basis_dir, tmp_path, capsys,
+                             modes=damage(raw, len(raw) - 8 * entries + 8 * (q % entries)))
+    assert code == 2
+    assert err.startswith(f"ERROR 2 manifest: {tmp_path / 'modes.npy'}: ")
+    assert len(err.splitlines()) == 1, err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[0.5]], dtype=object), np.zeros((2, 3, 130)), np.zeros((2, 4, 129)),
+    np.zeros((2, 3, 129), dtype=np.float32), np.zeros((2, 3, 129)).astype(">f8")],
+    ids=["object", "wider_than_grid_n", "more_modes", "float32", "big_endian"])
+def test_verify_table_of_another_kind(basis_dir, tmp_path, capsys, table):
+    # only a finite float64 (2, M, grid_n) array, with the rebuilt basis's M, is a table
+    code, err = _verify_copy(basis_dir, tmp_path, capsys, modes=_npy(table))
+    assert code == 2
+    assert err.startswith(f"ERROR 2 manifest: {tmp_path / 'modes.npy'}: ")
+    assert len(err.splitlines()) == 1, err
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_table_with_a_flipped_sign(basis_dir, tmp_path, capsys):
+    # the largest entry negated: the table is readable but not the basis
+    table = np.load(basis_dir / "modes.npy")
+    table.flat[np.abs(table).argmax()] *= -1
+    code, err = _verify_copy(basis_dir, tmp_path, capsys, modes=_npy(table))
+    assert code == 4
+    assert err.startswith("ERROR 4 file_consistency: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("raw", [
+    {}, {"T": 10, "W": 20, "grid_halfwidth": 10, "grid_n": 129, "basis_count": 4}],
+    ids=["default", "c200"])
+def test_element_recipe_is_the_library_element(tmp_path, raw):
+    # the README recipe: phi = hi + lo in long double, then the outer product of two
+    # rows rounded once to double, times coeff.  At c = 200 the table holds a -0.0,
+    # which hi + lo keeps
+    from qpswf import cli
+    from qpswf.grid import GridAxis
+    from qpswf.prolate import build_basis
+    cfg = cli._read_table(raw, cli.CONFIG, "config")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_basis(cfg, tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    hi, lo = np.load(tmp_path / manifest["modes"])
+    phi = hi.astype(np.longdouble) + lo
+    ax = GridAxis.symmetric(manifest["grid_halfwidth"], manifest["grid_n"])
+    basis = build_basis(manifest["T"], manifest["W"], manifest["N"], len(manifest["entries"]),
+                        grid=(ax, ax))
+    for e, el in zip(manifest["entries"], basis.items):
+        psi = (phi[e["m"]][:, None] * phi[e["n"]][None, :]).astype(np.float64)[..., None] \
+            * np.array(manifest["coeff"])
+        assert psi.tobytes() == el.values.values.tobytes()
+    if raw:
+        assert np.signbit(phi[phi == 0]).any()
 
 
 def test_verify_missing_file(basis_dir, tmp_path):
     manifest = json.loads((basis_dir / "manifest.json").read_text())
-    manifest["entries"][0]["file"] = "nope.qgrid"
+    manifest["modes"] = "nope.npy"
     bad = basis_dir / "manifest_missing.json"
     bad.write_text(json.dumps(manifest))
     cfg = _write_cfg(tmp_path, output_dir=str(tmp_path / "v"))
     r = run_cli("--config", str(cfg), "verify", "--manifest", str(bad))
     assert r.returncode == 2
-    assert r.stderr.startswith("ERROR 2 manifest:")
+    assert r.stderr.startswith("ERROR 2 manifest:") and "nope.npy" in r.stderr
 
 
 def test_concentration_outputs(tmp_path):
@@ -433,6 +498,22 @@ def test_input_that_overflows_double_precision(tmp_path):
     r = run_cli("--config", str(cfg), "concentration", "--input", str(tmp_path / "huge.qgrid"))
     assert r.returncode == 2
     assert r.stderr.startswith("ERROR 2 range:") and len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["basis", "verify"])
+def test_integer_too_large_for_double_precision(basis_dir, tmp_path, command):
+    # a config T of 10^400, which JSON reads as an int that fits no double, and a coeff
+    # whose modulus overflows are range errors, not internal ones
+    manifest = json.loads((basis_dir / "manifest.json").read_text())
+    manifest["coeff"] = [1e200, 0, 0, 0]
+    (basis_dir / "manifest_huge_int.json").write_text(json.dumps(manifest))
+    cfg = _write_cfg(tmp_path, **({"T": 10 ** 400} if command == "basis" else {}))
+    r = run_cli("--config", str(cfg), "--output", str(tmp_path / "out"), command,
+                *(["--manifest", str(basis_dir / "manifest_huge_int.json")]
+                  if command == "verify" else []))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("ERROR 2 range:") and len(r.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_input_too_large_for_memory(tmp_path, monkeypatch, capsys):

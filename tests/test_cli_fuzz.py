@@ -1,7 +1,8 @@
 """Fuzzed CLI inputs end in a result or in one `ERROR <code> <check>:` line.
 
 Config, problem and manifest JSON get values of every JSON type (NaN and
-+-Infinity included) and QGRID files get truncated or garbled bytes.  Every
++-Infinity included), a manifest names its table, a missing file or a JSON
+file, and QGRID files get truncated or garbled bytes.  Every
 draw is bounded so that an accepted input stays small: grid_n <= 65,
 quad_n <= 64, max_steps <= 64.
 """
@@ -124,11 +125,14 @@ def test_fuzzed_problem(files, text):
 def test_fuzzed_manifest(files, data):
     good = json.loads((files / "basis" / "manifest.json").read_text())
     entry = st.fixed_dictionaries(
-        {"file": _values(*(e["file"] for e in good["entries"]), "missing.qgrid"),
-         "lambda2d": _values(*(e["lambda2d"] for e in good["entries"]))},
+        {"lambda2d": _values(*(e["lambda2d"] for e in good["entries"]))},
         optional={"m": _values(0, 1), "n": _values(0, 1), "mu_x": _values([1.0, 0.0])})
     manifest = st.fixed_dictionaries(
         {"T": _values(good["T"]), "W": _values(good["W"]), "N": _values(good["N"], 64),
+         "grid_halfwidth": _values(good["grid_halfwidth"], 2.0),
+         "grid_n": _values(good["grid_n"], 65),
+         "coeff": _values(good["coeff"], [1.0, 0.0, 0.0, 0.0]),
+         "modes": _values(good["modes"], "missing.npy", "manifest.json"),
          "entries": st.one_of(st.just(good["entries"]), st.lists(entry, max_size=4), JUNK)},
         optional={"c": _values(good["c"])})
     (files / "basis" / "fuzzed.json").write_bytes(data.draw(_json_text(manifest)))
