@@ -178,12 +178,10 @@ def _config_basis(cfg: dict):
 def cmd_basis(cfg: dict, out: Path) -> int:
     basis = _config_basis(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    # the long-double mode table as the exact pair hi + lo of doubles; a zero lo takes
-    # hi's sign, so hi + lo keeps the -0.0 of an odd mode at x = 0
+    # the long-double mode table as the exact pair hi + lo of doubles
     ext = basis.tables.ext_x
     hi = ext.astype(np.float64)
-    lo = (ext - hi).astype(np.float64)
-    np.save(out / "modes.npy", np.stack([hi, np.where(lo == 0, np.copysign(0.0, hi), lo)]))
+    np.save(out / "modes.npy", np.stack([hi, (ext - hi).astype(np.float64)]))
     entries = [{"m": el.m, "n": el.n, "lambda2d": el.lambda2d,
                 "mu_x": [el.mu_x.real, el.mu_x.imag], "mu_y": [el.mu_y.real, el.mu_y.imag]}
                for el in basis.items]

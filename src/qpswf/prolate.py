@@ -5,10 +5,10 @@ spheroidal functions of bandwidth c = T W, summed at Gauss-Legendre nodes
 from their Legendre series: the eigenvectors of one tridiagonal matrix per
 parity, solved in double and refined once in 80-bit extended precision.
 Their finite-Fourier multipliers and eigenvalues follow from the same
-series in closed form, so the solve forms no kernel.  Every kernel sum
-against phi_k, the Nystrom extension (extend_ld) and the checks' images
-(_node_images, _window_images), is one _kernel_sums: its kernel is formed
-in row blocks bounded by the table the sum reads.
+series in closed form, so the solve forms no kernel, and so does
+extend_ld: off the nodes phi_k is the series' finite-Fourier image.  The
+checks' kernel sums against phi_k (_node_images, _window_images) are each
+one _kernel_sums, its kernel formed in row blocks bounded by what it reads.
 The Gauss nodes are exactly antisymmetric, so phi_k has exact parity
 (-1)^k at them, and so have its extension and its finite-Fourier image:
 those are summed at the distinct values of |x| only (_by_parity).
@@ -51,9 +51,8 @@ _PI = 4 * np.arctan(_LD(1))  # pi in long double; _LD(np.pi) is the double pi
 # public floor: operations that divide by an eigenvalue reject smaller ones
 EIG_FLOOR = 1e-12
 
-# extended-precision evaluation floor: below this the nodal data carries no
-# usable information even in 80-bit arithmetic
-_EVAL_FLOOR = 1e-15
+# the series' lambda is within 2e-14 relative above this, and loses digits below it
+_LAMBDA_RESOLVED = 1e-35
 
 # Newton steps a Gauss rule may take: from Tricomi's nodes 256 and 2048 nodes take 3
 _NEWTON_STEPS = 10
@@ -78,6 +77,24 @@ def _by_parity(k, x, at_abs) -> np.ndarray:
     I_k on exactly antisymmetric nodes are such tables, so this is exact for them."""
     a, at = np.unique(np.abs(x), return_inverse=True)
     return at_abs(a)[..., at] * np.where(np.asarray(k)[..., None] % 2, np.sign(x), 1)
+
+
+def _bessel_sums(coef, z) -> np.ndarray:
+    """sum_k coef[k] j_k(z), shape coef.shape[1:] + z.shape, at ascending z >= 0, with j_k the
+    spherical Bessel functions.  Where z >= len(coef), up from j_-1 = cos z / z and j_0 = sin z / z,
+    stable for k < z; below, Miller's backward recurrence on h_k = j_k / z^k, which divides by
+    nothing, kept in range by exact powers of two and normalized by z sin z h_0 + cos z h_-1 = 1."""
+    zd, zu = np.split(z, [np.searchsorted(z, len(coef))])
+    j_prev, j, h_next, h, s, t = np.cos(zu) / zu, np.sin(zu) / zu, 0 * zd, 1 + 0 * zd, 0, 0
+    for k, c in enumerate(coef):
+        s, j_prev, j = s + c[..., None] * j, j, (2 * k + 1) / zu * j - j_prev
+    for k in range(2 * len(coef) + 16, -1, -1):
+        t = coef[k][..., None] * h + zd * t if k < len(coef) else t
+        h_next, h = h, (2 * k + 1) * h - zd * zd * h_next
+        if not np.abs(h).max(initial=0) < 1e300:
+            e = -np.frexp(h)[1]
+            h_next, h, t = np.ldexp(h_next, e), np.ldexp(h, e), np.ldexp(t, e)
+    return np.concatenate([t / (zd * np.sin(zd) * h_next + np.cos(zd) * h), s], axis=-1)
 
 
 def _legendre_ld(n: int, x):
@@ -222,6 +239,7 @@ class ProlateBasis1D:
     eigvals: np.ndarray         # (count,) float64, >= 0, non-increasing
     eigvecs: np.ndarray         # (count, N) float64, phi_k at the nodes
     mu: np.ndarray              # (count,) complex128
+    _beta_ld: np.ndarray = field(repr=False, default=None)  # (degrees, count) Legendre series
     _x_ld: np.ndarray = field(repr=False, default=None)
     _w_ld: np.ndarray = field(repr=False, default=None)
     _phi_ld: np.ndarray = field(repr=False, default=None)   # (count, N)
@@ -233,22 +251,18 @@ class ProlateBasis1D:
         return len(self.eigvals)
 
     def extend_ld(self, k, x) -> np.ndarray:
-        """phi_k at arbitrary points via the quadrature extension formula.
+        """phi_k at arbitrary points from the finite-Fourier image of its Legendre series.
 
-        k is one mode index, giving shape (len(x),), or an index array,
-        giving one row per mode; every mode shares one sinc kernel, taken at
-        the distinct values of |x| in blocks no larger than the nodal table
-        the sum reads (_kernel_sums), and the signs follow the parity
-        (_by_parity).  A mode with lambda_k at or below _EVAL_FLOOR raises
-        EigenvalueTooSmall.
-        """
-        for j in np.atleast_1d(k):
-            if not self._lam_ld[j] > _EVAL_FLOOR:
-                raise EigenvalueTooSmall(f"lambda_{j} = {float(self._lam_ld[j]):.3e} "
-                                         f"is below the evaluation floor {_EVAL_FLOOR:.0e}")
-        lam, wphi = np.asarray(self._lam_ld[k])[..., None], self._w_ld * self._phi_ld[k]
-        return _by_parity(k, np.atleast_1d(np.asarray(x, dtype=_LD)), lambda a: _kernel_sums(
-            lambda p, q: sinc_kernel_ld(p - q, self.w_half), a, self._x_ld, wphi) / lam)
+        int_{-1}^{1} e^{i w t} P_j(t) dt = 2 i^j j_j(w) and mu_k = i^k |mu_k| give
+        phi_k(x) = sqrt(W / 2 pi) sum_j (-1)^((j - k) / 2) beta_jk sqrt(2 (2j + 1)) j_j(W x),
+        with no division by lambda_k (Slepian & Pollak 1961; Xiao, Rokhlin & Yarvin 2001).
+        k is one mode index, giving shape (len(x),), or an index array, giving one row per mode,
+        summed at the distinct |x| (_bessel_sums) and signed by parity (_by_parity).  The other
+        parity's terms are +0.0, and so is phi_k(0) for odd k."""
+        w, j = _LD(self.w_half), np.arange(len(self._beta_ld)).reshape((-1,) + (1,) * np.ndim(k))
+        coef = np.where((j - k) % 2, 0, np.where((j - k) % 4, -1, 1) * self._beta_ld[:, k]) \
+            * np.sqrt((2 * j + 1) * w / _PI)
+        return _by_parity(k, np.atleast_1d(x).astype(_LD), lambda a: _bessel_sums(coef, w * a))
 
 
 def check_phase(n: int, phase, what: str) -> None:
@@ -300,19 +314,16 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
     phi = phi / np.sqrt((w * phi * phi).sum(axis=1))[:, None] * np.sqrt(lam)[:, None]
     return ProlateBasis1D(
         t_half=float(t_half), w_half=float(w_half), c=float(t_half * w_half),
-        nodes=x.astype(np.float64), weights=w.astype(np.float64),
-        eigvals=lam.astype(np.float64), eigvecs=phi.astype(np.float64),
-        mu=mu.astype(complex), _x_ld=x, _w_ld=w, _phi_ld=phi, _lam_ld=lam, _mu_ld=mu)
+        nodes=x.astype(np.float64), weights=w.astype(np.float64), eigvals=lam.astype(np.float64),
+        eigvecs=phi.astype(np.float64), mu=mu.astype(complex), _beta_ld=beta, _x_ld=x, _w_ld=w,
+        _phi_ld=phi, _lam_ld=lam, _mu_ld=mu)
 
 
 def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
-    """Evaluate phi_k anywhere on the line by the quadrature extension; k is an int."""
+    """Evaluate phi_k anywhere on the line by its series' image (extend_ld); k is an int."""
     if not (isinstance(k, numbers.Integral) and not isinstance(k, bool)
             and 0 <= k < basis.count):
         raise BadIndex(f"mode {k!r} not in basis of {basis.count}")
-    if basis.eigvals[k] < EIG_FLOOR:
-        raise EigenvalueTooSmall(
-            f"lambda_{k} = {basis.eigvals[k]:.3e} below the floor {EIG_FLOOR:.0e}")
     vals = basis.extend_ld(k, x_outside).astype(np.float64)
     return float(vals[0]) if np.isscalar(x_outside) else vals
 
@@ -342,7 +353,7 @@ class ModeTables:
 
     Every 2D quantity of a basis element or combination is a product of
     two rows (signals.ModalField does the contractions).  The top products
-    always use a prefix of the modes, all above the evaluation floor.
+    always use a prefix of the modes, each with lambda above _LAMBDA_RESOLVED.
     _memo is the one per-basis memo (see memo), keyed per purpose: ("ext",
     ax), the grid table of every mode on the axis ax (ext_x, ext_y); "nodes",
     the kernel and finite-Fourier images of every mode at the nodes
@@ -469,8 +480,8 @@ def build_basis(t_half: float, w_half: float, n_quad: int, count: int,
     square corner of the selection, capped at n_quad.  Where build_qpswf_basis
     cannot prove the top-count selection complete from them, the solve is
     repeated with 4 more modes: at c = 7 the top 169 = 13^2 products take 15,
-    then 19 modes.  A selection that needs a mode below the evaluation floor
-    raises at once, since more modes cannot help it.
+    then 19 modes.  A selection that needs a mode with lambda at or below
+    _LAMBDA_RESOLVED raises at once, since more modes cannot help it.
     """
     if count < 1:
         raise BadParameters(f"basis count must be >= 1, got {count}")
@@ -497,8 +508,9 @@ def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
     """
     if count < 1:
         raise BadParameters(f"basis count must be >= 1, got {count}")
-    if abs(coeff.modulus() - 1.0) > 1e-12:
-        raise NonUnitCoefficient(f"|coeff| = {coeff.modulus():.6f} != 1")
+    # a unit quaternion has no component above 1, and modulus() could overflow on one
+    if not (np.abs(coeff.as_array()) <= 1).all() or abs(coeff.modulus() - 1.0) > 1e-12:
+        raise NonUnitCoefficient(f"coeff {coeff.as_array().tolist()} is not a unit quaternion")
     if grid is None:
         half = 4.0 * basis1d.t_half
         grid = (GridAxis.symmetric(half, 257), GridAxis.symmetric(half, 257))
@@ -511,14 +523,14 @@ def build_qpswf_basis(basis1d: ProlateBasis1D, count: int,
     if len(pairs) < count:
         raise BadParameters("1D basis too small for the requested 2D count")
     selected = pairs[:count]
-    # the floor first: a selection from more modes needs a below-floor mode too,
+    # this first: a selection from more modes needs an unresolved mode too,
     # so build_basis would grow the 1D basis in vain
     n_modes = 1 + max(max(mn) for mn in selected)
     for k in range(n_modes):
-        if not lam[k] > _EVAL_FLOOR:
+        if not lam[k] > _LAMBDA_RESOLVED:
             raise EigenvalueTooSmall(
-                f"1D mode {k} (lambda = {float(lam[k]):.3e}) cannot be evaluated "
-                "in extended precision; reduce the basis count")
+                f"1D mode {k} (lambda = {float(lam[k]):.3e}) is below {_LAMBDA_RESOLVED:.0e}, "
+                "where the solve does not resolve lambda; reduce the basis count")
     smallest = float(lam[selected[-1][0]] * lam[selected[-1][1]])
     boundary = float(max(lam[0], 0) * max(lam[n1 - 1], 0))
     if boundary > smallest:
@@ -561,7 +573,7 @@ def _node_images(tables: ModeTables):
     """K phi_k and the finite-Fourier images I_k at the Gauss nodes, every mode, as
     long-double Nystrom sums (_kernel_sums); the solve forms neither.
     I_k has the parity of phi_k, so its sums run at the nonnegative nodes
-    (_by_parity).  K phi_k is summed at every node: near the evaluation floor
+    (_by_parity).  K phi_k is summed at every node: for a small lambda_k
     its residual K phi_k - lambda_k phi_k is summation noise, which a mirrored
     half would change (by 1e-3 of the residual for lambda_5 at c = 1).
     Computed once per basis: each element's check takes its two rows."""

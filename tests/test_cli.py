@@ -382,8 +382,8 @@ def test_verify_table_with_a_flipped_sign(basis_dir, tmp_path, capsys):
     ids=["default", "c200"])
 def test_element_recipe_is_the_library_element(tmp_path, raw):
     # the README recipe: phi = hi + lo in long double, then the outer product of two
-    # rows rounded once to double, times coeff.  At c = 200 the table holds a -0.0,
-    # which hi + lo keeps
+    # rows rounded once to double, times coeff.  Odd modes are +0.0 at x = 0, and no
+    # entry of hi or lo is -0.0
     from qpswf import cli
     from qpswf.grid import GridAxis
     from qpswf.prolate import build_basis
@@ -400,8 +400,9 @@ def test_element_recipe_is_the_library_element(tmp_path, raw):
         psi = (phi[e["m"]][:, None] * phi[e["n"]][None, :]).astype(np.float64)[..., None] \
             * np.array(manifest["coeff"])
         assert psi.tobytes() == el.values.values.tobytes()
-    if raw:
-        assert np.signbit(phi[phi == 0]).any()
+    mid = manifest["grid_n"] // 2
+    assert not hi[1::2, mid].any() and not lo[1::2, mid].any()
+    assert not np.signbit(hi[hi == 0]).any() and not np.signbit(lo[lo == 0]).any()
 
 
 def test_verify_missing_file(basis_dir, tmp_path):
@@ -571,16 +572,32 @@ def test_commands_across_c(tmp_path, capsys, t, w, halfwidth, grid_n):
 
 
 def test_basis_below_the_evaluation_floor_at_small_c(tmp_path, capsys):
-    # c = 0.25: the top 36 products need 1D mode 5, beyond long-double evaluation
+    # c = 0.0625: the top 44 products need 1D mode 8, whose lambda the solve does not
+    # resolve
     from qpswf import cli
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"T": 0.5, "W": 0.5, "grid_halfwidth": 2, "grid_n": 129}))
+    cfg.write_text(json.dumps({"T": 0.25, "W": 0.25, "grid_halfwidth": 1, "basis_count": 44}))
     for command in ("basis", "concentration"):
         assert cli.main(["--config", str(cfg), "--output", str(tmp_path / command), command]) == 2
         assert capsys.readouterr().err == (
-            "ERROR 2 config: 1D mode 5 (lambda = 2.265e-17) cannot be evaluated in extended "
-            "precision; reduce the basis count\n")
+            "ERROR 2 config: 1D mode 8 (lambda = 7.187e-40) is below 1e-35, where the solve "
+            "does not resolve lambda; reduce the basis count\n")
     assert not (tmp_path / "basis").exists() and not (tmp_path / "concentration").exists()
+
+
+@pytest.mark.parametrize("t, halfwidth, grid_n", [(0.5, 2, 129), (0.25, 1, 257)],
+                         ids=["c0.25", "c0.0625"])
+def test_default_count_at_small_c(tmp_path, capsys, t, halfwidth, grid_n):
+    # T = W with the default 36 elements, whose modes reach lambda = 2.0e-25 and 1.9e-34:
+    # basis -> verify -> concentration each exit 0 with nothing on stderr
+    from qpswf import cli
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"T": t, "W": t, "grid_halfwidth": halfwidth, "grid_n": grid_n}))
+    for command in (["basis"], ["verify", "--manifest", str(tmp_path / "basis" / "manifest.json")],
+                    ["concentration"]):
+        code = cli.main(["--config", str(cfg), "--output", str(tmp_path / command[0]), *command])
+        assert code == 0, capsys.readouterr().err
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["basis", "concentration"])

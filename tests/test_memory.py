@@ -49,8 +49,8 @@ def test_solve_peaks_below_one_kernel(solve_512):
 
 
 def test_tables_on_a_large_grid_peak_below_2_mb(solve_512):
-    # the 513 x 512 extension kernel at |x| is built in blocks no larger than the mode
-    # tables, on the first read of a grid table: building the basis forms none
+    # the grid table is the series' image summed at the 513 distinct |x| with no
+    # (degrees, points) array, on the first read of a grid table: building the basis forms none
     ax = GridAxis.symmetric(8.0, 1025)
     tables = build_qpswf_basis(solve_512, 4, grid=(ax, ax)).tables
     assert not tables._memo

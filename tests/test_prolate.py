@@ -75,15 +75,19 @@ def _as_mpf(mp, value):
 
 
 def _oracle_eigenvalues(c, count, size=30):
-    """lambda_0..lambda_{count-1} from a 60-digit solve of the Legendre tridiagonals.
+    """lambda_0..lambda_{count-1} and the series from a 60-digit solve of the Legendre
+    tridiagonals.
 
     lambda = (c / 2 pi) mu^2 with mu = sqrt(2) beta_0 / psi(0) for even modes
     and c sqrt(2/3) beta_1 / psi'(0) for odd ones (psi = sum beta_k P_k-bar).
+    Mode n's series is series[n] = (terms, mu_n): terms a list of (degree k, beta_kn),
+    signed so that psi(0) > 0 for even n and psi'(0) > 0 for odd n, and mu_n the complex
+    finite-Fourier multiplier, mu above times i for odd n.
     """
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     c = mp.mpf(c)
-    lam = [None] * count
+    lam, series = [None] * count, [None] * count
     for parity in (0, 1):
         ks = [parity + 2 * i for i in range(size)]
         a = mp.zeros(size, size)
@@ -104,14 +108,17 @@ def _oracle_eigenvalues(c, count, size=30):
                               for b, k in zip(beta, ks))
                 mu = c * mp.sqrt(mp.mpf(2) / 3) * beta[0] / at0
             lam[mode] = c / (2 * mp.pi) * mu ** 2
-    return lam
+            series[mode] = ([(k, b * mp.sign(at0)) for k, b in zip(ks, beta)],
+                            mu * mp.mpc(0, 1) ** parity)
+    return lam, series
 
 
-@pytest.mark.parametrize("c, count", [(0.25, 12), (1.0, 16), (4.0, 24)])
+@pytest.mark.parametrize("c, count", [(0.25, 12), (1.0, 16), (4.0, 24), (0.0625, 10)])
 def test_eigenvalues_match_high_precision_oracle(c, count):
-    # lambda from the series is relatively accurate however small it is
+    # lambda from the series is relatively accurate however small it is; c = 0.0625
+    # is the T = W = 0.25 config
     mp = pytest.importorskip("mpmath")
-    ref = _oracle_eigenvalues(c, count)
+    ref = _oracle_eigenvalues(c, count)[0]
     assert ref[-1] < 1e-35
     lam = eig_prolate_1d(c, 1.0, 256, count)._lam_ld
     for k in range(count):
@@ -119,6 +126,47 @@ def test_eigenvalues_match_high_precision_oracle(c, count):
             assert abs(_as_mpf(mp, lam[k]) / ref[k] - 1) <= 1e-13, (k, float(ref[k]))
     # lambda_0 to long-double rounding: the formula's pi is the long-double pi
     assert abs(_as_mpf(mp, lam[0]) / ref[0] - 1) <= LD_TOL
+
+
+@pytest.mark.parametrize("c, count", [(0.25, 12), (1.0, 16), (4.0, 24)])
+def test_extension_matches_high_precision_oracle(c, count):
+    # phi_k(x) = sqrt(lambda_k / T) psi_k(x / T) off [-T, T] (T = c, W = 1) against the
+    # 60-digit series' finite-Fourier image, mu_n psi_n(t) = sum_k beta_kn sqrt(k + 1/2)
+    # 2 i^k j_k(c t) with the oracle's own mu_n and j_k = sqrt(pi / 2z) J_{k+1/2}(z), for
+    # every mode with lambda above 1e-35, to 1e-15 of max|phi_k| (sampled out to 4T + 40 / W,
+    # past the peak of every mode here).  The far points 200T and 10^4 T take the upward
+    # recurrence, the others the backward one
+    mp = pytest.importorskip("mpmath")
+    lam, series = _oracle_eigenvalues(c, count)
+    b = eig_prolate_1d(c, 1.0, 256, count)
+    x = c * np.concatenate([np.linspace(1, 4, 13), [200, 1e4]])
+    for n in range(count):
+        if not lam[n] > 1e-35:
+            continue
+        terms, mu = series[n]
+        want = [mp.sqrt(lam[n] / c) * mp.re(mp.fsum(
+            b_k * mp.sqrt(k + 0.5) * 2 * mp.mpc(0, 1) ** k * mp.sqrt(mp.pi / (2 * z))
+            * mp.besselj(k + 0.5, z) for k, b_k in terms) / mu) for z in map(mp.mpf, x)]
+        got = b.extend_ld(n, x)
+        err = max(abs(_as_mpf(mp, g) - w) for g, w in zip(got, want))
+        peak = float(np.abs(b.extend_ld(n, np.linspace(0, 4 * c + 40, 2001))).max())
+        assert err <= 1e-15 * peak, (n, float(lam[n]))
+
+
+def test_bessel_sums_match_mpmath():
+    # j_0..j_79 by both recurrences: at 0 exactly (j_0 = 1, the rest +0.0), below the
+    # double range, beside the switch at z = 80 and far above it; in the backward one the
+    # rescaling by powers of two keeps (2k + 1)!! in range
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    z = np.array([0, 1e-300, 1e-3, 1, np.pi, 79.5, 80, 80.5, 1e3, 1e12], dtype=np.longdouble)
+    got = prolate._bessel_sums(np.eye(80, dtype=np.longdouble), z)
+    assert got[0, 0] == 1 and not got[1:, 0].any() and not np.signbit(got[:, 0]).any()
+    for i, zi in enumerate(z[1:], 1):
+        zm = _as_mpf(mp, zi)
+        want = [mp.sqrt(mp.pi / (2 * zm)) * mp.besselj(k + 0.5, zm) for k in range(80)]
+        err = max(abs(_as_mpf(mp, g) - w) for g, w in zip(got[:, i], want))
+        assert err <= 1e-17 * max(map(abs, want)), float(zi)
 
 
 @pytest.mark.parametrize("w_half", [1.0, 1.3, 20.0])
@@ -175,6 +223,16 @@ def test_solve_forms_no_kernel(monkeypatch):
         raise AssertionError("the solve formed a sinc kernel")
     monkeypatch.setattr(prolate, "sinc_kernel_ld", fail)
     assert eig_prolate_1d(1.0, 1.0, 256, 8).count == 8
+
+
+def test_basis_command_forms_no_kernel(tmp_path, monkeypatch):
+    # the grid table is the series' image, so basis at the default config forms no kernel
+    def fail(*args):
+        raise AssertionError("basis formed a sinc kernel")
+    monkeypatch.setattr(prolate, "sinc_kernel_ld", fail)
+    cfg = cli._read_table({}, cli.CONFIG, "config")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cmd_basis(cfg, tmp_path) == 0
 
 
 def test_count_validation():
@@ -240,11 +298,10 @@ def test_extension_parity_and_decay(basis1d):
 
 
 def test_parity_tables_match_full_nystrom_sums(basis1d):
-    # extend_ld and the I_k of _node_images sum at the distinct |x| and sign by parity
-    # (K phi_k at the nodes is a full sum); a full sum at every point differs from that
-    # only in its order.  The difference is the sum's rounding, which extend_ld's
-    # division amplifies by 1/lambda_k: at c = 1 it is <= 9.4e-16 of max|phi_k| for
-    # lambda >= 9.2e-6, 1.8e-13 at lambda = 3.7e-8 and 4.6e-11 at lambda = 9.5e-11
+    # the I_k of _node_images sum at the distinct |x| and sign by parity (K phi_k at the
+    # nodes is a full sum); a full sum at every point differs from that only in its order.
+    # extend_ld is the series' image, and the full Nystrom extension, the kernel sum divided
+    # by lambda_k, meets it to that sum's rounding amplified by 1/lambda_k
     b, ld = basis1d, np.longdouble
     x = GridAxis.symmetric(4.0, 257).samples().astype(ld)
     kern = sinc_kernel_ld(x[:, None] - b._x_ld, b.w_half)
@@ -258,15 +315,16 @@ def test_parity_tables_match_full_nystrom_sums(basis1d):
         wphi, scale, lam = b._w_ld * b._phi_ld[k], np.abs(b._phi_ld[k]).max(), b._lam_ld[k]
         assert np.abs(kphi[k] - node_kern @ wphi).max() <= 1e-15 * scale
         assert np.abs(fphi[k] - four @ wphi).max() <= 1e-15 * scale
-        if lam > prolate._EVAL_FLOOR:
-            gap = np.abs(b.extend_ld(k, x) - kern @ wphi / lam).max()
-            assert gap * lam <= 8 * eps * scale, k
-            assert lam < 1e-5 or gap <= 1e-15 * scale, k
+        gap = np.abs(b.extend_ld(k, x) - kern @ wphi / lam).max()
+        assert gap * lam <= 8 * eps * scale, k
+        assert lam < 1e-5 or gap <= 1e-15 * scale, k
 
 
 def test_extension_floor(basis1d):
-    with pytest.raises(EigenvalueTooSmall):
-        extend_eigenfunction(basis1d, 6, 0.5)  # lambda_6 ~ 1.7e-13 < floor
+    # the image divides by no eigenvalue: lambda_6 ~ 1.7e-13 evaluates, at a node too
+    assert extend_eigenfunction(basis1d, 6, 0.5) != 0
+    assert extend_eigenfunction(basis1d, 6, basis1d.nodes[40]) == pytest.approx(
+        basis1d.eigvecs[6][40], abs=1e-15 * np.abs(basis1d.eigvecs[6]).max())
     with pytest.raises(BadIndex):
         extend_eigenfunction(basis1d, 99, 0.5)
 
@@ -319,6 +377,13 @@ def test_basis_construction(basis36):
 def test_basis_coefficient_validation(basis_small):
     with pytest.raises(NonUnitCoefficient):
         build_qpswf_basis(basis_small.basis1d, 4, coeff=Quaternion(1, 1, 0, 0))
+
+
+@pytest.mark.parametrize("w", [1e200, -1e200, np.nan])
+def test_coefficient_whose_modulus_cannot_be_formed_is_non_unit(w):
+    # a component above 1 is rejected before modulus() squares it, and NaN fails the check
+    with pytest.raises(NonUnitCoefficient):
+        build_basis(1.0, 1.0, 64, 4, coeff=Quaternion(w, 0, 0, 0))
 
 
 def test_element_norms(basis36):
@@ -423,7 +488,7 @@ def test_window_images_are_the_toeplitz_gather(t, w, halfwidth, grid_n, count):
 
 def test_kernel_sums_do_not_depend_on_the_blocks(basis1d, monkeypatch):
     # grid tables, node images and window images, from one-row blocks and from one block
-    m = int((basis1d._lam_ld > prolate._EVAL_FLOOR).sum())
+    m = basis1d.count
     ax = GridAxis.symmetric(4.0, 129)
 
     def images(blocks):
@@ -491,10 +556,11 @@ def test_completeness_proxy(basis36):
 
 
 def test_build_basis_selection_safety(monkeypatch):
-    # requesting more elements than extended precision can evaluate fails loudly
-    with pytest.raises(EigenvalueTooSmall):
-        build_basis(1.0, 1.0, 128, 100)
-    # and after one solve: growing the 1D basis cannot lift a mode above the floor
+    # a selection that needs a mode whose lambda the solve does not resolve fails loudly:
+    # at c = 1 the top 144 products need mode 13, lambda = 8.7e-36 <= 1e-35
+    with pytest.raises(EigenvalueTooSmall, match="1D mode 13 "):
+        build_basis(1.0, 1.0, 128, 144)
+    # and after one solve: growing the 1D basis cannot lift a mode above the limit
     calls, solve = [], prolate.eig_prolate_1d
 
     def counted_solve(*args):
@@ -503,7 +569,7 @@ def test_build_basis_selection_safety(monkeypatch):
 
     monkeypatch.setattr(prolate, "eig_prolate_1d", counted_solve)
     with pytest.raises(EigenvalueTooSmall):
-        build_basis(1.0, 1.0, 256, 100)
+        build_basis(1.0, 1.0, 256, 144)
     assert len(calls) == 1
 
 
