@@ -8,7 +8,7 @@ degenerate edges of that region.
 Extremal signals are returned as ComboSignal, a signals.ModalField (a
 combination of basis elements and their time-limited cuts) that reports
 its own energy ratios: energies are traces of the 1D time-square and
-whole-line Grams and band ratios come from the band-side Gauss rule, which
+whole-line Grams, the band one that of the field's band limit, which
 sidesteps the O(1/X) spatial tails that grid windows cannot capture.
 """
 
@@ -23,7 +23,7 @@ from .errors import (BadIndex, NoAdmissibleIndex, WindowTooSmall,
 from .grid import GridAxis, QSignal, Region, energy, region_mask
 from .prolate import BasisSet2D, band_kernel, band_rule
 from .qft import _band_bins, _fold, dual_frequency_axes
-from .signals import (CUT, PSI, BandRep, ModalField, _analyse, _energy,
+from .signals import (CUT, PSI, BandRep, ModalField, _analyse, _energy, _pair,
                       band_rep_from_time_nodal)
 
 
@@ -81,11 +81,11 @@ class ComboSignal(ModalField):
     """A ModalField that reports its energy ratios against its own basis."""
 
     def report(self) -> EnergyReport:
-        """The band energy is sum |s|^2 |coeff|^2 over the row blocks of the band-rule
-        field s (band_blocks)."""
-        e_band = sum(_energy(s) for s in self.band_blocks()) * self.coeff.modulus() ** 2
-        return _report(self.time_energy(), e_band, self.total_energy(),
-                       float(self.tables.lambda2d[0, 0]))
+        """The band energy is the whole-line energy of the band limit, _band_psi under the
+        Gram gram_r; like the time and total energies it carries no |coeff|^2."""
+        p = self._band_psi()
+        return _report(self.time_energy(), _pair(self.tables.gram_r, p, p),
+                       self.total_energy(), float(self.tables.lambda2d[0, 0]))
 
 
 def energy_ratios(f: QSignal, basis: BasisSet2D) -> EnergyReport:

@@ -83,12 +83,13 @@ def _bessel_sums(coef, z) -> np.ndarray:
     """sum_k coef[k] j_k(z), shape coef.shape[1:] + z.shape, at ascending z >= 0, with j_k the
     spherical Bessel functions.  Where z >= len(coef), up from j_-1 = cos z / z and j_0 = sin z / z,
     stable for k < z; below, Miller's backward recurrence on h_k = j_k / z^k, which divides by
-    nothing, kept in range by exact powers of two and normalized by z sin z h_0 + cos z h_-1 = 1."""
+    nothing, kept in range by exact powers of two and normalized by z sin z h_0 + cos z h_-1 = 1,
+    started 16 degrees past len(coef) + max z, where j_k is negligible at every z it takes."""
     zd, zu = np.split(z, [np.searchsorted(z, len(coef))])
     j_prev, j, h_next, h, s, t = np.cos(zu) / zu, np.sin(zu) / zu, 0 * zd, 1 + 0 * zd, 0, 0
     for k, c in enumerate(coef):
         s, j_prev, j = s + c[..., None] * j, j, (2 * k + 1) / zu * j - j_prev
-    for k in range(2 * len(coef) + 16, -1, -1):
+    for k in range(len(coef) + int(np.ceil(zd.max(initial=0))) + 16, -1, -1):
         t = coef[k][..., None] * h + zd * t if k < len(coef) else t
         h_next, h = h, (2 * k + 1) * h - zd * zd * h_next
         if not np.abs(h).max(initial=0) < 1e300:
@@ -320,10 +321,12 @@ def eig_prolate_1d(t_half: float, w_half: float, n: int, count: int) -> ProlateB
 
 
 def extend_eigenfunction(basis: ProlateBasis1D, k: int, x_outside):
-    """Evaluate phi_k anywhere on the line by its series' image (extend_ld); k is an int."""
+    """phi_k at any finite points of the line by its series' image (extend_ld); k is an int."""
     if not (isinstance(k, numbers.Integral) and not isinstance(k, bool)
             and 0 <= k < basis.count):
         raise BadIndex(f"mode {k!r} not in basis of {basis.count}")
+    if not np.isfinite(x_outside).all():
+        raise BadParameters("points must be finite")
     vals = basis.extend_ld(k, x_outside).astype(np.float64)
     return float(vals[0]) if np.isscalar(x_outside) else vals
 
@@ -367,7 +370,6 @@ class ModeTables:
     ax_x: GridAxis
     ax_y: GridAxis
     band: np.ndarray            # (M, N) complex, sqrt(w_u / 2 pi) F(phi_k)(u) on the band rule
-    cut: np.ndarray             # (M, N) complex, the same for phi_k restricted to [-T, T]
     gram_t: np.ndarray          # (M, M) long double, <phi_a, phi_b> on [-T, T]
     gram_r: np.ndarray          # (M, M) float64, <phi_a, phi_b> on the line: Re band band^H
     lambda2d: np.ndarray        # (M, M) float64, lambda_a lambda_b rounded once from long double
@@ -400,13 +402,11 @@ def _mode_tables(b: ProlateBasis1D, m: int, ax_x: GridAxis, ax_y: GridAxis) -> M
     sw = np.sqrt(band_rule(b)[1] / (2 * np.pi))
     # F(phi_k)(u) = (mu_k / lambda_k) phi_k(-u / c): reversed nodes are -s
     band = (b.mu[:m] / b.eigvals[:m])[:, None] * b.eigvecs[:m, ::-1] * sw
-    # the cut's transform at u = (W/T) x is the conjugate of I_k(x) = mu_k phi_k(x)
-    cut = (np.conj(b._mu_ld[:m, None]) * b._phi_ld[:m] * sw).astype(complex)
     gram_t = (b._phi_ld[:m] * b._w_ld[None, :]) @ b._phi_ld[:m].T
     lam = b._lam_ld[:m]
     # the band rule is exact for band-limited functions, so it gives the whole-line
     # Gram; its imaginary part is rounding
-    return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, band=band, cut=cut, gram_t=gram_t,
+    return ModeTables(basis1d=b, ax_x=ax_x, ax_y=ax_y, band=band, gram_t=gram_t,
                       gram_r=(band @ band.conj().T).real,
                       lambda2d=(lam[:, None] * lam[None, :]).astype(np.float64))
 

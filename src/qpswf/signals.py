@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadIndex, BadParameters, LengthMismatch
-from .grid import GridAxis, QSignal, _axis_region_mask, _row_blocks
+from .grid import GridAxis, QSignal, _axis_region_mask
 from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_kernel,
                       band_rule)
 from .quaternion import Quaternion, qarr_right_mul
@@ -108,7 +108,7 @@ class ModalField:
     + cut[a, b] D_T phi_a(x) phi_b(y)), with a and b 1D mode indices (rows
     of the mode tables), D_T the restriction to the time square and coeff
     the basis's unit quaternion.  Every quantity below is a product of 1D
-    tables.
+    tables, the band side one of the band table and _band_psi.
     """
 
     tables: ModeTables
@@ -146,22 +146,14 @@ class ModalField:
             a[int(kind == CUT), q] += r
         return cls.of(basis, *a)
 
-    def band_blocks(self):
-        """Row blocks of band_field, each no larger than the band and cut tables."""
-        t = self.tables
-        n = t.band.shape[1]
-        for rows in _row_blocks(n, n * t.band.itemsize, t.band.nbytes + t.cut.nbytes):
-            s = t.band[:, rows].T @ self.psi @ t.band
-            s += t.cut[:, rows].T @ self.cut @ t.cut
-            yield s
-
-    def band_field(self) -> np.ndarray:
-        """The real field's band coefficients s on the band rule: the field's are coeff * s."""
-        return np.concatenate(list(self.band_blocks()))
+    def _band_psi(self) -> np.ndarray:
+        """psi + lambda2d * cut, the band limit's modal matrix: B D_T phi_k = lambda_k phi_k."""
+        return self.psi + self.tables.lambda2d * self.cut
 
     def band_rep(self) -> BandRep:
-        return BandRep(self.tables.basis1d,
-                       self.coeff.as_array()[:, None, None] * self.band_field())
+        t = self.tables
+        return BandRep(t.basis1d, self.coeff.as_array()[:, None, None]
+                       * (t.band.T @ self._band_psi() @ t.band))
 
     def nodal_values(self) -> np.ndarray:
         """Quaternion values on the time Gauss grid (where cuts equal psi), shape (N, N, 4)."""

@@ -10,7 +10,9 @@ from qpswf.concentration import (CUT, PSI, ComboSignal, band_limit, boundary_eta
 from qpswf.errors import (BadIndex, NoAdmissibleIndex, RegionOutOfGrid,
                           XiOutOfRange, ZeroSignal)
 from qpswf.grid import GridAxis, QSignal, Region, angle, energy, region_mask
+from qpswf.prolate import build_basis
 from qpswf.qft import modulate
+from qpswf.quaternion import Quaternion
 from qpswf.rng import CounterRng
 from qpswf.signals import (ModalField, gaussian_mixed_qsignal, random_bandlimited,
                            random_time_nodal)
@@ -218,6 +220,29 @@ def test_eta_one_signal(basis36):
     for bad in (36, 100, -1, -36):
         with pytest.raises(BadIndex):
             build_eta_one_signal(0.3, basis36, n_index=bad)
+
+
+def test_reports_on_the_edges_at_t_w_2():
+    # T = W = 2 on 512 nodes: psi_0 and the boundary point at xi = sqrt(lambda0) lie on
+    # the boundary and an eta-one signal is band-limited, so each reads eta = 1 exactly and
+    # its deficit to rounding, where the slope of arccos at 1 would turn one ulp into 2e-8
+    basis = build_basis(2.0, 2.0, 512, 4)
+    s0 = np.sqrt(basis.lambda0)
+    for g in (ComboSignal.of(basis, [1.0]), build_boundary_signal(s0, basis)):
+        rep = g.report()
+        assert rep.eta_q == 1.0 and abs(rep.angle_sum_deficit) <= 1e-12
+    xi = float(np.sqrt((basis[3].lambda2d + basis.lambda0) / 2))
+    rep = build_eta_one_signal(xi, basis).report()
+    assert rep.eta_q == 1.0
+    assert abs(rep.angle_sum_deficit - (np.arccos(xi) - np.arccos(s0))) <= 1e-12
+
+
+def test_report_with_a_coefficient_inside_the_unit_tolerance():
+    # an accepted coeff of modulus 1 - 9e-13 scales every energy alike, or none: psi_0
+    # stays on the boundary
+    q = Quaternion(*[0.5 * (1 - 9e-13)] * 4)
+    rep = ComboSignal.of(build_basis(1.0, 1.0, 128, 6, coeff=q), [1.0]).report()
+    assert abs(rep.angle_sum_deficit) <= 1e-12
 
 
 def test_not_both_limited(basis36):

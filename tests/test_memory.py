@@ -57,16 +57,16 @@ def test_tables_on_a_large_grid_peak_below_2_mb(solve_512):
     assert _peak(lambda: tables.ext_x) <= 2 * _MB
 
 
-def test_combo_report_forms_no_four_component_copy():
-    # the band energy is sum |s|^2 |q|^2 over row blocks of the N x N band field, with
-    # no (4, N, N) copy and no whole field
-    n = 512
+def test_combo_report_forms_no_band_field():
+    # the band energy is the modal matrix of the band limit under the whole-line Gram:
+    # (M, M) products only, below one (M, N) band table (16 KB) and far below an N x N
+    # band field (4 MB)
     ax = GridAxis.symmetric(8.0, 1025)
-    basis = build_basis(2.0, 2.0, n, 4, grid=(ax, ax))
+    basis = build_basis(2.0, 2.0, 512, 4, grid=(ax, ax))
     s0 = np.sqrt(basis.lambda0)
     sig = build_boundary_signal(float(s0 + 0.5 * (1.0 - s0)), basis)
     sig.report()
-    assert _peak(sig.report) <= n * n / 4 * np.dtype(complex).itemsize
+    assert _peak(sig.report) <= basis.tables.band.nbytes
 
 
 def test_concentration_forms_no_grid_table(monkeypatch, tmp_path):

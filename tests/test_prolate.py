@@ -335,6 +335,13 @@ def test_extension_rejects_a_mode_that_is_not_an_int(basis1d, k):
         extend_eigenfunction(basis1d, k, 0.5)
 
 
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, [0.5, np.inf]],
+                         ids=["inf", "-inf", "nan", "array"])
+def test_extension_rejects_a_point_that_is_not_finite(basis1d, x):
+    with pytest.raises(BadParameters, match="finite"):
+        extend_eigenfunction(basis1d, 0, x)
+
+
 def test_sign_convention_and_mu_phases(basis1d):
     assert extend_eigenfunction(basis1d, 0, 0.0) > 0
     # mu_k carries the phase i^k under this sign convention
