@@ -22,6 +22,7 @@ from .errors import BadIndex, BadParameters, LengthMismatch
 from .grid import GridAxis, QSignal, _axis_region_mask
 from .prolate import (BasisSet2D, ModeTables, ProlateBasis1D, Qpswf2D, band_kernel,
                       band_rule)
+from .qft import _SYM_TOL
 from .quaternion import Quaternion, qarr_right_mul
 from .rng import CounterRng
 
@@ -220,16 +221,26 @@ def random_bandlimited_grid_spectrum(ax_u: GridAxis, ax_v: GridAxis, w_half: flo
 
     Returns shape (4, Mu, Mv) complex with the Hermitian symmetry
     G(-u, -v) = conj(G(u, v)) that real components require; entries outside
-    the closed band square are zero.
+    the closed band square are zero.  Each component symmetrizes the band
+    entries of normal draws over the whole grid, of which only the entries
+    in the band square are evaluated.  Both axes must be symmetric about 0,
+    else BadParameters: the reflection (u, v) -> (-u, -v) is then the index
+    reversal.
     """
-    u, v = ax_u.samples(), ax_v.samples()
-    band = np.outer(np.abs(u) <= w_half + 1e-12, np.abs(v) <= w_half + 1e-12)
-    out = np.empty((4, ax_u.count, ax_v.count), dtype=complex)
+    for name, ax in (("u", ax_u), ("v", ax_v)):
+        if abs(ax.start + ax.stop) > _SYM_TOL * ax.step:
+            raise BadParameters(f"frequency {name} axis must be symmetric about 0")
+    n = ax_u.count * ax_v.count
+    # the band rows and columns with their mirror images: reversing them reflects the band block
+    bu, bv = (np.abs(ax.samples()) <= w_half + 1e-12 for ax in (ax_u, ax_v))
+    rows, cols = np.flatnonzero(bu | bu[::-1]), np.flatnonzero(bv | bv[::-1])
+    idx = rows[:, None] * ax_v.count + cols[None, :]
+    band = np.outer(bu[rows], bv[cols])
+    out = np.zeros((4, ax_u.count, ax_v.count), dtype=complex)
     for c in range(4):
-        raw = rng.normal_field((ax_u.count, ax_v.count)) \
-            + 1j * rng.normal_field((ax_u.count, ax_v.count))
+        raw = rng.normal_entries(n, idx) + 1j * rng.normal_entries(n, idx)
         raw *= band
-        out[c] = (raw + np.conj(raw[::-1, ::-1])) / 2
+        out[c][np.ix_(rows, cols)] = (raw + np.conj(raw[::-1, ::-1])) / 2
     return out
 
 
@@ -240,22 +251,23 @@ def gaussian_mixed_qsignal(ax_x: GridAxis, ax_y: GridAxis, rng: CounterRng,
     A sum of a few Gaussian bumps with random quaternion amplitudes, mild
     modulations, centers inside the time square and widths well under the
     grid half-width, so grid quadrature measures its energy essentially
-    exactly.
+    exactly.  Each bump is a product of an x and a y factor, so the grid is
+    the one product of the stacked factors.
     """
-    x = ax_x.samples()[:, None]
-    y = ax_y.samples()[None, :]
+    x, y = ax_x.samples(), ax_y.samples()
     half = min(-ax_x.start, -ax_y.start)
-    vals = np.zeros((ax_x.count, ax_y.count, 4))
     n_bumps = 2 + int(rng.uniform(1)[0] * 3)
-    for _ in range(n_bumps):
+    fx, fy = np.empty((n_bumps, ax_x.count)), np.empty((n_bumps, ax_y.count))
+    amp = np.empty((n_bumps, 4))
+    for b in range(n_bumps):
         # widths and centers keep the envelope below ~1e-8 at the grid edge,
         # so grid quadrature captures the energy to better than 1e-12
         cx, cy = (rng.uniform(2) * 2 - 1) * 0.5 * t_half
         sig = half * (0.10 + 0.05 * rng.uniform(1)[0])
         rx, ry = rng.uniform(2) * 3 * w_half
         phx, phy = rng.uniform(2) * 2 * np.pi
-        amp = rng.normal(4)
-        env = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sig ** 2))
-        carrier = np.cos(rx * x + phx) * np.cos(ry * y + phy)
-        vals += env[..., None] * carrier[..., None] * amp[None, None, :]
-    return QSignal(ax_x, ax_y, vals)
+        amp[b] = rng.normal(4)
+        fx[b] = np.exp(-(x - cx) ** 2 / (2 * sig ** 2)) * np.cos(rx * x + phx)
+        fy[b] = np.exp(-(y - cy) ** 2 / (2 * sig ** 2)) * np.cos(ry * y + phy)
+    vals = fx.T @ (fy[:, :, None] * amp[:, None, :]).reshape(n_bumps, -1)
+    return QSignal(ax_x, ax_y, vals.reshape(ax_x.count, ax_y.count, 4))

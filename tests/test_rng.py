@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from qpswf.errors import BadIndex
 from qpswf.rng import CounterRng, splitmix64
 
 # reference outputs of the standard finalizer for seed 0, counters 0..2
@@ -44,3 +46,24 @@ def test_frozen_first_draws():
     expect = [0.36818951565166946, 0.9435642308648544,
               0.04525699773739167, 0.7774369184800852]
     assert np.allclose(u, expect, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 1001])
+def test_normal_entries_are_entries_of_normal(n):
+    # odd and even n, entries from both the cos half and the sin half, after earlier draws
+    idx = np.unique(np.r_[0, n - 1, n // 2, (n + 1) // 2 - 1, np.arange(0, n, 3)])
+    a, b = CounterRng(11, stream=2), CounterRng(11, stream=2)
+    assert np.array_equal(a.uniform(5), b.uniform(5))
+    assert np.array_equal(a.normal(3), b.normal(3))
+    full = a.normal(n)
+    assert np.array_equal(b.normal_entries(n, idx), full[idx])
+    # any index shape; the stream advances as normal(n) advances it
+    assert np.array_equal(b.normal_entries(n, idx[::-1].reshape(-1, 1)), a.normal(n)[idx[::-1], None])
+    assert np.array_equal(b.normal_entries(n, []), a.normal(n)[:0])
+    assert np.array_equal(a.uniform(3), b.uniform(3))
+
+
+@pytest.mark.parametrize("idx", [[-1], [8], [0, 8]])
+def test_normal_entries_outside_the_draw_rejected(idx):
+    with pytest.raises(BadIndex):
+        CounterRng(1).normal_entries(8, idx)
