@@ -6,18 +6,22 @@ result; the error contracts mode-by-mode with factor (1 - lambda_j) per step.
 pg_run writes it as one linear recursion on band coefficients: for synthetic
 problems built from the eigenbasis on the band Gauss rule, where the
 closed-form error law can be checked at full precision, and for file-based
-problems on the dual-lattice bins inside the band.  In the eigenframe of each
-axis's Hermitian step matrix the iterate after n steps is the Landweber
-filter G (1 - (1 - lam)^n) / lam, evaluated in closed form for a block of
-rows at once.  The frame keeps only the modes whose eigenvalue eigh resolves
-from 0 (7 of 256 on the band Gauss rule at T = W = 1); the truth's content
-below that cut is not iterated but carried as a fixed residual in E_n and
-sup_e.  A synthetic truth is the basis's unit quaternion q times a real
-field, which the run iterates as one component.  Its band-rule frame, the 1D
-mode tables folded into it and its kernels depend only on the basis and are
-kept in the basis's ModeTables memo, so a synthetic run forms no array on the
-grid or on the N x N band rule, and a run's final grid, like its problem's
-truth, is sampled only when a caller reads it.
+problems on the dual-lattice bins inside the band.  Both rules are mirrored
+about 0 and the components are real, so their band coefficients are
+Hermitian and the run holds them in cos/sin form: real coefficients on the
+rule's nonnegative half (_cos_sin_kernel), with the same values and the same
+sum of squares.  In the eigenframe of each axis's real symmetric step matrix
+the iterate after n steps is the Landweber filter G (1 - (1 - lam)^n) / lam,
+evaluated in closed form for a block of rows at once.  The frame keeps only
+the modes whose eigenvalue eigh resolves from 0 (7 of 256 on the band Gauss
+rule at T = W = 1); the truth's content below that cut is not iterated but
+carried as a fixed residual in E_n and sup_e.  A synthetic truth is the
+basis's unit quaternion q times a real field, which the run iterates as one
+component.  Its band-rule frame, the 1D mode tables folded into it and its
+kernels depend only on the basis and are kept in the basis's ModeTables
+memo, so a synthetic run forms no array on the grid or on the N x N band
+rule, and a run's final grid, like its problem's truth, is sampled only when
+a caller reads it.  Every frame table, iterate and error is float64.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .concentration import band_limit, time_limit
 from .errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
                      WindowTooSmall)
 from .grid import GridAxis, QSignal, Region, _axis_region_mask, energy, region_mask
-from .prolate import BasisSet2D, band_kernel, band_rule, check_phase
+from .prolate import BasisSet2D, band_rule, check_phase
 from .qft import _band_bins, dual_frequency_axis
 from .signals import ModalField, _analyse, _component_values, _energy, _pair
 
@@ -212,56 +216,92 @@ def _lattice_rule(ax: GridAxis, w_half: float):
     return np.where(k > len(bins) // 2, k - len(bins), k) * ax_f.step, bins[k]
 
 
-def _axis_frame(rule, s, w_s, inside):
-    """One axis's step M = F diag(chi_D) E ~ V diag(lam) V^H: returns (V^H F, lam, V).
+def _mirror(rule):
+    """Indices of a rule's node at 0 (none or one) and of its nodes u > 0, ascending.
 
-    E = band_kernel(s, u, w_u) evaluates at the points s and F = conj(E)^T
-    diag(w_s) analyses there, so M = E^H diag(w_s chi_D) E is Hermitian.  Its
-    entries sqrt(w_u w_u') sum_{s in D} w_s cos(s (u' - u)) / 2 pi are real when
-    the rule and the points in D are symmetric about 0 (V is real then).
-    V is n x r with orthonormal columns: the eigenpairs with
-    lam > n eps lam_max for a rule of size n, the eigenvalues eigh resolves
-    from 0 (its backward error is about n eps ||M||).  That keeps 7 of 256 on
-    the band Gauss rule at T = W = 1 and all 3 per axis on the default
-    257-point grid with d = 2, W = 1.
+    The rule must be mirrored about 0: a node -u with the weight of u for
+    every node u (to 1e-13 of the largest), else BadParameters.
     """
-    e = band_kernel(s, *rule)
-    f = e.conj().T * w_s
-    m = (f * inside) @ e
-    if np.abs(m.imag).max() <= 1e-13 * np.abs(m.real).max():
-        m = m.real
-    if np.linalg.norm(m - m.conj().T) > 1e-13 * np.linalg.norm(m):
-        raise BadParameters("the band step matrix is not Hermitian")
+    u, w = rule
+    order = np.argsort(u)
+    us, ws = u[order], w[order]
+    if (np.abs(us + us[::-1]).max() > 1e-13 * np.abs(u).max()
+            or np.abs(ws - ws[::-1]).max() > 1e-13 * np.abs(w).max()):
+        raise BadParameters("the band rule is not mirrored about 0")
+    half = len(u) // 2
+    return order[half:len(u) - half], order[len(u) - half:]
+
+
+def _cos_sin_kernel(x, rule) -> np.ndarray:
+    """K(x) = [sqrt(w_0 / 2 pi) | sqrt(w / pi) cos(u x) | sqrt(w / pi) sin(u x)] on a mirrored rule.
+
+    The columns are the node at 0, if any, then the nodes u > 0 twice.  K is
+    band_kernel E times a unitary P that takes each pair (u, -u) to its cos
+    and sin, E = K P, so 2D band coefficients a Hermitian about 0
+    (a(-u, -v) = conj a(u, v)) are b = P a P^T, real, with
+    K_x b K_y^T = E_x a E_y^T and sum b^2 = sum |a|^2.
+    """
+    u, w = rule
+    zero, pos = _mirror(rule)
+    ux, amp = np.outer(x, u[pos]), np.sqrt(w[pos] / np.pi)
+    at_zero = np.broadcast_to(np.sqrt(w[zero] / (2 * np.pi)), (len(ux), len(zero)))
+    return np.concatenate([at_zero, np.cos(ux) * amp, np.sin(ux) * amp], axis=1)
+
+
+def _cos_sin_rows(c, rule) -> np.ndarray:
+    """P applied to each row of c, 1D band coefficients Hermitian about 0 on rule:
+    c(0), sqrt(2) Re c(u) and -sqrt(2) Im c(u) on _cos_sin_kernel's columns."""
+    zero, pos = _mirror(rule)
+    return np.concatenate([c[:, zero].real, np.sqrt(2) * c[:, pos].real,
+                           -np.sqrt(2) * c[:, pos].imag], axis=1)
+
+
+def _axis_frame(rule, s, w_s, inside):
+    """One axis's step M = F diag(chi_D) K ~ V diag(lam) V^T: returns (V^T F, lam, V).
+
+    K = _cos_sin_kernel(s, rule) evaluates at the points s and F = K^T
+    diag(w_s) analyses there, so M = K^T diag(w_s chi_D) K is real symmetric
+    for any points.  It is P E^H diag(w_s chi_D) E P^H, the exponential
+    form's step in cos/sin coordinates, with the same eigenvalues.  V is
+    n x r with orthonormal columns: the eigenpairs with lam > n eps lam_max
+    for a rule of size n, the eigenvalues eigh resolves from 0 (its backward
+    error is about n eps ||M||).  That keeps 7 of 256 on the band Gauss rule
+    at T = W = 1 and all 3 per axis on the default 257-point grid with
+    d = 2, W = 1.
+    """
+    k = _cos_sin_kernel(s, rule)
+    f = k.T * w_s
     try:
-        lam, v = np.linalg.eigh(m)
+        lam, v = np.linalg.eigh((f * inside) @ k)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"step matrix eigensolver failed: {exc}") from exc
     keep = lam > len(lam) * np.finfo(float).eps * lam.max()
     v = v[:, keep]
-    return v.conj().T @ f, lam[keep], v
+    return v.T @ f, lam[keep], v
 
 
 def _frame_kernels(points, rules, frame) -> list:
-    """band_kernel E at each axis's points folded into its frame, E V."""
-    return [band_kernel(x, *rule) @ v for x, rule, v in zip(points, rules, frame)]
+    """_cos_sin_kernel K at each axis's points folded into its frame, K V."""
+    return [_cos_sin_kernel(x, rule) @ v for x, rule, v in zip(points, rules, frame)]
 
 
 def _band_frame(tables):
     """A basis's band-rule frame folded into its 1D mode tables, kept in tables.memo.
 
-    Returns (A phi^T, lam, V, band conj(V), E band^T, E V) for band_kernel E
-    at the 81 probe points over [-3T, 3T].  A = V^H F analyses values at the
-    time Gauss nodes, so A phi^T (r, M) takes the real field phi^T psi phi
-    of an (m, n) matrix psi to its analysed observation
-    (A phi^T) psi (A phi^T)^T; band conj(V) (M, r) takes psi to its frame
-    coefficients and E band^T (81, M) to its probe values the same way.
+    Returns (A phi^T, lam, V, C V, K C^T, K V), all float64, for the cos/sin
+    mode table C = _cos_sin_rows(band) and _cos_sin_kernel K at the 81 probe
+    points over [-3T, 3T].  A = V^T F analyses values at the time Gauss
+    nodes, so A phi^T (r, M) takes the real field phi^T psi phi of an (m, n)
+    matrix psi to its analysed observation (A phi^T) psi (A phi^T)^T; C V
+    (M, r) takes psi to its frame coefficients and K C^T (81, M) to its
+    probe values the same way.
     """
     def build():
-        b1, band, rule = tables.basis1d, tables.band, band_rule(tables.basis1d)
+        b1, rule = tables.basis1d, band_rule(tables.basis1d)
         analysis, lam, v = _axis_frame(rule, b1.nodes, b1.weights, True)
-        e = band_kernel(np.linspace(-3 * b1.t_half, 3 * b1.t_half, 81), *rule)
-        return (analysis @ b1.eigvecs[:len(band)].T, lam, v, band @ v.conj(),
-                e @ band.T, e @ v)
+        modes = _cos_sin_rows(tables.band, rule)
+        k = _cos_sin_kernel(np.linspace(-3 * b1.t_half, 3 * b1.t_half, 81), rule)
+        return (analysis @ b1.eigvecs[:len(modes)].T, lam, v, modes @ v, k @ modes.T, k @ v)
     return tables.memo("band_frame", build)
 
 
@@ -270,15 +310,16 @@ def _split_by_frame(synth: ModalField):
 
     Returns the frame coefficients T of s (1, r, r), and the values at the
     81^2 probe points (1, 81, 81) and the energy of s's part outside the
-    frame, band^T psi band - V T V^T.  Both come from (M, r), (81, M) and
-    (81, r) tables: the values are s less its in-frame part, and as V's
-    columns are orthonormal the energy is that of s, _pair(gram_r, psi, psi),
-    less that of T, which rounding can take below 0 when s lies in the frame.
+    frame, C^T psi C - V T V^T in cos/sin coefficients.  Both come from
+    (M, r), (81, M) and (81, r) tables: the values are s less its in-frame
+    part, and as V's columns are orthonormal the energy is that of s,
+    _pair(gram_r, psi, psi), less that of T, which rounding can take below 0
+    when s lies in the frame.
     """
     t, psi = synth.tables, synth.psi
     mode_frame, probe_modes, probe_frame = _band_frame(t)[3:]
     truth = mode_frame.T @ psi @ mode_frame
-    values = (probe_modes @ psi @ probe_modes.T - probe_frame @ truth @ probe_frame.T).real
+    values = probe_modes @ psi @ probe_modes.T - probe_frame @ truth @ probe_frame.T
     return truth[None], values[None], max(_pair(t.gram_r, psi, psi) - _energy(truth), 0.0)
 
 
@@ -299,19 +340,14 @@ def _landweber(lam):
 
 
 def _row_energies(coeffs: np.ndarray) -> np.ndarray:
-    """_energy of each row of a stack of band coefficients."""
-    v = np.ascontiguousarray(coeffs, dtype=complex).reshape(len(coeffs), -1).view(np.float64)
+    """Sum of squares of each row of a stack of real coefficients."""
+    v = coeffs.reshape(len(coeffs), -1)
     return np.einsum("ij,ij->i", v, v)
 
 
-def _sup_norms(err, px, py_real, residual) -> np.ndarray:
-    """max |px err py^T + residual| over the probe points for each row of err (k, C, rx, ry).
-
-    Re(X py^T) = [Re X, Im X] py_real for X = px err and py_real = [Re py, -Im py]^T.
-    """
-    x = px @ err
-    x = np.concatenate([x.real, x.imag], axis=-1)
-    values = (x.reshape(-1, x.shape[-1]) @ py_real).reshape(err.shape[:2] + (len(px), -1))
+def _sup_norms(err, px, py, residual) -> np.ndarray:
+    """max |px err py^T + residual| over the probe points for each row of err (k, C, rx, ry)."""
+    values = px @ err @ py.T
     values += residual
     return np.sqrt(np.einsum("bcij,bcij->bij", values, values).max(axis=(1, 2)))
 
@@ -321,21 +357,22 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     """Run the iteration until the relative update drops below stop_tol.
 
     f <- f + B (g - T f) is the recursion spec <- spec + G - Mx spec My^T on
-    f's band coefficients (signals' units, so each energy is a sum of
-    squares).  In the eigenframe of the Hermitian step matrices,
-    s = Vx^H spec conj(Vy), it is s <- s + Gs - Lam * s elementwise, so row n
-    takes s_n = Gs (1 - (1 - Lam)^n) / Lam and the update Gs (1 - Lam)^(n-1)
-    in closed form from _landweber, with no rounding carried between steps.
-    Rows are independent and are evaluated in blocks of stacked arrays, as
-    many rows as keep a block's probe values within one component of the
-    final grid; the rows after the first with delta < stop_tol are dropped.
-    The frame is folded into the kernels once (analysis V^H F, synthesis
-    E V, mode tables band conj(V)).  V is n x r, the r modes _axis_frame
-    resolves from 0, so a row works on r x r arrays.  Content below that cut
-    is not iterated: there lam ~ 0 and the iteration would leave it in the
-    error, so the truth's part outside the frame is computed once and
-    carried as a fixed residual in E_n and in the probe values.  V's columns
-    are orthonormal, so every in-frame energy is the same sum of squares.
+    the cos/sin coefficients of f's band coefficients (_cos_sin_kernel: real,
+    and each energy is a sum of squares).  In the eigenframe of the real
+    symmetric step matrices, s = Vx^T spec Vy, it is s <- s + Gs - Lam * s
+    elementwise, so row n takes s_n = Gs (1 - (1 - Lam)^n) / Lam and the
+    update Gs (1 - Lam)^(n-1) in closed form from _landweber, with no
+    rounding carried between steps.  Rows are independent and are evaluated
+    in blocks of stacked arrays, as many rows as keep a block's probe values
+    within one component of the final grid; the rows after the first with
+    delta < stop_tol are dropped.  The frame is folded into the kernels once
+    (analysis V^T F, synthesis K V, cos/sin mode tables C V), so every array
+    of a run is float64.  V is n x r, the r modes _axis_frame resolves from
+    0, so a row works on r x r arrays.  Content below that cut is not
+    iterated: there lam ~ 0 and the iteration would leave it in the error,
+    so the truth's part outside the frame is computed once and carried as a
+    fixed residual in E_n and in the probe values.  V's columns are
+    orthonormal, so every in-frame energy is the same sum of squares.
     Synthetic problems take the band Gauss rule and the time Gauss nodes
     (all in D) and probe 81^2 points over [-3d, 3d]^2; the truth's band
     table, its (m, n) matrix psi and its quaternion q come from
@@ -346,7 +383,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     energies scale by |q|^2, norms and sup_e by |q|, and q multiplies the
     final grid.  A synthetic run forms no N x N array and reads only the
     grid's axes: the analysed observation is (A phi^T) psi (A phi^T)^T for
-    A = V^H F and the nodal values phi, and the truth's part outside the
+    A = V^T F and the nodal values phi, and the truth's part outside the
     frame comes from _split_by_frame, all over (r, M), (M, r), (81, M) and
     (81, r) tables.  Those tables and each grid's final kernels depend only
     on the basis, which keeps them (ModeTables.memo).  Others take
@@ -399,7 +436,6 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
     half_width = float(np.sqrt(rules[0][1].sum() * rules[1][1].sum()) / 2)
     landweber = _landweber(np.outer(lam_x, lam_y))
     px, py = probe
-    py_real = np.concatenate([py.real, -py.imag], axis=1).T
     # a block's probe values hold no more numbers than one component of the final grid
     block = max(1, len(final[0]) * len(final[1]) // (len(g) * len(px) * len(py)))
     rows = []
@@ -419,7 +455,7 @@ def pg_run(problem: ExtrapolationProblem, max_steps: int = 500,
         if truth is not None:
             err = truth - spec
             e_n = scale ** 2 * (_row_energies(err) + residual_energy)
-            sup_e = scale * _sup_norms(err, px, py_real, residual)
+            sup_e = scale * _sup_norms(err, px, py, residual)
             bound = [pointwise_bound(e, half_width) for e in e_n]
         if compare_closed_form and synth is not None:
             # eigenframe band coefficients of the modal closed form, row by row

@@ -47,8 +47,10 @@ def _component_values(coeffs: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> np.
 
 
 def _energy(coeffs: np.ndarray) -> float:
-    """Energy sum |a|^2 of band coefficients: a sum of squares of a real view."""
-    v = np.ascontiguousarray(coeffs, dtype=complex).reshape(-1).view(np.float64)
+    """Energy sum |a|^2 of real or complex band coefficients: a sum of squares of a real view."""
+    a = np.asarray(coeffs)
+    v = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    v = v.reshape(-1).view(np.float64)
     return float(v @ v)
 
 

@@ -9,8 +9,9 @@ import qpswf.extrapolate as extrapolate
 from qpswf.concentration import band_limit, time_limit
 from qpswf.errors import (BadParameters, ConvergenceFailure, GridMismatch, LengthMismatch,
                           WindowTooSmall)
-from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _band_frame, _frame_kernels,
-                               _landweber, _lattice_rule, _split_by_frame,
+from qpswf.extrapolate import (ExtrapolationProblem, _axis_frame, _band_frame, _cos_sin_kernel,
+                               _cos_sin_rows, _frame_kernels, _landweber, _lattice_rule,
+                               _split_by_frame,
                                closed_form_band_spectra, closed_form_iterate,
                                error_energy, make_synthetic_problem, pg_run, pg_step,
                                pointwise_bound)
@@ -230,27 +231,98 @@ def test_split_by_frame_matches_the_band_rule_arrays():
     rule = band_rule(b1)
     analysis, lam, v = _axis_frame(rule, b1.nodes, b1.weights, True)
     assert len(lam) < len(band)
-    want_truth = (band @ v.conj()).T @ psi @ (band @ v.conj())
-    outside = band.T @ psi @ band - v @ want_truth @ v.T
-    probe = band_kernel(np.linspace(-3.3, 3.3, 81), *rule)
-    want_residual = (probe @ outside @ probe.T).real
-    want_energy = float(np.sum(np.abs(outside) ** 2))
+    # the 256^2 arrays in cos/sin coefficients, real like the run's
+    modes = _cos_sin_rows(band, rule)
+    want_truth = (modes @ v).T @ psi @ (modes @ v)
+    outside = modes.T @ psi @ modes - v @ want_truth @ v.T
+    probe = _cos_sin_kernel(np.linspace(-3.3, 3.3, 81), rule)
+    want_residual = probe @ outside @ probe.T
+    want_energy = float(np.sum(outside ** 2))
     assert np.abs(truth[0] - want_truth).max() <= 1e-13 * np.abs(want_truth).max()
     # both forms take s less its in-frame part, so they round on the scale of s
-    s_probe = (probe @ band.T @ psi @ band @ probe.T).real
+    s_probe = probe @ modes.T @ psi @ modes @ probe.T
     assert np.abs(residual[0] - want_residual).max() <= 1e-13 * np.abs(s_probe).max()
     assert abs(outside_energy - want_energy) <= 1e-13 * want_energy
-    assert want_energy > 1e-2 * np.sum(np.abs(want_truth) ** 2)
+    assert want_energy > 1e-2 * np.sum(want_truth ** 2)
 
     # row 1 iterates s_1 = G, the analysed observation
     phi = b1.eigvecs[:len(band)]
     err = want_truth - analysis @ (phi.T @ psi @ phi) @ analysis.T
-    err_probe = ((probe @ v) @ err @ (probe @ v).T).real + want_residual
+    err_probe = (probe @ v) @ err @ (probe @ v).T + want_residual
     q = coeff.modulus()
     row = pg_run(prob, max_steps=1, stop_tol=0.0).rows[0]
-    want_e = q ** 2 * (np.sum(np.abs(err) ** 2) + want_energy)
+    want_e = q ** 2 * (np.sum(err ** 2) + want_energy)
     assert abs(row.e_energy - want_e) <= 1e-13 * want_e
     assert abs(row.sup_e - q * np.abs(err_probe).max()) <= 1e-13 * row.sup_e
+
+
+def _hermitian_rows(rng, count, u):
+    """count random complex rows c on the nodes u with c(-u) = conj c(u)."""
+    mirror = np.array([np.flatnonzero(u == -x)[0] for x in u])
+    z = (rng.normal(count * len(u)) + 1j * rng.normal(count * len(u))).reshape(count, len(u))
+    return (z + z[:, mirror].conj()) / 2
+
+
+@pytest.mark.parametrize("case", ["band_rule", "lattice"])
+def test_cos_sin_kernel_is_the_band_kernel_on_hermitian_coefficients(basis36, case):
+    # a = sum_k alpha_k c_k (x) d_k over rows Hermitian about 0 is a random 2D
+    # array with a(-u, -v) = conj a(u, v); its cos/sin coefficients are
+    # b = sum_k alpha_k P c_k (x) P d_k.  The 256-node band Gauss rule has no
+    # node at 0; the 21-bin lattice rule of SUB_CUT_AX, in FFT order, has one,
+    # and is evaluated at the points of OFFSET_AX, which are not symmetric
+    if case == "band_rule":
+        rule, x = band_rule(basis36.basis1d), np.linspace(-3.0, 3.0, 81)
+        assert len(rule[0]) == 256 and not np.any(rule[0] == 0)
+    else:
+        rule, x = _lattice_rule(SUB_CUT_AX, 2.0), OFFSET_AX.samples()
+        assert len(rule[0]) == 21 and rule[0][0] == 0
+    n, rng = len(rule[0]), CounterRng(65)
+    c, d, alpha = _hermitian_rows(rng, n, rule[0]), _hermitian_rows(rng, n, rule[0]), rng.normal(n)
+    a = c.T @ (alpha[:, None] * d)
+    b = _cos_sin_rows(c, rule).T @ (alpha[:, None] * _cos_sin_rows(d, rule))
+    assert b.dtype == np.float64 and b.shape == (n, n)
+    e, k = band_kernel(x, *rule), _cos_sin_kernel(x, rule)
+    want = (e @ a @ e.T).real
+    assert np.abs(k @ b @ k.T - want).max() <= 1e-14 * np.abs(want).max()
+    energy_a = np.sum(np.abs(a) ** 2)
+    assert abs(np.sum(b ** 2) - energy_a) <= 1e-14 * energy_a
+
+
+def test_cos_sin_kernel_needs_a_mirrored_rule(basis36):
+    u, w = band_rule(basis36.basis1d)
+    x = np.linspace(-1.0, 1.0, 5)
+    for rule in ((u + 1e-3, w), (u, w * np.linspace(1.0, 1.1, len(w))), (u[1:], w[1:])):
+        with pytest.raises(BadParameters, match="mirrored"):
+            _cos_sin_kernel(x, rule)
+        with pytest.raises(BadParameters, match="mirrored"):
+            _axis_frame(rule, x, np.ones(len(x)), True)
+
+
+def test_run_arrays_are_float64(basis36, monkeypatch):
+    # every array the band frame and the final kernels hold is float64, and so
+    # is every step matrix, iterate, error and final coefficient array a run
+    # forms, synthetic or on a grid whose step is complex in exponential form
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.extend(a.dtype for a in args if isinstance(a, np.ndarray))
+            return fn(*args)
+        return wrapped
+    for name in ("_row_energies", "_sup_norms", "_component_values"):
+        monkeypatch.setattr(extrapolate, name, recording(getattr(extrapolate, name)))
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    basis = build_qpswf_basis(basis36.basis1d, len(basis36))
+    prob = make_synthetic_problem(basis, CounterRng(66).normal(10))
+    pg_run(prob, max_steps=12, stop_tol=0.0, compare_closed_form=True).final.values
+    t = basis.tables
+    kept = [*_band_frame(t), *t.memo(("final", basis.ax_x, basis.ax_y), None)]
+    assert len(kept) == 8 and all(arr.dtype == np.float64 for arr in kept)
+    truth = _grid_truth(59, AX, OFFSET_AX, w_half=2.0)
+    prob = ExtrapolationProblem(observed=time_limit(truth, 0.95), d_half=0.95, w_half=2.0,
+                                truth=truth)
+    pg_run(prob, max_steps=3, stop_tol=0.0).final.values
+    assert len(seen) > 10 and all(dtype == np.float64 for dtype in seen)
 
 
 def test_closed_form_iterate_limits(basis36):
@@ -587,23 +659,23 @@ def _offset_frame_inputs():
 
 
 def test_axis_frame_diagonalises_the_step():
-    # M = F diag(chi_D) E = V diag(lam) V^H with V unitary, and the analysis is V^H F
+    # M = F diag(chi_D) K = V diag(lam) V^T with V orthogonal, and the analysis is V^T F
     rule, s, w_s, inside = _offset_frame_inputs()
-    e = band_kernel(s, *rule)
-    f = e.conj().T * w_s
-    m = (f * inside) @ e
-    assert np.abs(m.imag).max() > 1e-3  # the offset axis gives a complex step
+    k = _cos_sin_kernel(s, rule)
+    f = k.T * w_s
+    m = (f * inside) @ k
     analysis, lam, v = _axis_frame(rule, s, w_s, inside)
-    assert np.abs(v @ np.diag(lam) @ v.conj().T - m).max() <= 1e-14 * np.abs(m).max()
-    assert np.abs(v.conj().T @ v - np.eye(len(lam))).max() <= 1e-14
-    assert np.abs(analysis - v.conj().T @ f).max() <= 1e-14 * np.abs(f).max()
+    assert np.abs(v @ np.diag(lam) @ v.T - m).max() <= 1e-14 * np.abs(m).max()
+    assert np.abs(v.T @ v - np.eye(len(lam))).max() <= 1e-14
+    assert np.abs(analysis - v.T @ f).max() <= 1e-14 * np.abs(f).max()
     assert np.all((lam > -1e-14) & (lam < 1 + 1e-14))
 
 
 @pytest.mark.parametrize("case, kept, size", [("band_rule", 7, 256), ("sub_cut", 5, 21),
                                               ("default_grid", 3, 3)])
 def test_axis_frame_keeps_the_modes_resolved_from_zero(basis36, case, kept, size):
-    # the frame keeps exactly the eigenpairs with lam > n eps lam_max, n the rule size
+    # the frame keeps exactly the eigenpairs with lam > n eps lam_max, n the rule size,
+    # of the exponential-form step E^H diag(w chi_D) E
     if case == "band_rule":
         b1 = basis36.basis1d
         rule, s, w_s, inside = band_rule(b1), b1.nodes, b1.weights, np.ones(len(b1.nodes), bool)
@@ -613,23 +685,33 @@ def test_axis_frame_keeps_the_modes_resolved_from_zero(basis36, case, kept, size
         s, w_s = ax.samples(), ax.trapezoid_weights()
         rule, inside = _lattice_rule(ax, w_half), np.abs(s) <= d_half + 1e-9
     e = band_kernel(s, *rule)
-    m = (e.conj().T * (w_s * inside)) @ e
-    full = np.linalg.eigvalsh(m)
+    full = np.linalg.eigvalsh((e.conj().T * (w_s * inside)) @ e)
     assert len(full) == size
     analysis, lam, v = _axis_frame(rule, s, w_s, inside)
     assert v.shape == (size, kept) and analysis.shape == (kept, len(s))
     assert np.array_equal(np.sort(lam), lam)
     assert np.allclose(lam, full[full > size * np.finfo(float).eps * full.max()],
                        rtol=0, atol=1e-14 * full.max())
-    assert np.abs(v.conj().T @ v - np.eye(kept)).max() <= 1e-14
-    assert np.abs(v @ np.diag(lam) @ v.conj().T - m).max() <= 1e-14 * np.abs(m).max()
+    assert np.abs(v.T @ v - np.eye(kept)).max() <= 1e-14
+    k = _cos_sin_kernel(s, rule)
+    m = (k.T * (w_s * inside)) @ k
+    assert np.abs(v @ np.diag(lam) @ v.T - m).max() <= 1e-14 * np.abs(m).max()
 
 
-def test_axis_frame_rejects_a_step_that_is_not_hermitian():
-    # complex weights on the points make E^H diag(w chi_D) E non-Hermitian
+def test_axis_frame_step_is_real_where_the_exponential_step_is_complex():
+    # on OFFSET_AX the points in D are not symmetric about 0, so the exponential
+    # form's step E^H diag(w chi_D) E is complex; the cos/sin step is real symmetric
+    # with the same eigenvalues
     rule, s, w_s, inside = _offset_frame_inputs()
-    with pytest.raises(BadParameters, match="Hermitian"):
-        _axis_frame(rule, s, w_s * (1 + 0.5j), inside)
+    e = band_kernel(s, *rule)
+    m = (e.conj().T * (w_s * inside)) @ e
+    assert np.abs(m.imag).max() > 1e-3
+    k = _cos_sin_kernel(s, rule)
+    m_cs = (k.T * (w_s * inside)) @ k
+    assert m_cs.dtype == np.float64
+    assert np.abs(m_cs - m_cs.T).max() <= 1e-14 * np.abs(m_cs).max()
+    lam = np.linalg.eigvalsh(m)
+    assert np.abs(np.linalg.eigvalsh(m_cs) - lam).max() <= 1e-14 * lam.max()
 
 
 def test_step_eigensolver_failure_is_convergence_failure(monkeypatch):

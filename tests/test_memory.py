@@ -1,5 +1,5 @@
-"""Allocation peaks of the basis path: kernels are built in row blocks and no command
-forms an element grid."""
+"""Allocation peaks of the basis path and of a first extrapolation run: kernels are built
+in row blocks and no command forms an element grid."""
 
 import contextlib
 import io
@@ -10,9 +10,11 @@ import pytest
 
 from qpswf import cli
 from qpswf.concentration import build_boundary_signal
+from qpswf.extrapolate import make_synthetic_problem, pg_run
 from qpswf.grid import GridAxis
 from qpswf.prolate import (ProlateBasis1D, _gauss_unit_ld, build_basis, build_qpswf_basis,
                            eig_prolate_1d)
+from qpswf.rng import CounterRng
 
 _LD_BYTES = np.dtype(np.longdouble).itemsize
 _MB = 2 ** 20
@@ -67,6 +69,15 @@ def test_combo_report_forms_no_band_field():
     sig = build_boundary_signal(float(s0 + 0.5 * (1.0 - s0)), basis)
     sig.report()
     assert _peak(sig.report) <= basis.tables.band.nbytes
+
+
+def test_first_synthetic_run_peaks_below_3_mb(basis36):
+    # the first run on a basis builds its band-rule frame in cos/sin form: a few real
+    # 256 x 256 arrays (2.0 MB measured), where the complex exponential form took 4.0 MB
+    basis = build_qpswf_basis(basis36.basis1d, len(basis36))
+    assert not basis.tables._memo
+    prob = make_synthetic_problem(basis, CounterRng(57).normal(26))
+    assert _peak(pg_run, prob, max_steps=50, stop_tol=0.0, compare_closed_form=True) <= 3 * _MB
 
 
 def test_concentration_forms_no_grid_table(monkeypatch, tmp_path):
